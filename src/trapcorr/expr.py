@@ -11,12 +11,15 @@ The grammar is a small calculator language over the single variable ``x``:
 Whitespace is insignificant, input must be ASCII, and there is no
 implicit multiplication ("2x" is a syntax error).  ``^`` binds right and
 tighter than unary minus inside its left operand, exactly as the grammar
-above reads: ``-x^2`` parses as ``(-x)^2``.
+above reads: ``-x^2`` parses as ``(-x)^2``.  Literals must be finite and
+nesting may not exceed :data:`MAX_DEPTH` levels.
 
-Evaluation returns a :class:`Jet3` — the value and first three
-derivatives at a point — propagated node by node through the sum,
-product, quotient and chain rules.  Jets are exact to rounding; nothing
-here differentiates numerically or symbolically.
+Each AST node compiles once, on first use, to a closure returning the
+value and first three derivatives at a point (a :class:`Jet3`) through
+the sum, product, quotient and chain rules.  :func:`eval_jet` and
+:func:`eval_value` run that one closure; where only a derivative is
+undefined (``sqrt`` at 0), the value stands and the jet is rejected.
+Jets are exact to rounding; nothing here differentiates numerically.
 """
 
 from __future__ import annotations
@@ -24,50 +27,66 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from functools import cached_property
+from typing import NamedTuple, Union
 
 from .errors import DomainError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
-    "parse", "eval_jet", "eval_value", "contains_var", "shift_by_cubic",
+    "MAX_DEPTH", "parse", "eval_jet", "eval_value", "contains_var",
+    "shift_by_cubic",
 ]
 
-FUNCTIONS = ("sin", "cos", "tan", "exp", "ln", "log10", "sqrt")
 CONSTANTS = {"pi": math.pi, "e": math.e}
+
+#: deepest nesting ``parse`` accepts, one level per parenthesis, call, unary
+#: minus or operator; parsing, compiling and evaluating recurse per level
+MAX_DEPTH = 100
 
 
 # ----------------------------------------------------------------- AST
 
+class _Node:
+    """AST node base: compiles to its jet closure once, on first use."""
+
+    @cached_property
+    def _jet(self):
+        return _compile(self)
+
+    def __getstate__(self):  # pickle the tree, not the closure
+        return {k: v for k, v in self.__dict__.items() if k != "_jet"}
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     """The single free variable x."""
 
 
 @dataclass(frozen=True)
-class Const:
+class Const(_Node):
     name: str  # "pi" or "e"
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     arg: "ExprAST"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "ExprAST"
     right: "ExprAST"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     func: str
     arg: "ExprAST"
 
@@ -80,9 +99,7 @@ def contains_var(node: ExprAST) -> bool:
         return True
     if isinstance(node, (Num, Const)):
         return False
-    if isinstance(node, Neg):
-        return contains_var(node.arg)
-    if isinstance(node, Call):
+    if isinstance(node, (Neg, Call)):
         return contains_var(node.arg)
     return contains_var(node.left) or contains_var(node.right)
 
@@ -104,12 +121,19 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
+def _bounded(depth: int, pos: int) -> int:
+    if depth > MAX_DEPTH:
+        raise SyntaxError_(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+    return depth
+
+
 class _Parser:
     """Recursive-descent parser over a token stream with one-token
-    lookahead.  Token positions are character offsets into the input."""
+    lookahead.  Token positions are character offsets into the input.
+    Productions take the levels open above them and return their node
+    with its depth, so tree and descent both stay within MAX_DEPTH."""
 
     def __init__(self, text: str):
-        self.text = text
         self.tokens = self._tokenize(text)
         self.i = 0
 
@@ -151,68 +175,70 @@ class _Parser:
     # grammar productions ------------------------------------------
 
     def parse(self) -> ExprAST:
-        node = self.expr()
+        node, _ = self.expr(0)
         kind, text, pos = self.peek()
         if kind != "eof":
             raise SyntaxError_(f"unexpected {text!r} after expression", pos)
         return node
 
-    def expr(self) -> ExprAST:
-        node = self.term()
+    def chain(self, level: int, ops: str, operand) -> tuple[ExprAST, int]:
+        """Left-associative ``operand (op operand)*`` for ``op`` in ``ops``."""
+        node, depth = operand(level)
         while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "+-":
-                self.advance()
-                node = BinOp(text, node, self.term())
-            else:
-                return node
+            kind, text, pos = self.peek()
+            if kind != "op" or text not in ops:
+                return node, depth
+            self.advance()
+            right, right_depth = operand(level)
+            node, depth = BinOp(text, node, right), max(depth, right_depth) + 1
+            _bounded(level + depth, pos)
 
-    def term(self) -> ExprAST:
-        node = self.factor()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in "*/":
-                self.advance()
-                node = BinOp(text, node, self.factor())
-            else:
-                return node
+    def expr(self, level: int) -> tuple[ExprAST, int]:
+        return self.chain(level, "+-", self.term)
 
-    def factor(self) -> ExprAST:
-        node = self.base()
+    def term(self, level: int) -> tuple[ExprAST, int]:
+        return self.chain(level, "*/", self.factor)
+
+    def factor(self, level: int) -> tuple[ExprAST, int]:
+        node, depth = self.base(level)
         kind, text, pos = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.factor()
+            exponent, exp_depth = self.factor(_bounded(level + 1, pos))
             # jets of u^v with both operands depending on x would need
             # the exp(v ln u) rewrite unconditionally; the grammar only
             # admits a constant exponent over a non-constant base
             if contains_var(node) and contains_var(exponent):
                 raise SyntaxError_(
                     "exponent must be constant when the base depends on x", pos)
-            node = BinOp("^", node, exponent)
-        return node
+            node, depth = BinOp("^", node, exponent), max(depth, exp_depth) + 1
+            _bounded(level + depth, pos)
+        return node, depth
 
-    def base(self) -> ExprAST:
+    def base(self, level: int) -> tuple[ExprAST, int]:
         kind, text, pos = self.advance()
         if kind == "num":
-            return Num(float(text))
+            if not math.isfinite(float(text)):
+                raise SyntaxError_(f"number {text} is out of range", pos)
+            return Num(float(text)), 1
         if kind == "name":
             if text == "x":
-                return Var()
+                return Var(), 1
             if text in CONSTANTS:
-                return Const(text)
-            if text in FUNCTIONS:
+                return Const(text), 1
+            if text in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, depth = self.expr(_bounded(level + 1, pos))
                 self.expect_op(")")
-                return Call(text, arg)
+                return Call(text, arg), depth + 1
             raise UnknownIdentifierError(text, pos)
         if kind == "op" and text == "(":
-            node = self.expr()
+            node, depth = self.expr(_bounded(level + 1, pos))
             self.expect_op(")")
-            return node
+            return node, depth + 1
         if kind == "op" and text == "-":
-            return Neg(self.base())
+            node, depth = self.base(_bounded(level + 1, pos))
+            return Neg(node), depth + 1
         raise SyntaxError_(f"unexpected {text!r}" if text else "unexpected end of input", pos)
 
 
@@ -220,9 +246,10 @@ def parse(text: str) -> ExprAST:
     """Parse expression ``text`` into an AST.
 
     Raises :class:`SyntaxError_` (with character offset) on malformed
-    input and :class:`UnknownIdentifierError` for names outside the
-    supported function/constant set.  Parsing is deterministic: equal
-    text yields equal trees.
+    input, a literal that overflows to infinity, or nesting deeper than
+    :data:`MAX_DEPTH`, and :class:`UnknownIdentifierError` for names
+    outside the supported function/constant set.  Parsing is
+    deterministic: equal text yields equal trees.
     """
     if not text or not text.strip():
         raise SyntaxError_("empty expression", 0)
@@ -231,8 +258,7 @@ def parse(text: str) -> ExprAST:
 
 # ----------------------------------------------------------------- jets
 
-@dataclass(frozen=True)
-class Jet3:
+class Jet3(NamedTuple):
     """Value and first three derivatives of a scalar function at a point."""
 
     d0: float
@@ -241,130 +267,148 @@ class Jet3:
     d3: float
 
 
-_CONST_JET_D = (0.0, 0.0, 0.0)
+#: what derivative arithmetic raises where a derivative is undefined or
+#: overflows (a zero divisor, ``**`` out of range, math.pow/log domain)
+_UNDEFINED = (ArithmeticError, ValueError)
 
 
-def _jet_mul(u: Jet3, v: Jet3) -> Jet3:
-    # Leibniz rule with binomial weights
-    return Jet3(
-        u.d0 * v.d0,
-        u.d1 * v.d0 + u.d0 * v.d1,
-        u.d2 * v.d0 + 2.0 * u.d1 * v.d1 + u.d0 * v.d2,
-        u.d3 * v.d0 + 3.0 * u.d2 * v.d1 + 3.0 * u.d1 * v.d2 + u.d0 * v.d3,
-    )
-
-
-def _jet_div(u: Jet3, v: Jet3, x: float) -> Jet3:
-    if v.d0 == 0.0:
-        raise DomainError("division by zero", x)
-    w0 = u.d0 / v.d0
-    w1 = (u.d1 - w0 * v.d1) / v.d0
-    w2 = (u.d2 - w0 * v.d2 - 2.0 * w1 * v.d1) / v.d0
-    w3 = (u.d3 - w0 * v.d3 - 3.0 * w1 * v.d2 - 3.0 * w2 * v.d1) / v.d0
-    return Jet3(w0, w1, w2, w3)
-
-
-def _compose(g0: float, g1: float, g2: float, g3: float, u: Jet3) -> Jet3:
-    # Faa di Bruno through order 3
-    return Jet3(
-        g0,
-        g1 * u.d1,
-        g2 * u.d1 * u.d1 + g1 * u.d2,
-        g3 * u.d1 ** 3 + 3.0 * g2 * u.d1 * u.d2 + g1 * u.d3,
-    )
-
-
-def _pow_const(u: Jet3, r: float, x: float) -> Jet3:
-    """Jet of u ** r for constant exponent r."""
-    if r == 0.0:
-        return Jet3(1.0, *_CONST_JET_D)
-    u0 = u.d0
-    r_is_int = r == int(r)
-    if u0 < 0.0 and not r_is_int:
-        raise DomainError(f"negative base {u0!r} with non-integer exponent {r!r}", x)
-    if u0 == 0.0 and r < 0.0:
-        raise DomainError(f"zero base with negative exponent {r!r}", x)
-    coeffs = [1.0, r, r * (r - 1.0), r * (r - 1.0) * (r - 2.0)]
-    outer = []
-    for k, ck in enumerate(coeffs):
-        if ck == 0.0:
-            outer.append(0.0)
-            continue
-        if u0 == 0.0 and r - k < 0.0:
-            raise DomainError(
-                f"derivative of order {k} of u^{r!r} undefined at u=0", x)
-        outer.append(ck * math.pow(u0, r - k))
-    return _compose(outer[0], outer[1], outer[2], outer[3], u)
-
-
-def _call_jet(func: str, u: Jet3, x: float) -> Jet3:
-    u0 = u.d0
-    if func == "sin":
-        s, c = math.sin(u0), math.cos(u0)
-        return _compose(s, c, -s, -c, u)
-    if func == "cos":
-        s, c = math.sin(u0), math.cos(u0)
-        return _compose(c, -s, -c, s, u)
-    if func == "tan":
-        t = math.tan(u0)
-        g1 = 1.0 + t * t
-        return _compose(t, g1, 2.0 * t * g1, 2.0 * g1 * (1.0 + 3.0 * t * t), u)
-    if func == "exp":
-        g = math.exp(u0)
-        return _compose(g, g, g, g, u)
-    if func == "ln":
-        if u0 <= 0.0:
-            raise DomainError(f"ln of non-positive value {u0!r}", x)
-        iu = 1.0 / u0
-        return _compose(math.log(u0), iu, -iu * iu, 2.0 * iu ** 3, u)
-    if func == "log10":
-        if u0 <= 0.0:
-            raise DomainError(f"log10 of non-positive value {u0!r}", x)
-        iu = 1.0 / (u0 * math.log(10.0))
-        return _compose(math.log10(u0), iu, -iu / u0, 2.0 * iu / (u0 * u0), u)
-    if func == "sqrt":
-        # jets need u > 0: the derivative is already infinite at u = 0
-        if u0 <= 0.0:
-            raise DomainError(f"sqrt jet undefined for value {u0!r}", x)
-        s = math.sqrt(u0)
-        g1 = 0.5 / s
-        return _compose(s, g1, -0.5 * g1 / u0, 0.75 * g1 / (u0 * u0), u)
-    raise AssertionError(f"unhandled function {func}")
-
-
-def _eval_jet(node: ExprAST, x: float) -> Jet3:
-    if isinstance(node, Num):
-        return Jet3(node.value, *_CONST_JET_D)
+def _compile(node: ExprAST):
+    """Closure ``x -> (d0, d1, d2, d3)`` for the jet of ``node``: d0 raises
+    DomainError outside its domain, undefined derivatives come out NaN."""
     if isinstance(node, Var):
-        return Jet3(x, 1.0, 0.0, 0.0)
-    if isinstance(node, Const):
-        return Jet3(CONSTANTS[node.name], *_CONST_JET_D)
+        return lambda x: (x, 1.0, 0.0, 0.0)
+    if isinstance(node, (Num, Const)):
+        const = (node.value if isinstance(node, Num) else CONSTANTS[node.name],
+                 0.0, 0.0, 0.0)
+        return lambda x: const
+    if isinstance(node, BinOp):
+        lf, rf = node.left._jet, node.right._jet
+    else:
+        uf = node.arg._jet
     if isinstance(node, Neg):
-        u = _eval_jet(node.arg, x)
-        return Jet3(-u.d0, -u.d1, -u.d2, -u.d3)
-    if isinstance(node, Call):
-        return _call_jet(node.func, _eval_jet(node.arg, x), x)
-    u = _eval_jet(node.left, x)
-    if node.op == "+":
-        v = _eval_jet(node.right, x)
-        return Jet3(u.d0 + v.d0, u.d1 + v.d1, u.d2 + v.d2, u.d3 + v.d3)
-    if node.op == "-":
-        v = _eval_jet(node.right, x)
-        return Jet3(u.d0 - v.d0, u.d1 - v.d1, u.d2 - v.d2, u.d3 - v.d3)
-    if node.op == "*":
-        return _jet_mul(u, _eval_jet(node.right, x))
-    if node.op == "/":
-        return _jet_div(u, _eval_jet(node.right, x), x)
-    # node.op == "^"
-    if not contains_var(node.right):
-        return _pow_const(u, eval_value(node.right, x), x)
-    # constant base, exponent depends on x: rewrite as exp(v ln base)
-    if u.d0 <= 0.0:
-        raise DomainError(
-            f"base {u.d0!r} must be positive for a non-constant exponent", x)
-    v = _eval_jet(node.right, x)
-    ln_b = math.log(u.d0)
-    return _call_jet("exp", Jet3(v.d0 * ln_b, v.d1 * ln_b, v.d2 * ln_b, v.d3 * ln_b), x)
+        def jet(x):
+            u0, u1, u2, u3 = uf(x)
+            return (-u0, -u1, -u2, -u3)
+    elif isinstance(node, Call):
+        g, outer, lowest, below = _FUNCTIONS[node.func]
+
+        def jet(x):
+            u0, u1, u2, u3 = uf(x)
+            if u0 < lowest:
+                raise DomainError(f"{node.func} of {below} value {u0!r}", x)
+            g0 = g(u0)
+            try:
+                return _chain(g0, *outer(u0, g0), u1, u2, u3)
+            except _UNDEFINED:
+                return (g0, math.nan, math.nan, math.nan)
+    elif node.op == "+":
+        def jet(x):
+            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
+            return (u0 + v0, u1 + v1, u2 + v2, u3 + v3)
+    elif node.op == "-":
+        def jet(x):
+            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
+            return (u0 - v0, u1 - v1, u2 - v2, u3 - v3)
+    elif node.op == "*":
+        def jet(x):  # Leibniz rule with binomial weights
+            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
+            return (u0 * v0, u1 * v0 + u0 * v1, u2 * v0 + 2.0 * u1 * v1 + u0 * v2,
+                    u3 * v0 + 3.0 * u2 * v1 + 3.0 * u1 * v2 + u0 * v3)
+    elif node.op == "/":
+        def jet(x):
+            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
+            if v0 == 0.0:
+                raise DomainError("division by zero", x)
+            w0 = u0 / v0
+            w1 = (u1 - w0 * v1) / v0
+            w2 = (u2 - w0 * v2 - 2.0 * w1 * v1) / v0
+            return (w0, w1, w2, (u3 - w0 * v3 - 3.0 * w1 * v2 - 3.0 * w2 * v1) / v0)
+    elif contains_var(node.right):
+        # the parser admits x in an exponent only over a constant base b:
+        # the value is pow(b, v), the derivatives those of exp(v ln b)
+        def jet(x):
+            b = lf(x)[0]
+            v0, v1, v2, v3 = rf(x)
+            p = _pow_value(b, v0, x)
+            try:
+                ln_b = math.log(b)
+                return _chain(p, p, p, p, v1 * ln_b, v2 * ln_b, v3 * ln_b)
+            except _UNDEFINED:
+                return (p, math.nan, math.nan, math.nan)
+    else:
+        def jet(x):  # u^r for an exponent free of x
+            u0, u1, u2, u3 = lf(x)
+            r = rf(x)[0]
+            if r == 0.0:  # the constant 1, whatever u's derivatives
+                return (1.0, 0.0, 0.0, 0.0)
+            g0 = _pow_value(u0, r, x)
+            c2 = r * (r - 1.0)
+            c3 = c2 * (r - 2.0)
+            try:
+                return _chain(g0, r * math.pow(u0, r - 1.0),
+                              0.0 if c2 == 0.0 else c2 * math.pow(u0, r - 2.0),
+                              0.0 if c3 == 0.0 else c3 * math.pow(u0, r - 3.0),
+                              u1, u2, u3)
+            except _UNDEFINED:
+                return (g0, math.nan, math.nan, math.nan)
+    return jet
+
+
+def _chain(g0, g1, g2, g3, u1, u2, u3):
+    # Faa di Bruno through order 3
+    return (g0, g1 * u1, g2 * u1 * u1 + g1 * u2,
+            g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3)
+
+
+def _pow_value(u: float, r: float, x: float) -> float:
+    if u < 0.0 and r != int(r):
+        raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x)
+    if u == 0.0 and r < 0.0:
+        raise DomainError(f"zero base with negative exponent {r!r}", x)
+    return math.pow(u, r)
+
+
+def _ln_outer(u, g):
+    iu = 1.0 / u
+    return iu, -iu * iu, 2.0 * iu ** 3
+
+
+def _log10_outer(u, g):
+    iu = 1.0 / (u * math.log(10.0))
+    return iu, -iu / u, 2.0 * iu / (u * u)
+
+
+def _sqrt_outer(u, s):
+    g1 = 0.5 / s  # infinite at u = 0, where the value is still defined
+    return g1, -0.5 * g1 / u, 0.75 * g1 / (u * u)
+
+
+def _tan_outer(u, t):
+    g1 = 1.0 + t * t
+    return g1, 2.0 * t * g1, 2.0 * g1 * (1.0 + 3.0 * t * t)
+
+
+#: per function: g; (u, g(u)) -> (g', g'', g''') at u; the least u in g's
+#: domain (ln and log10 need u > 0: the least positive float); and how an
+#: error names a value below it
+_FUNCTIONS = {
+    "sin": (math.sin, lambda u, s: (math.cos(u), -s, -math.cos(u)), -math.inf, ""),
+    "cos": (math.cos, lambda u, c: (-math.sin(u), -c, math.sin(u)), -math.inf, ""),
+    "tan": (math.tan, _tan_outer, -math.inf, ""),
+    "exp": (math.exp, lambda u, g: (g, g, g), -math.inf, ""),
+    "ln": (math.log, _ln_outer, math.ulp(0.0), "non-positive"),
+    "log10": (math.log10, _log10_outer, math.ulp(0.0), "non-positive"),
+    "sqrt": (math.sqrt, _sqrt_outer, 0.0, "negative"),
+}
+
+
+def _evaluate(ast: ExprAST, x: float) -> tuple:
+    try:
+        return ast._jet(x)
+    except OverflowError as exc:
+        raise DomainError(f"overflow: {exc}", x) from exc
+    except _UNDEFINED as exc:
+        raise DomainError(f"undefined: {exc}", x) from exc
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:
@@ -373,64 +417,16 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
     Raises :class:`DomainError` when the point is outside the
     expression's domain or any component fails to be finite.
     """
-    try:
-        jet = _eval_jet(ast, x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
-    if not (math.isfinite(jet.d0) and math.isfinite(jet.d1)
-            and math.isfinite(jet.d2) and math.isfinite(jet.d3)):
+    jet = Jet3._make(_evaluate(ast, x))
+    if not all(map(math.isfinite, jet)):
         raise DomainError("non-finite jet component", x)
     return jet
 
 
-# ------------------------------------------------------------ value only
-
-def _eval_value(node: ExprAST, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Const):
-        return CONSTANTS[node.name]
-    if isinstance(node, Neg):
-        return -_eval_value(node.arg, x)
-    if isinstance(node, Call):
-        u = _eval_value(node.arg, x)
-        if node.func in ("ln", "log10") and u <= 0.0:
-            raise DomainError(f"{node.func} of non-positive value {u!r}", x)
-        if node.func == "sqrt" and u < 0.0:
-            raise DomainError(f"sqrt of negative value {u!r}", x)
-        fn = {"sin": math.sin, "cos": math.cos, "tan": math.tan,
-              "exp": math.exp, "ln": math.log, "log10": math.log10,
-              "sqrt": math.sqrt}[node.func]
-        return fn(u)
-    u = _eval_value(node.left, x)
-    if node.op == "+":
-        return u + _eval_value(node.right, x)
-    if node.op == "-":
-        return u - _eval_value(node.right, x)
-    if node.op == "*":
-        return u * _eval_value(node.right, x)
-    if node.op == "/":
-        v = _eval_value(node.right, x)
-        if v == 0.0:
-            raise DomainError("division by zero", x)
-        return u / v
-    r = _eval_value(node.right, x)
-    if u < 0.0 and r != int(r):
-        raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x)
-    if u == 0.0 and r < 0.0:
-        raise DomainError(f"zero base with negative exponent {r!r}", x)
-    return math.pow(u, r)
-
-
 def eval_value(ast: ExprAST, x: float) -> float:
-    """Evaluate just the value of ``ast`` at ``x`` (cheaper than a jet;
-    quadrature uses this on every node)."""
-    try:
-        v = _eval_value(ast, x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
+    """Evaluate just the value of ``ast`` at ``x``: the d0 of the jet,
+    defined also where a derivative is not (``sqrt`` at 0)."""
+    v = _evaluate(ast, x)[0]
     if not math.isfinite(v):
         raise DomainError("non-finite value", x)
     return v

@@ -52,10 +52,9 @@ class ProblemSpec:
     den_guard: float = DEFAULT_DEN_GUARD
     f_coefficient: float = F_COEFFICIENT
     tableau: RKTableau = FEHLBERG7
-    h_min: float | None = None  # reverse sweep stops at a + h_min (default: h)
 
     def __post_init__(self):
-        for name in ("a", "b", "x0", "h", "shift"):
+        for name in ("a", "b", "x0", "h", "shift", "ref_tol", "root_tol"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
@@ -73,8 +72,6 @@ class ProblemSpec:
             raise ConfigError(f"reference tolerance must be positive, got {self.ref_tol!r}")
         if self.root_tol <= 0.0:
             raise ConfigError(f"root tolerance must be positive, got {self.root_tol!r}")
-        if self.h_min is not None and self.h_min <= 0.0:
-            raise ConfigError(f"h_min must be positive, got {self.h_min!r}")
 
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
@@ -247,7 +244,7 @@ def run(spec: ProblemSpec, reference: bool = False,
         residual: bool = False) -> ErrorCurve:
     """Produce the corrected-integral error curve for ``spec``.
 
-    The grid is {a} followed by the reverse-sweep nodes up from a + h_min
+    The grid is {a} followed by the reverse-sweep nodes up from a + h
     and the forward-sweep nodes from x0 to b.  The row at exactly x = a
     needs no mean-value point: every term carries a (x-a)^3 factor, so
     trapezium, error term and corrected value are all identically zero.
@@ -271,8 +268,7 @@ def run(spec: ProblemSpec, reference: bool = False,
     def rhs(x: float, xi: float) -> float:
         return xi_rhs(problem, x, xi)
 
-    h_min = spec.h if spec.h_min is None else spec.h_min
-    rev_target = spec.a + h_min
+    rev_target = spec.a + spec.h
     try:
         forward = rk.integrate(rhs, spec.x0, xi0, spec.b, spec.h, spec.tableau,
                                _keep_in_interval(problem, xi0))

@@ -148,10 +148,6 @@ class Trajectory:
         return [x for x, _ in self.nodes]
 
     @property
-    def ys(self) -> list[float]:
-        return [y for _, y in self.nodes]
-
-    @property
     def y_end(self) -> float:
         return self.nodes[-1][1]
 

@@ -23,7 +23,8 @@ so the shift is exactly reversible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 
 from .errors import DomainError, SingularDenominatorError
 from .expr import ExprAST, eval_jet, shift_by_cubic
@@ -56,8 +57,9 @@ class XiProblem:
     f_coefficient: float = F_COEFFICIENT
 
     def __post_init__(self):
-        if self.den_guard <= 0.0:
-            raise DomainError(f"denominator guard must be positive, got {self.den_guard!r}")
+        if not 0.0 < self.den_guard < math.inf:
+            raise DomainError(
+                f"denominator guard must be positive and finite, got {self.den_guard!r}")
         g = shift_by_cubic(self.integrand, self.shift)
         object.__setattr__(self, "_g", g)
         object.__setattr__(self, "_ga", eval_jet(g, self.a).d0)
@@ -105,10 +107,7 @@ def error_term(p: XiProblem, x: float, xi: float) -> float:
 
 def shifted_problem(p: XiProblem, shift: float) -> XiProblem:
     """Same problem with the cubic shift constant replaced by ``shift``."""
-    if shift == p.shift:
-        return p
-    return XiProblem(integrand=p.integrand, a=p.a, shift=shift,
-                     den_guard=p.den_guard, f_coefficient=p.f_coefficient)
+    return p if shift == p.shift else replace(p, shift=shift)
 
 
 def cubic_correction(d: float, a: float, x: float) -> float:

@@ -163,6 +163,8 @@ def test_exotic_runs_with_scaled_tolerances(tmp_path):
     ["--f", "sin(x)", "--a", "1", "--b", "10", "--x0", "11", "--h", "0.01"],
     ["--f", "sin(x)", "--a", "1", "--b", "10", "--x0", "5", "--h", "2"],
     ["--f", "sin(x)", "--a", "1", "--b", "10", "--x0", "1.05", "--h", "0.01"],
+    ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.02", "--root-tol", "nan"],
+    ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.02", "--ref-tol", "inf"],
 ])
 def test_invalid_configuration_exit_5(args, capsys):
     code = main(["integrate", *args])
@@ -177,6 +179,29 @@ def test_domain_error_exit_5(capsys):
                  "--x0", "5", "--h", "0.01"])
     assert code == 5
     assert len(stderr_lines(capsys)) == 1
+
+
+def test_jet_domain_error_exit_5(capsys):
+    # the value is defined at a, the derivatives are not (1/(a*a) underflows)
+    code = main(["integrate", "--f", "sqrt(x)", "--a", "1e-200", "--b", "1",
+                 "--h", "0.01"])
+    assert code == 5
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    assert "non-finite jet component" in lines[0]
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 300 + "x" + ")" * 300,
+    "+".join(["x"] * 1200),
+    "1e400",
+], ids=["300-parentheses", "1200-terms", "1e400"])
+def test_unparseable_expression_exit_2(text, capsys):
+    code = main(["integrate", "--f", text, "--a", "1", "--b", "4", "--h", "0.02"])
+    assert code == 2
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    assert "[parse]" in lines[0] and "offset" in lines[0]
 
 
 def test_unwritable_output_exit_6(capsys):

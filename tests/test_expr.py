@@ -1,10 +1,13 @@
 import math
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trapcorr import (DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
                       eval_jet, eval_value, parse)
-from trapcorr.expr import BinOp, Call, Num, Var
+from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var
 
 from helpers import FD_DOMAINS, worst_jet_fd_deviation
 
@@ -34,6 +37,14 @@ def test_parse_is_deterministic():
     assert parse(text) == parse(text)
 
 
+def test_evaluated_tree_pickles_and_compares_as_before():
+    ast = parse("x^2*(sin(x)*ln(2+x)-100*x)")
+    jet = eval_jet(ast, 3.0)
+    copy = pickle.loads(pickle.dumps(ast))
+    assert copy == ast and hash(copy) == hash(ast)
+    assert eval_jet(copy, 3.0) == jet
+
+
 def test_syntax_error_offset():
     with pytest.raises(SyntaxError_) as exc:
         parse("2+*x")
@@ -41,10 +52,22 @@ def test_syntax_error_offset():
 
 
 @pytest.mark.parametrize("text", ["", "   ", "2x", "2 x", "sin x", "sin(x",
-                                  "(1+2", "1+", "^2", "1//2", "2e", "sin()"])
+                                  "(1+2", "1+", "^2", "1//2", "2e", "sin()",
+                                  "1e400", "x*2.5e308"])
 def test_malformed_inputs(text):
     with pytest.raises(SyntaxError_):
         parse(text)
+
+
+def test_nesting_depth_is_bounded():
+    parse("(" * 40 + "x" + ")" * 40)
+    parse("+".join(["x"] * 40))
+    for text in ("(" * 300 + "x" + ")" * 300, "+".join(["x"] * 1200),
+                 "-" * 300 + "x", "x" + "^2" * 300):
+        with pytest.raises(SyntaxError_) as exc:
+            parse(text)
+        assert f"deeper than {MAX_DEPTH}" in str(exc.value)
+        assert 0 < exc.value.position < len(text)
 
 
 def test_unknown_identifier():
@@ -175,6 +198,63 @@ def test_sqrt_jet_undefined_at_zero_but_value_defined():
     with pytest.raises(DomainError):
         eval_jet(parse("sqrt(x)"), 0.0)
     assert eval_value(parse("sqrt(x)"), 0.0) == 0.0
+
+
+# where only a derivative underflows, overflows or is undefined, the
+# value still comes out and the jet is a DomainError (never a bare
+# ZeroDivisionError or OverflowError)
+@pytest.mark.parametrize("text,x,value", [
+    ("sqrt(x)", 1e-200, 1e-100),
+    ("log10(x)", 1e-200, -200.0),
+    ("ln(x)", 1e-200, math.log(1e-200)),
+    ("x^0.5", 1e-130, math.pow(1e-130, 0.5)),
+    ("0^x", 2.0, 0.0),
+    ("(-2)^x", 3.0, -8.0),
+])
+def test_value_defined_where_only_derivatives_fail(text, x, value):
+    with pytest.raises(DomainError):
+        eval_jet(parse(text), x)
+    assert eval_value(parse(text), x) == value
+
+
+_LEAVES = st.sampled_from(["x", "x", "pi", "e", "0", "1", "2.5", "1e-3", "1e150"])
+_EXPONENTS = st.sampled_from(["2", "3", "0.5", "-1", "0", "(1/3)", "-2.5"])
+_BASES = st.sampled_from(["2", "0.5", "0", "(-2)", "e", "1e150"])
+
+
+def _compound(inner):
+    return st.one_of(
+        st.builds("{}({})".format, st.sampled_from(
+            ["sin", "cos", "tan", "exp", "ln", "log10", "sqrt"]), inner),
+        st.builds("-({})".format, inner),
+        st.builds("({}{}{})".format, inner, st.sampled_from("+-*/"), inner),
+        st.builds("({})^{}".format, inner, _EXPONENTS),
+        st.builds("{}^({})".format, _BASES, inner),
+    )
+
+
+_POINTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-200, 1e-130, 1.0, 3.0, -2.0, 700.0, 710.0]),
+    st.floats(-20.0, 20.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(text=st.recursive(_LEAVES, _compound, max_leaves=10), x=_POINTS)
+def test_value_is_the_jet_value_and_errors_are_domain_errors(text, x):
+    ast = parse(text)
+    try:
+        jet = eval_jet(ast, x)
+    except DomainError:
+        jet = None
+    try:
+        value = eval_value(ast, x)
+    except DomainError:
+        assert jet is None, f"{text} at {x!r}: jet {jet} but no value"
+        return
+    if jet is not None:
+        assert value == jet.d0
 
 
 def test_constant_base_power_jet():

@@ -26,6 +26,11 @@ def test_spec_validation():
         sin_spec(ref_tol=0.0)
     with pytest.raises(ConfigError):
         sin_spec(root_tol=-1.0)
+    for tol in (math.nan, math.inf):
+        with pytest.raises(ConfigError):
+            sin_spec(ref_tol=tol)
+        with pytest.raises(ConfigError):
+            sin_spec(root_tol=tol)
 
 
 def test_spec_default_x0_is_midpoint():

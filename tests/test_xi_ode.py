@@ -2,10 +2,10 @@ import math
 
 import pytest
 
-from trapcorr import (SingularDenominatorError, XiProblem, cubic_correction,
-                      error_term, eval_jet, parse, reference_integral,
-                      shifted_problem, solve_xi_at, suggest_shift,
-                      unshift_error, xi_rhs)
+from trapcorr import (DomainError, SingularDenominatorError, XiProblem,
+                      cubic_correction, error_term, eval_jet, parse,
+                      reference_integral, shifted_problem, solve_xi_at,
+                      suggest_shift, unshift_error, xi_rhs)
 
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
@@ -73,6 +73,12 @@ def test_error_term_exact_for_quadratic():
     for x, xi in ((1.0, 0.7), (2.5, 1.1), (4.0, 3.9)):
         want = -((x - 0.5) ** 3) * 6.0 / 12.0
         assert error_term(p, x, xi) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("guard", [0.0, -1e-8, math.nan, math.inf])
+def test_den_guard_must_be_positive_and_finite(guard):
+    with pytest.raises(DomainError):
+        sin_problem(den_guard=guard)
 
 
 # --------------------------------------------------------------- shift
