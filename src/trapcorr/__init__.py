@@ -19,8 +19,8 @@ from .quadrature import (ReferenceResult, composite_trapezium,
                          reference_integral, trapezium)
 from .rk import (FEHLBERG7, RKTableau, Trajectory, empirical_order,
                  format_tableau, integrate, load_tableau, rk_step)
-from .xi_ode import (XiProblem, cubic_correction, error_term,
-                     shifted_problem, suggest_shift, unshift_error, xi_rhs)
+from .xi_ode import (cubic_correction, error_term, shifted_problem,
+                     suggest_shift, unshift_error, xi_rhs)
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,7 @@ __all__ = [
     "ReferenceResult", "composite_trapezium", "reference_integral", "trapezium",
     "FEHLBERG7", "RKTableau", "Trajectory", "empirical_order",
     "format_tableau", "integrate", "load_tableau", "rk_step",
-    "XiProblem", "cubic_correction", "error_term", "shifted_problem",
-    "suggest_shift", "unshift_error", "xi_rhs",
+    "cubic_correction", "error_term", "shifted_problem", "suggest_shift",
+    "unshift_error", "xi_rhs",
     "__version__",
 ]

@@ -10,16 +10,17 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from operator import attrgetter
 
 from . import rk
 from .errors import (ConfigError, IoError, NoRootError,
                      SingularDenominatorError, TrapcorrError, root_cause)
-from .expr import ExprAST, eval_jet, parse
+from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import (DEFAULT_DEN_GUARD, F_COEFFICIENT, XiProblem, error_term,
-                     suggest_shift, unshift_error, xi_rhs)
+from .xi_ode import (F_COEFFICIENT, error_term, suggest_shift, unshift_error,
+                     xi_rhs)
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -27,7 +28,9 @@ __all__ = [
     "emit_csv", "emit_xi_csv",
 ]
 
-CSV_HEADER = "x,xi,trapezium,error_term,corrected,reference,residual"
+CSV_COLUMNS = ("x", "xi", "trapezium", "error_term", "corrected",
+               "reference", "residual")
+CSV_HEADER = ",".join(CSV_COLUMNS)
 
 #: subintervals scanned for a sign change of the bootstrap residual
 SCAN_INTERVALS = 256
@@ -38,7 +41,8 @@ BISECT_WIDTH = 1e-14
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything one corrected-quadrature run needs."""
+    """Everything one corrected-quadrature run needs, with the integrand
+    actually differentiated, g = f + shift*x^3/6, and g(a) built once."""
 
     f_text: str
     f_ast: ExprAST
@@ -49,9 +53,10 @@ class ProblemSpec:
     shift: float = 0.0
     ref_tol: float = 1e-13
     root_tol: float = 1e-12
-    den_guard: float = DEFAULT_DEN_GUARD
     f_coefficient: float = F_COEFFICIENT
     tableau: RKTableau = FEHLBERG7
+    g: ExprAST = field(init=False, repr=False, compare=False)
+    g_at_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("a", "b", "x0", "h", "shift", "ref_tol", "root_tol"):
@@ -72,6 +77,8 @@ class ProblemSpec:
             raise ConfigError(f"reference tolerance must be positive, got {self.ref_tol!r}")
         if self.root_tol <= 0.0:
             raise ConfigError(f"root tolerance must be positive, got {self.root_tol!r}")
+        object.__setattr__(self, "g", shift_by_cubic(self.f_ast, self.shift))
+        object.__setattr__(self, "g_at_a", eval_jet(self.g, self.a).d0)
 
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
@@ -79,11 +86,6 @@ class ProblemSpec:
         if x0 is None:
             x0 = 0.5 * (a + b)
         return cls(f_text=f_text, f_ast=parse(f_text), a=a, b=b, x0=x0, h=h, **kwargs)
-
-    @property
-    def problem(self) -> XiProblem:
-        return XiProblem(integrand=self.f_ast, a=self.a, shift=self.shift,
-                         den_guard=self.den_guard, f_coefficient=self.f_coefficient)
 
 
 @dataclass(frozen=True)
@@ -145,7 +147,7 @@ def _root(fn, points: list[float], values: list[float], i: int) -> float:
     return 0.5 * (lo + hi)
 
 
-def solve_xi_at(problem: XiProblem, x: float, i_ref: float,
+def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
                 root_tol: float) -> float:
     """Mean-value point at upper limit ``x`` given the reference integral
     of the (shifted) integrand over [a, x].
@@ -157,15 +159,15 @@ def solve_xi_at(problem: XiProblem, x: float, i_ref: float,
     (constant g'' already matching) and the midpoint is returned by
     convention.
     """
-    a = problem.a
+    a = spec.a
     w = x - a
     if w <= 0.0:
         raise ConfigError(f"upper limit {x!r} must exceed a={a!r}")
-    base = trapezium(problem.g, a, x) - i_ref
+    base = trapezium(spec.g, a, x) - i_ref
     scale = w ** 3 / 12.0
 
     def res(xi: float) -> float:
-        return base - scale * eval_jet(problem.g, xi).d2
+        return base - scale * eval_jet(spec.g, xi).d2
 
     points, values = _scan(res, a, w)
     if max(abs(v) for v in values) <= root_tol:
@@ -185,7 +187,7 @@ def solve_xi_at(problem: XiProblem, x: float, i_ref: float,
     return xi0
 
 
-def in_interval_xi(problem: XiProblem, x: float, xi: float,
+def in_interval_xi(spec: ProblemSpec, x: float, xi: float,
                    near: float) -> float:
     """A point t in (a, x) with g''(t) = g''(xi), for a mean-value point
     ``xi`` that has left (a, x) on another branch of g''(xi(x)) = c(x).
@@ -194,11 +196,11 @@ def in_interval_xi(problem: XiProblem, x: float, xi: float,
     nearest ``near`` (the previous node's xi).  Returns ``xi`` unchanged
     when g'' does not take the value g''(xi) inside (a, x).
     """
-    a = problem.a
-    target = eval_jet(problem.g, xi).d2
+    a = spec.a
+    target = eval_jet(spec.g, xi).d2
 
     def res(t: float) -> float:
-        return eval_jet(problem.g, t).d2 - target
+        return eval_jet(spec.g, t).d2 - target
 
     points, values = _scan(res, a, x - a)
     # an exact zero at a or at x is no point of the open interval
@@ -212,15 +214,15 @@ def in_interval_xi(problem: XiProblem, x: float, xi: float,
     return t if a < t < x else xi
 
 
-def _keep_in_interval(problem: XiProblem, xi0: float):
+def _keep_in_interval(spec: ProblemSpec, xi0: float):
     """Node hook for one sweep from ``xi0``: a node whose xi has left
     (a, x) continues from its in-interval preimage, if there is one."""
     prev = xi0
 
     def hook(x: float, xi: float) -> float:
         nonlocal prev
-        if not (problem.a < xi < x):
-            xi = in_interval_xi(problem, x, xi, prev)
+        if not (spec.a < xi < x):
+            xi = in_interval_xi(spec, x, xi, prev)
         prev = xi
         return xi
 
@@ -229,10 +231,9 @@ def _keep_in_interval(problem: XiProblem, xi0: float):
 
 def solve_xi0(spec: ProblemSpec) -> float:
     """Bootstrap xi(x0) for ``spec`` against a fresh reference integral."""
-    problem = spec.problem
     try:
-        i_ref = reference_integral(problem.g, spec.a, spec.x0, spec.ref_tol)
-        return solve_xi_at(problem, spec.x0, i_ref.value, spec.root_tol)
+        i_ref = reference_integral(spec.g, spec.a, spec.x0, spec.ref_tol)
+        return solve_xi_at(spec, spec.x0, i_ref.value, spec.root_tol)
     except TrapcorrError as exc:
         exc.phase = exc.phase or "init"
         raise
@@ -262,19 +263,18 @@ def run(spec: ProblemSpec, reference: bool = False,
     """
     t_start = time.perf_counter()
     reference = reference or residual
-    problem = spec.problem
     xi0 = solve_xi0(spec)
 
     def rhs(x: float, xi: float) -> float:
-        return xi_rhs(problem, x, xi)
+        return xi_rhs(spec, x, xi)
 
     rev_target = spec.a + spec.h
     try:
         forward = rk.integrate(rhs, spec.x0, xi0, spec.b, spec.h, spec.tableau,
-                               _keep_in_interval(problem, xi0))
+                               _keep_in_interval(spec, xi0))
         if rev_target < spec.x0:
             reverse = rk.integrate(rhs, spec.x0, xi0, rev_target, spec.h,
-                                   spec.tableau, _keep_in_interval(problem, xi0))
+                                   spec.tableau, _keep_in_interval(spec, xi0))
             nodes = list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
         else:
             nodes = list(forward.nodes)
@@ -295,7 +295,7 @@ def run(spec: ProblemSpec, reference: bool = False,
                          residual=0.0 if residual else None)]
         for x, xi in nodes:
             trap = trapezium(spec.f_ast, spec.a, x)
-            err = unshift_error(error_term(problem, x, xi), spec.shift, spec.a, x)
+            err = unshift_error(error_term(spec, x, xi), spec.shift, spec.a, x)
             rows.append(CurveRow(x=x, xi=xi, trapezium=trap, error_term=err,
                                  corrected=trap + err))
         if reference:
@@ -343,28 +343,24 @@ def _write_text(text: str, destination) -> None:
         raise IoError(f"cannot write {destination!r}: {exc}") from exc
 
 
+def _write_csv(curve: ErrorCurve, destination, columns: tuple[str, ...]) -> None:
+    if not curve.rows:
+        raise ConfigError("cannot emit an empty curve")
+    row_fields = attrgetter(*columns)
+    lines = [",".join(columns)]
+    lines += [",".join(map(_field, row_fields(r))) for r in curve.rows]
+    _write_text("\n".join(lines) + "\n", destination)
+
+
 def emit_csv(curve: ErrorCurve, destination) -> None:
     """Write the error curve as CSV (LF endings, 17 significant digits,
     empty fields for absent values).  Byte-identical for equal curves.
 
     ``destination`` is a path or an open text file.
     """
-    if not curve.rows:
-        raise ConfigError("cannot emit an empty curve")
-    lines = [CSV_HEADER]
-    for r in curve.rows:
-        lines.append(",".join((
-            _field(r.x), _field(r.xi), _field(r.trapezium),
-            _field(r.error_term), _field(r.corrected),
-            _field(r.reference), _field(r.residual))))
-    _write_text("\n".join(lines) + "\n", destination)
+    _write_csv(curve, destination, CSV_COLUMNS)
 
 
 def emit_xi_csv(curve: ErrorCurve, destination) -> None:
     """Write only the (x, xi) columns of the curve."""
-    if not curve.rows:
-        raise ConfigError("cannot emit an empty curve")
-    lines = ["x,xi"]
-    for r in curve.rows:
-        lines.append(f"{_field(r.x)},{_field(r.xi)}")
-    _write_text("\n".join(lines) + "\n", destination)
+    _write_csv(curve, destination, ("x", "xi"))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .errors import ConfigError, IntegrationAbort, IoError, TrapcorrError
 
@@ -25,6 +25,13 @@ __all__ = [
 ]
 
 Rhs = Callable[[float, float], float]
+
+#: largest row-sum and weight-sum defect :meth:`RKTableau.validate` accepts
+VALIDATE_TOL = 1e-10
+
+#: :func:`empirical_order`'s step sizes and rounding floor (ulps of e)
+ORDER_STEPS = (0.1, 0.05, 0.025)
+FLOOR_ULPS = 4.0
 
 #: pairs (condition, exact value) for every rooted tree through order 4
 _ORDER_CONDITIONS = (
@@ -73,15 +80,15 @@ class RKTableau:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
         return max(abs(self.c[i] - math.fsum(self.a[i])) for i in range(self.stages))
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         defect = self.row_sum_defect()
-        if defect > tol:
-            raise ConfigError(
-                f"tableau '{self.name}': row-sum defect {defect:.3e} exceeds {tol:.1e}")
+        if defect > VALIDATE_TOL:
+            raise ConfigError(f"tableau '{self.name}': row-sum defect {defect:.3e} "
+                              f"exceeds {VALIDATE_TOL:.1e}")
         weight = abs(math.fsum(self.b) - 1.0)
-        if weight > tol:
-            raise ConfigError(
-                f"tableau '{self.name}': weights sum to 1 within {weight:.3e} > {tol:.1e}")
+        if weight > VALIDATE_TOL:
+            raise ConfigError(f"tableau '{self.name}': weights sum to 1 within "
+                              f"{weight:.3e} > {VALIDATE_TOL:.1e}")
 
 
 def order_condition_residuals(t: RKTableau) -> list[tuple[str, int, float]]:
@@ -281,25 +288,23 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
 
 # ------------------------------------------------------- order experiment
 
-def empirical_order(tableau: RKTableau = FEHLBERG7,
-                    steps: Sequence[float] = (0.1, 0.05, 0.025),
-                    floor_ulps: float = 4.0) -> list[tuple[float, float, float]]:
+def empirical_order(tableau: RKTableau = FEHLBERG7) -> list[tuple[float, float, float]]:
     """Measure convergence on y' = y over [0, 1] against exp(1).
 
-    Returns (h, error, slope) rows where slope is log2(err(h)/err(h/2))
-    for consecutive step pairs; a slope is NaN when the finer error sits
-    at the rounding floor (within ``floor_ulps`` ulps of the exact
-    endpoint value) and no longer reflects truncation.
+    Returns (h, error, slope) rows, h in ``ORDER_STEPS``, where slope is
+    log2(err(h)/err(h/2)) for consecutive step pairs; a slope is NaN when
+    the finer error sits at the rounding floor (within ``FLOOR_ULPS`` ulps
+    of the exact endpoint value) and no longer reflects truncation.
     """
     errs = []
-    for h in steps:
+    for h in ORDER_STEPS:
         traj = integrate(lambda x, y: y, 0.0, 1.0, 1.0, h, tableau)
         errs.append(abs(traj.y_end - math.e))
-    floor = floor_ulps * math.ulp(math.e)
+    floor = FLOOR_ULPS * math.ulp(math.e)
     rows = []
-    for i, h in enumerate(steps):
+    for i, h in enumerate(ORDER_STEPS):
         slope = float("nan")
-        if i + 1 < len(steps) and errs[i + 1] > floor and errs[i + 1] > 0.0:
+        if i + 1 < len(ORDER_STEPS) and errs[i + 1] > floor and errs[i + 1] > 0.0:
             slope = math.log2(errs[i] / errs[i + 1])
         rows.append((h, errs[i], slope))
     return rows

@@ -18,19 +18,23 @@ value destroys the residual.
 When f''' comes close to zero the denominator degenerates.  Working with
 g = f + D*x^3/6 instead moves the third derivative to f''' + D, and the
 difference between the two error curves is a closed-form cubic quantity,
-so the shift is exactly reversible.
+so the shift is exactly reversible.  Every function here takes the problem
+as a :class:`~trapcorr.pipeline.ProblemSpec`, which builds g and g(a) once.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import TYPE_CHECKING
 
 from .errors import DomainError, SingularDenominatorError
-from .expr import ExprAST, eval_jet, shift_by_cubic
+from .expr import ExprAST, eval_jet
+
+if TYPE_CHECKING:
+    from .pipeline import ProblemSpec
 
 __all__ = [
-    "XiProblem", "xi_rhs", "error_term", "shifted_problem",
+    "xi_rhs", "error_term", "shifted_problem",
     "cubic_correction", "unshift_error", "suggest_shift",
 ]
 
@@ -41,40 +45,7 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
-@dataclass(frozen=True)
-class XiProblem:
-    """Integrand, lower limit, and ODE configuration.
-
-    With a nonzero ``shift`` every derivative and error term below refers
-    to the shifted integrand g = f + shift*x^3/6; callers recover f's
-    error curve through :func:`unshift_error`.
-    """
-
-    integrand: ExprAST
-    a: float
-    shift: float = 0.0
-    den_guard: float = DEFAULT_DEN_GUARD
-    f_coefficient: float = F_COEFFICIENT
-
-    def __post_init__(self):
-        if not 0.0 < self.den_guard < math.inf:
-            raise DomainError(
-                f"denominator guard must be positive and finite, got {self.den_guard!r}")
-        g = shift_by_cubic(self.integrand, self.shift)
-        object.__setattr__(self, "_g", g)
-        object.__setattr__(self, "_ga", eval_jet(g, self.a).d0)
-
-    @property
-    def g(self) -> ExprAST:
-        """The integrand actually differentiated (shifted when shift != 0)."""
-        return self._g
-
-    @property
-    def g_at_a(self) -> float:
-        return self._ga
-
-
-def xi_rhs(p: XiProblem, x: float, xi: float) -> float:
+def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     """Slope of the mean-value point xi at (x, xi).
 
     Requires x != a (the defining identity is 0 = 0 there) and a
@@ -87,14 +58,14 @@ def xi_rhs(p: XiProblem, x: float, xi: float) -> float:
     at_x = eval_jet(p.g, x)
     at_xi = eval_jet(p.g, xi)
     den = t ** 3 * at_xi.d3
-    if abs(den) < p.den_guard * (1.0 + abs(t) ** 3):
+    if abs(den) < DEFAULT_DEN_GUARD * (1.0 + abs(t) ** 3):
         raise SingularDenominatorError(x, xi, den)
     num = (p.f_coefficient * at_x.d0 + 6.0 * p.g_at_a
            + 6.0 * t * at_x.d1 - 3.0 * t * t * at_xi.d2)
     return num / den
 
 
-def error_term(p: XiProblem, x: float, xi: float) -> float:
+def error_term(p: ProblemSpec, x: float, xi: float) -> float:
     """Trapezium error term -(x-a)^3/12 * g''(xi).
 
     Adding this to the one-panel trapezium value reproduces the integral
@@ -105,7 +76,7 @@ def error_term(p: XiProblem, x: float, xi: float) -> float:
     return -((x - p.a) ** 3) / 12.0 * eval_jet(p.g, xi).d2
 
 
-def shifted_problem(p: XiProblem, shift: float) -> XiProblem:
+def shifted_problem(p: ProblemSpec, shift: float) -> ProblemSpec:
     """Same problem with the cubic shift constant replaced by ``shift``."""
     return p if shift == p.shift else replace(p, shift=shift)
 
@@ -129,25 +100,28 @@ def unshift_error(shifted_error: float, d: float, a: float, x: float) -> float:
     return shifted_error - cubic_correction(d, a, x)
 
 
+#: :func:`suggest_shift`'s candidates, sample count and clearance
 _SHIFT_CANDIDATES = (1.0, -1.0, 2.0, -2.0, 5.0, -5.0, 10.0, -10.0)
+SHIFT_SAMPLES = 1001
+SHIFT_CLEARANCE = 0.5
 
 
-def suggest_shift(f: ExprAST, lo: float, hi: float, samples: int = 1001,
-                  clearance: float = 0.5) -> float | None:
+def suggest_shift(f: ExprAST, lo: float, hi: float) -> float | None:
     """Smallest-magnitude shift from {+-1, +-2, +-5, +-10} keeping
-    |f''' + D| above ``clearance`` on a dense sample of [lo, hi].
+    |f''' + D| above ``SHIFT_CLEARANCE`` on ``SHIFT_SAMPLES`` uniform
+    points of [lo, hi].
 
     Returns None when no candidate clears the bar (or the integrand is
     not evaluable over the range).
     """
     third = []
-    for i in range(samples):
-        t = lo + (hi - lo) * i / (samples - 1)
+    for i in range(SHIFT_SAMPLES):
+        t = lo + (hi - lo) * i / (SHIFT_SAMPLES - 1)
         try:
             third.append(eval_jet(f, t).d3)
         except DomainError:
             return None
     for d in _SHIFT_CANDIDATES:
-        if min(abs(v + d) for v in third) > clearance:
+        if min(abs(v + d) for v in third) > SHIFT_CLEARANCE:
             return d
     return None

@@ -152,7 +152,7 @@ def test_criterion_8b_quadrature_suite():
 def test_criterion_8c_near_a_ratio():
     from trapcorr import solve_xi_at
     spec = sin_spec()
-    problem = spec.problem
+    problem = spec
     ratios = []
     for t in (1e-2, 1e-3, 1e-4):
         x = spec.a + t

@@ -4,8 +4,9 @@ import math
 import pytest
 
 from trapcorr import (ConfigError, NoRootError, ProblemSpec, emit_csv,
-                      emit_xi_csv, eval_jet, integrate, reference_integral,
-                      run, solve_xi0, solve_xi_at, trapezium, xi_rhs)
+                      emit_xi_csv, eval_jet, integrate, pipeline,
+                      reference_integral, run, solve_xi0, solve_xi_at,
+                      trapezium, xi_ode, xi_rhs)
 from trapcorr.pipeline import CSV_HEADER, CurveRow, ErrorCurve, in_interval_xi
 
 from conftest import sin_spec
@@ -50,9 +51,22 @@ def test_solve_xi0_quadratic_falls_back_to_midpoint():
     assert solve_xi0(spec) == 1.0
 
 
+def test_run_differentiates_one_shifted_integrand(monkeypatch):
+    spec = sin_spec(shift=2.0)
+    seen = {}
+    for module in (pipeline, xi_ode):
+        def record(f, x, original=module.eval_jet):
+            seen[id(f)] = f
+            return original(f, x)
+        monkeypatch.setattr(module, "eval_jet", record)
+    run(spec)
+    assert len(seen) == 1, f"{len(seen)} integrand trees differentiated"
+    assert next(iter(seen.values())) is spec.g
+
+
 def test_solve_xi_at_infeasible_reference_reports_no_root():
     spec = sin_spec()
-    problem = spec.problem
+    problem = spec
     i_ref = reference_integral(problem.g, spec.a, spec.x0, spec.ref_tol).value
     # push the target outside the reachable range of the second derivative:
     # a +-1 perturbation only moves the matched f'' by 12/w^3 ~ 0.19, which
@@ -75,7 +89,7 @@ def test_root_consistency_along_forward_sweep(sin_curve):
     # sweep (where the residual has a single root) and compare with the
     # ODE trajectory
     spec = sin_curve.spec
-    problem = spec.problem
+    problem = spec
     rows = [r for r in sin_curve.rows if r.x >= spec.x0]
     picks = [rows[int(frac * (len(rows) - 1))] for frac in
              (0.0, 0.25, 0.5, 0.75, 1.0)]
@@ -87,7 +101,7 @@ def test_root_consistency_along_forward_sweep(sin_curve):
 
 def test_root_consistency_along_exotic_grid(exotic_curve):
     spec = exotic_curve.spec
-    problem = spec.problem
+    problem = spec
     rows = exotic_curve.rows[1:]
     picks = [rows[int(frac * (len(rows) - 1))] for frac in
              (0.02, 0.25, 0.5, 0.75, 1.0)]
@@ -201,7 +215,7 @@ def test_singular_abort_suggests_shift():
 def unswitched_nodes(spec):
     """(x, xi) nodes of both sweeps as the bare ODE gives them, with no
     branch switch."""
-    problem = spec.problem
+    problem = spec
     xi0 = solve_xi0(spec)
 
     def rhs(x, xi):
@@ -213,7 +227,7 @@ def unswitched_nodes(spec):
 
 
 def test_in_interval_xi_reflects_the_sin_tail_node(sin_curve):
-    problem = sin_curve.spec.problem
+    problem = sin_curve.spec
     rows = sin_curve.rows
     # first reverse node where the bare ODE has crossed xi = x
     i = next(i for i, r in enumerate(rows) if abs(r.x - 1.81) < 1e-9)
@@ -226,7 +240,7 @@ def test_in_interval_xi_reflects_the_sin_tail_node(sin_curve):
 
 
 def test_in_interval_xi_takes_the_preimage_nearest_the_previous_node():
-    problem = sin_spec(b=20.0).problem
+    problem = sin_spec(b=20.0)
     # sin(t) = sin(9) has two solutions in (1, 8): 9 - 2 pi and 5 pi - 9
     assert in_interval_xi(problem, 8.0, 9.0, 6.5) == pytest.approx(
         5.0 * math.pi - 9.0, abs=1e-12)
@@ -235,7 +249,7 @@ def test_in_interval_xi_takes_the_preimage_nearest_the_previous_node():
 
 
 def test_in_interval_xi_keeps_a_value_with_no_preimage():
-    problem = sin_spec().problem
+    problem = sin_spec()
     # g'' = -sin stays inside (-sin(1.5), -sin(1)) on (1, 1.5); -1 is not there
     xi_out = 0.5 * math.pi
     assert in_interval_xi(problem, 1.5, xi_out, 1.2) == xi_out

@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from trapcorr import (DomainError, SingularDenominatorError, XiProblem,
-                      cubic_correction, error_term, eval_jet, parse,
-                      reference_integral, shifted_problem, solve_xi_at,
+from trapcorr import (DomainError, ProblemSpec, SingularDenominatorError,
+                      cubic_correction, error_term, eval_jet, eval_value,
+                      parse, reference_integral, shifted_problem, solve_xi_at,
                       suggest_shift, unshift_error, xi_rhs)
 
 SIN = parse("sin(x)")
@@ -12,7 +12,7 @@ XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
 
 
 def sin_problem(**kw):
-    return XiProblem(integrand=SIN, a=1.0, **kw)
+    return ProblemSpec.from_text("sin(x)", 1.0, 10.0, **kw)
 
 
 def reconstruct_xi(problem, x, ref_tol=1e-15, root_tol=1e-12):
@@ -69,16 +69,10 @@ def test_error_term_closes_defining_identity_at_x0():
 
 
 def test_error_term_exact_for_quadratic():
-    p = XiProblem(integrand=parse("3*x^2-x+2"), a=0.5)  # f'' = 6
+    p = ProblemSpec.from_text("3*x^2-x+2", 0.5, 4.0)  # f'' = 6
     for x, xi in ((1.0, 0.7), (2.5, 1.1), (4.0, 3.9)):
         want = -((x - 0.5) ** 3) * 6.0 / 12.0
         assert error_term(p, x, xi) == pytest.approx(want, rel=1e-14)
-
-
-@pytest.mark.parametrize("guard", [0.0, -1e-8, math.nan, math.inf])
-def test_den_guard_must_be_positive_and_finite(guard):
-    with pytest.raises(DomainError):
-        sin_problem(den_guard=guard)
 
 
 # --------------------------------------------------------------- shift
@@ -96,7 +90,7 @@ def test_shifted_problem_sin_third_derivative_bounded():
 
 
 def test_shifted_problem_makes_flat_integrand_wellposed():
-    p = XiProblem(integrand=parse("x^2"), a=0.0)
+    p = ProblemSpec.from_text("x^2", 0.0, 4.0)
     assert eval_jet(p.g, 1.7).d3 == 0.0
     shifted = shifted_problem(p, 1.0)
     assert eval_jet(shifted.g, 1.7).d3 == 1.0
@@ -104,6 +98,18 @@ def test_shifted_problem_makes_flat_integrand_wellposed():
     xi_rhs(shifted, 2.0, 1.0)
     with pytest.raises(SingularDenominatorError):
         xi_rhs(p, 2.0, 1.0)
+
+
+def test_shifted_problem_rebuilds_g_at_a():
+    p = shifted_problem(ProblemSpec.from_text("sin(x)", 1.0, 10.0), 2.0)
+    assert p.g_at_a == eval_value(p.g, p.a)
+    assert p.g_at_a == pytest.approx(math.sin(1.0) + 2.0 / 6.0, rel=1e-15)
+
+
+def test_problem_without_a_jet_at_a_fails_at_construction():
+    # sqrt has a value at 1e-200 but no finite derivatives there
+    with pytest.raises(DomainError):
+        ProblemSpec.from_text("sqrt(x)", 1e-200, 1.0)
 
 
 def test_cubic_correction_values():
@@ -120,9 +126,8 @@ def test_unshift_identity_and_inverse():
 
 def test_unshift_recovers_quadratic_error_exactly():
     # f = x^2 has f''' = 0: run the shifted identity by hand at one x
-    f = parse("x^2")
     a, x, d = 0.0, 3.0, 1.0
-    p = XiProblem(integrand=f, a=a, shift=d)
+    p = ProblemSpec.from_text("x^2", a, 4.0, shift=d)
     xi = reconstruct_xi(p, x, ref_tol=1e-14, root_tol=1e-10)
     err_f = unshift_error(error_term(p, x, xi), d, a, x)
     # trapezium error of x^2 over [0, 3] is exactly -(x-a)^3/12 * 2
