@@ -8,10 +8,9 @@ a fixed-step Runge-Kutta method (forward and reverse), and adds the
 recovered error term back onto the trapezium value.
 """
 
-from .errors import (ConfigError, DomainError, ExpressionError,
-                     IntegrationAbort, IoError, NoRootError,
-                     SingularDenominatorError, SyntaxError_, ToleranceError,
-                     TrapcorrError, UnknownIdentifierError)
+from .errors import (ConfigError, DomainError, ExpressionError, IoError,
+                     NoRootError, SingularDenominatorError, SyntaxError_,
+                     ToleranceError, TrapcorrError, UnknownIdentifierError)
 from .expr import ExprAST, Jet3, eval_jet, eval_value, parse
 from .pipeline import (CurveRow, ErrorCurve, ProblemSpec, emit_csv,
                        emit_xi_csv, run, solve_xi0, solve_xi_at)
@@ -25,9 +24,9 @@ from .xi_ode import (cubic_correction, error_term, shifted_problem,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ConfigError", "DomainError", "ExpressionError", "IntegrationAbort",
-    "IoError", "NoRootError", "SingularDenominatorError", "SyntaxError_",
-    "ToleranceError", "TrapcorrError", "UnknownIdentifierError",
+    "ConfigError", "DomainError", "ExpressionError", "IoError", "NoRootError",
+    "SingularDenominatorError", "SyntaxError_", "ToleranceError",
+    "TrapcorrError", "UnknownIdentifierError",
     "ExprAST", "Jet3", "eval_jet", "eval_value", "parse",
     "CurveRow", "ErrorCurve", "ProblemSpec", "emit_csv", "emit_xi_csv",
     "run", "solve_xi0", "solve_xi_at",

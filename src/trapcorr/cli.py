@@ -21,7 +21,7 @@ import math
 import sys
 
 from .errors import (ConfigError, ExpressionError, IoError, NoRootError,
-                     SingularDenominatorError, TrapcorrError, root_cause)
+                     SingularDenominatorError, TrapcorrError, phase)
 from .expr import parse
 from .pipeline import ProblemSpec, emit_csv, emit_xi_csv, run
 from .rk import FEHLBERG7, RKTableau, empirical_order, load_tableau, \
@@ -31,7 +31,6 @@ PROG = "trapcorr"
 
 
 def _exit_code(err: TrapcorrError) -> int:
-    err = root_cause(err)
     if isinstance(err, ExpressionError):
         return 2
     if isinstance(err, SingularDenominatorError):
@@ -46,9 +45,7 @@ def _exit_code(err: TrapcorrError) -> int:
 
 
 def _diagnose(err: TrapcorrError) -> None:
-    cause = root_cause(err)
-    phase = err.phase or cause.phase or "config"
-    print(f"{PROG}: [{phase}] {cause}", file=sys.stderr)
+    print(f"{PROG}: [{err.phase or 'config'}] {err}", file=sys.stderr)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -136,51 +133,38 @@ def _resolve_tableau(selector: str) -> RKTableau:
 
 
 def _build_spec(ns: argparse.Namespace) -> ProblemSpec:
-    try:
+    with phase("parse"):
         f_ast = parse(ns.f)
-    except ExpressionError as exc:
-        exc.phase = "parse"
-        raise
-    try:
+    with phase("config"):
         tableau = _resolve_tableau(ns.tableau)
-        x0 = ns.x0 if ns.x0 is not None else 0.5 * (ns.a + ns.b)
-        spec = ProblemSpec(f_text=ns.f, f_ast=f_ast, a=ns.a, b=ns.b, x0=x0,
+        spec = ProblemSpec(f_text=ns.f, f_ast=f_ast, a=ns.a, b=ns.b, x0=ns.x0,
                            h=ns.h, shift=ns.shift_d, ref_tol=ns.ref_tol,
                            root_tol=ns.root_tol, tableau=tableau)
         if spec.x0 - spec.a < 10.0 * spec.h:
             raise ConfigError(
                 f"x0 must sit at least 10 steps above a: x0 - a = "
                 f"{spec.x0 - spec.a!r} < {10.0 * spec.h!r}")
-    except TrapcorrError as exc:
-        exc.phase = exc.phase or "config"
-        raise
     if spec.x0 - spec.a < 0.5:
         print(f"{PROG}: warning [config] x0 - a = {spec.x0 - spec.a:g} is small; "
               f"the ODE denominator vanishes toward a", file=sys.stderr)
     return spec
 
 
-def _note(ns: argparse.Namespace, phase: str, message: str) -> None:
+def _note(ns: argparse.Namespace, tag: str, message: str) -> None:
     if getattr(ns, "verbose", False):
-        print(f"{PROG}: [{phase}] {message}", file=sys.stderr)
+        print(f"{PROG}: [{tag}] {message}", file=sys.stderr)
 
 
 def _emit(curve, ns, writer) -> None:
-    try:
-        if ns.out is None:
-            writer(curve, sys.stdout)
-        else:
-            writer(curve, ns.out)
-    except TrapcorrError as exc:
-        exc.phase = exc.phase or "output"
-        raise
+    with phase("output"):
+        writer(curve, sys.stdout if ns.out is None else ns.out)
 
 
 def _cmd_integrate(ns: argparse.Namespace) -> int:
     spec = _build_spec(ns)
     curve = run(spec, reference=ns.reference, residual=ns.residual)
     _note(ns, "curve", f"{len(curve.rows)} rows in {curve.wall_time:.3f}s "
-                       f"({curve.tableau_id})")
+                       f"({curve.spec.tableau.name})")
     _emit(curve, ns, emit_csv)
     return 0
 

@@ -2,18 +2,25 @@
 
 Every failure mode a caller may want to branch on gets its own class; the
 CLI maps these onto exit codes.  Exceptions carry structured context
-(positions, abscissae, partial results) rather than encoding it only in
-the message, and may be stamped with the pipeline ``phase`` that raised
-them.
+(positions, abscissae) rather than encoding it only in the message, and
+leave the package as the error that was raised, never wrapped.
+
+:func:`phase` is the one place that names where an error happened: a
+``TrapcorrError`` leaving a ``with phase("ode"):`` block is stamped with
+``phase = "ode"`` unless an inner block already named it, and the CLI
+prints that tag in its one diagnostic line.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 
 class TrapcorrError(Exception):
     """Base class for all package errors."""
 
-    #: pipeline phase that raised the error ("init", "ode", ...), if known
+    #: phase that raised the error ("parse", "init", "ode", ...), stamped
+    #: by :func:`phase`, if known
     phase: str | None = None
 
 
@@ -72,28 +79,24 @@ class SingularDenominatorError(TrapcorrError):
 
     Carries the location and, once the pipeline has examined the
     integrand, a suggested shift constant that bounds the third
-    derivative away from zero.
+    derivative away from zero; the message names the shift if one is set.
     """
 
-    def __init__(self, x: float, xi: float, denominator: float,
-                 suggested_shift: float | None = None):
+    #: shift constant D to rerun with, set by the pipeline, if one helps
+    suggested_shift: float | None = None
+
+    def __init__(self, x: float, xi: float, denominator: float):
+        super().__init__(x, xi, denominator)
         self.x = x
         self.xi = xi
         self.denominator = denominator
-        self.suggested_shift = suggested_shift
-        super().__init__(self._format())
 
-    def _format(self) -> str:
+    def __str__(self) -> str:
         msg = (f"denominator {self.denominator!r} below guard "
                f"at x={self.x!r}, xi={self.xi!r}")
         if self.suggested_shift is not None:
             msg += f"; rerun with --shift-D {self.suggested_shift:g}"
         return msg
-
-    def with_suggestion(self, shift: float | None) -> "SingularDenominatorError":
-        err = SingularDenominatorError(self.x, self.xi, self.denominator, shift)
-        err.phase = self.phase
-        return err
 
 
 class NoRootError(TrapcorrError):
@@ -106,23 +109,12 @@ class NoRootError(TrapcorrError):
         self.at = at
 
 
-class IntegrationAbort(TrapcorrError):
-    """An RK stage evaluation failed mid-trajectory.
-
-    ``stage_x`` is the abscissa of the failing stage, ``partial`` the
-    trajectory accumulated before the failure (filled by ``integrate``),
-    ``cause`` the underlying error.
-    """
-
-    def __init__(self, stage_x: float, cause: TrapcorrError, partial=None):
-        super().__init__(f"rhs evaluation failed at stage x={stage_x!r}: {cause}")
-        self.stage_x = stage_x
-        self.cause = cause
-        self.partial = partial
-
-
-def root_cause(err: TrapcorrError) -> TrapcorrError:
-    """Innermost package error behind possibly-wrapped ``err``."""
-    while isinstance(err, IntegrationAbort):
-        err = err.cause
-    return err
+@contextmanager
+def phase(name: str):
+    """Stamp ``name`` as the phase of a package error leaving the block,
+    unless an inner block has stamped it already, and re-raise it."""
+    try:
+        yield
+    except TrapcorrError as exc:
+        exc.phase = exc.phase or name
+        raise

@@ -2,8 +2,9 @@
 root-finding against a reference integral, integrate its ODE away from
 x0 in both directions, and assemble the corrected-integral error curve.
 
-Phases stamp any error they raise ("init", "ode", "curve", "output") so
-the front end can report where a run died in one line.
+Each phase stamps any error it raises with :func:`~trapcorr.errors.phase`
+("init", "ode", "curve") so the front end can report where a run died in
+one line.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from operator import attrgetter
 
 from . import rk
 from .errors import (ConfigError, IoError, NoRootError,
-                     SingularDenominatorError, TrapcorrError, root_cause)
+                     SingularDenominatorError, phase)
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
@@ -42,13 +43,14 @@ BISECT_WIDTH = 1e-14
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything one corrected-quadrature run needs, with the integrand
-    actually differentiated, g = f + shift*x^3/6, and g(a) built once."""
+    actually differentiated, g = f + shift*x^3/6, and g(a) built once.
+    ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
 
     f_text: str
     f_ast: ExprAST
     a: float
     b: float
-    x0: float
+    x0: float | None
     h: float
     shift: float = 0.0
     ref_tol: float = 1e-13
@@ -59,6 +61,8 @@ class ProblemSpec:
     g_at_a: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if self.x0 is None:
+            object.__setattr__(self, "x0", 0.5 * (self.a + self.b))
         for name in ("a", "b", "x0", "h", "shift", "ref_tol", "root_tol"):
             v = getattr(self, name)
             if not math.isfinite(v):
@@ -83,8 +87,6 @@ class ProblemSpec:
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
                   h: float = 0.01, **kwargs) -> "ProblemSpec":
-        if x0 is None:
-            x0 = 0.5 * (a + b)
         return cls(f_text=f_text, f_ast=parse(f_text), a=a, b=b, x0=x0, h=h, **kwargs)
 
 
@@ -103,7 +105,6 @@ class CurveRow:
 class ErrorCurve:
     rows: tuple[CurveRow, ...]
     spec: ProblemSpec
-    tableau_id: str
     wall_time: float
 
 
@@ -231,12 +232,9 @@ def _keep_in_interval(spec: ProblemSpec, xi0: float):
 
 def solve_xi0(spec: ProblemSpec) -> float:
     """Bootstrap xi(x0) for ``spec`` against a fresh reference integral."""
-    try:
+    with phase("init"):
         i_ref = reference_integral(spec.g, spec.a, spec.x0, spec.ref_tol)
         return solve_xi_at(spec, spec.x0, i_ref.value, spec.root_tol)
-    except TrapcorrError as exc:
-        exc.phase = exc.phase or "init"
-        raise
 
 
 # ------------------------------------------------------------------ run
@@ -269,26 +267,21 @@ def run(spec: ProblemSpec, reference: bool = False,
         return xi_rhs(spec, x, xi)
 
     rev_target = spec.a + spec.h
-    try:
-        forward = rk.integrate(rhs, spec.x0, xi0, spec.b, spec.h, spec.tableau,
-                               _keep_in_interval(spec, xi0))
-        if rev_target < spec.x0:
-            reverse = rk.integrate(rhs, spec.x0, xi0, rev_target, spec.h,
+    with phase("ode"):
+        try:
+            forward = rk.integrate(rhs, spec.x0, xi0, spec.b, spec.h,
                                    spec.tableau, _keep_in_interval(spec, xi0))
-            nodes = list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
-        else:
-            nodes = list(forward.nodes)
-    except TrapcorrError as exc:
-        cause = root_cause(exc)
-        if isinstance(cause, SingularDenominatorError):
-            enriched = cause.with_suggestion(
-                suggest_shift(spec.f_ast, spec.a, spec.b))
-            enriched.phase = "ode"
-            raise enriched from exc
-        exc.phase = exc.phase or "ode"
-        raise
+            if rev_target < spec.x0:
+                reverse = rk.integrate(rhs, spec.x0, xi0, rev_target, spec.h,
+                                       spec.tableau, _keep_in_interval(spec, xi0))
+                nodes = list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
+            else:
+                nodes = list(forward.nodes)
+        except SingularDenominatorError as exc:
+            exc.suggested_shift = suggest_shift(spec.f_ast, spec.a, spec.b)
+            raise
 
-    try:
+    with phase("curve"):
         rows = [CurveRow(x=spec.a, xi=None, trapezium=0.0, error_term=0.0,
                          corrected=0.0,
                          reference=0.0 if reference else None,
@@ -300,12 +293,8 @@ def run(spec: ProblemSpec, reference: bool = False,
                                  corrected=trap + err))
         if reference:
             rows = _attach_reference(spec, rows, residual)
-    except TrapcorrError as exc:
-        exc.phase = exc.phase or "curve"
-        raise
 
     return ErrorCurve(rows=tuple(rows), spec=spec,
-                      tableau_id=spec.tableau.name,
                       wall_time=time.perf_counter() - t_start)
 
 

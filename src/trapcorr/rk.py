@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .errors import ConfigError, IntegrationAbort, IoError, TrapcorrError
+from .errors import ConfigError, IoError
 
 __all__ = [
     "RKTableau", "Trajectory", "FEHLBERG7",
@@ -172,11 +172,7 @@ def rk_step(rhs: Rhs, x: float, y: float, h: float,
         for j in range(i):
             if row[j] != 0.0:
                 yi += h * row[j] * k[j]
-        xs = x + c[i] * h
-        try:
-            k.append(rhs(xs, yi))
-        except TrapcorrError as exc:
-            raise IntegrationAbort(stage_x=xs, cause=exc) from exc
+        k.append(rhs(x + c[i] * h, yi))
     acc = 0.0
     for i in range(tableau.stages):
         if b[i] != 0.0:
@@ -195,10 +191,6 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
 
     ``on_node(x, y)``, when given, is called on every new node; its
     return value replaces y there and the sweep continues from it.
-
-    On a failed stage evaluation (or a failed ``on_node``) raises
-    :class:`IntegrationAbort` carrying the partial trajectory and the
-    failing abscissa.
     """
     if h_mag <= 0.0:
         raise ConfigError(f"step magnitude must be positive, got {h_mag!r}")
@@ -210,26 +202,19 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
     nodes = [(x0, y0)]
     x, y = x0, y0
     k = 0
-    try:
-        while True:
-            k += 1
-            x_next = x0 + k * h  # recomputed, not accumulated
-            last = sign * (x_next - x_end) >= -1e-9 * h_mag
-            if last:
-                x_next = x_end
-            y = rk_step(rhs, x, y, x_next - x, tableau)
-            if on_node is not None:
-                try:
-                    y = on_node(x_next, y)
-                except TrapcorrError as exc:
-                    raise IntegrationAbort(stage_x=x_next, cause=exc) from exc
-            nodes.append((x_next, y))
-            if last:
-                break
-            x = x_next
-    except IntegrationAbort as exc:
-        exc.partial = Trajectory(nodes=tuple(nodes), h=h, direction=direction)
-        raise
+    while True:
+        k += 1
+        x_next = x0 + k * h  # recomputed, not accumulated
+        last = sign * (x_next - x_end) >= -1e-9 * h_mag
+        if last:
+            x_next = x_end
+        y = rk_step(rhs, x, y, x_next - x, tableau)
+        if on_node is not None:
+            y = on_node(x_next, y)
+        nodes.append((x_next, y))
+        if last:
+            break
+        x = x_next
     return Trajectory(nodes=tuple(nodes), h=h, direction=direction)
 
 

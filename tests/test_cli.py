@@ -1,7 +1,12 @@
+import io
 import math
+import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from trapcorr.cli import main
 from trapcorr.rk import FEHLBERG7, format_tableau
@@ -174,11 +179,18 @@ def test_invalid_configuration_exit_5(args, capsys):
     assert "[config]" in lines[0]
 
 
-def test_domain_error_exit_5(capsys):
-    code = main(["integrate", "--f", "ln(x-2)", "--a", "1", "--b", "10",
-                 "--x0", "5", "--h", "0.01"])
+@pytest.mark.parametrize("args,start", [
+    (["--f", "ln(x-2)", "--a", "1", "--b", "10", "--x0", "5", "--h", "0.01"],
+     "trapcorr: [config] "),
+    (["--f", "sqrt(3-x)", "--a", "1", "--b", "4", "--h", "0.01"],
+     "trapcorr: [ode] non-finite jet component at x=3.0"),
+], ids=["at-a", "mid-sweep"])
+def test_domain_error_exit_5(args, start, capsys):
+    code = main(["integrate", *args])
     assert code == 5
-    assert len(stderr_lines(capsys)) == 1
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith(start)
 
 
 def test_jet_domain_error_exit_5(capsys):
@@ -224,3 +236,71 @@ def test_close_seed_warning(capsys):
     assert code == 0
     err = capsys.readouterr().err
     assert "warning" in err and "[config]" in err
+
+
+# ------------------------------------------------------ failure contract
+#
+# Every input ends in exit code 0 or 2-6, with one diagnostic line on
+# failure and none on success.  The listed integrands are smooth where
+# they are defined on the drawn intervals, so the Romberg budget reaches
+# every drawn tolerance.  A pole inside (a, x0) would not let it: with no
+# plateau stop yet (ROADMAP item 4) it costs 2^22 evaluations, seconds per
+# draw, so 1/x is not listed.  Token soup could still form one; this fixed
+# draw does not.
+
+_DIAGNOSTIC = re.compile(r"trapcorr: \[(args|parse|config|init|ode|curve|output)\] ")
+
+_INTEGRANDS = st.sampled_from(
+    ["sin(x)", "cos(x)+x/3", "x^2", "exp(x/4)", "sin(8*x)", "sqrt(3-x)",
+     "ln(x-2)", "sqrt(x)"])
+_SOUP = st.lists(st.sampled_from(
+    ["x", "2", "pi", "sin", "ln", "sqrt", "(", ")", "+", "-", "*", "/", "^",
+     ".", ",", " ", "@", "1e400", "y"]), min_size=1, max_size=8).map("".join)
+
+
+def _flag(name, values):
+    """``--name=value`` for a value drawn from ``values`` (a list or a
+    strategy); None leaves the flag out."""
+    if isinstance(values, list):
+        values = st.sampled_from(values)
+    return values.map(lambda v: [] if v is None else [f"--{name}={v}"])
+
+
+_ARGV = st.builds(
+    lambda command, *flags: [command] + [arg for flag in flags for arg in flag],
+    st.sampled_from(["integrate", "xi-curve"]),
+    # listed integrands twice as often as token soup
+    _flag("f", st.one_of(_INTEGRANDS, _INTEGRANDS, _SOUP)),
+    _flag("a", ["1", "0", "-1", "2.5", "1e-200", "nan", "inf", "-inf", None]),
+    _flag("b", ["4", "2", "10", "-1", "nan", "inf", None]),
+    _flag("h", ["0.01", "0.05", "2", "0", "-0.01", "nan", "inf", None]),
+    _flag("x0", [None, None, None, "2.5", "2", "1.3", "11", "nan", "-inf"]),
+    _flag("shift-D", [None, None, None, "1", "-2", "nan", "inf"]),
+    _flag("ref-tol", [None, None, None, "1e-9", "0", "-1", "nan", "inf"]),
+    _flag("root-tol", [None, None, None, "1e-8", "0", "nan", "inf"]),
+    _flag("out", [None, None, None, "/nonexistent-dir/x.csv"]),
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(argv=_ARGV)
+# one example per exit code: 0, 2, 3, 4, 5 ([ode]) and 6
+@example(argv=["integrate", "--f=sin(x)", "--a=1", "--b=2", "--x0=1.5",
+               "--h=0.01"])
+@example(argv=["integrate", "--f=2+*x", "--a=1", "--b=10", "--h=0.01"])
+@example(argv=["integrate", "--f=x^2", "--a=0", "--b=4", "--x0=2", "--h=0.01"])
+@example(argv=["integrate", "--f=sin(8*x)", "--a=1", "--b=30", "--h=0.01"])
+@example(argv=["integrate", "--f=sqrt(3-x)", "--a=1", "--b=4", "--h=0.01"])
+@example(argv=["xi-curve", "--f=sin(x)", "--a=1", "--b=4", "--h=0.01",
+               "--out=/nonexistent-dir/x.csv"])
+def test_every_input_ends_in_an_exit_code_and_one_diagnostic(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in {0, 2, 3, 4, 5, 6}
+    lines = [ln for ln in err.getvalue().splitlines()
+             if not ln.startswith("trapcorr: warning ")]
+    if code == 0:
+        assert lines == []
+    else:
+        assert len(lines) == 1 and _DIAGNOSTIC.match(lines[0]), lines

@@ -3,16 +3,24 @@ import math
 
 import pytest
 
-from trapcorr import (ConfigError, NoRootError, ProblemSpec, emit_csv,
-                      emit_xi_csv, eval_jet, integrate, pipeline,
-                      reference_integral, run, solve_xi0, solve_xi_at,
-                      trapezium, xi_ode, xi_rhs)
+from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec,
+                      emit_csv, emit_xi_csv, eval_jet, integrate, parse,
+                      pipeline, reference_integral, run, solve_xi0,
+                      solve_xi_at, trapezium, xi_ode, xi_rhs)
+from trapcorr.errors import phase
 from trapcorr.pipeline import CSV_HEADER, CurveRow, ErrorCurve, in_interval_xi
 
 from conftest import sin_spec
 
 
 # ------------------------------------------------------------ validation
+
+def test_spec_x0_defaults_to_midpoint():
+    spec = ProblemSpec(f_text="sin(x)", f_ast=parse("sin(x)"), a=1.0, b=9.0,
+                       x0=None, h=0.01)
+    assert spec.x0 == 5.0
+    assert ProblemSpec.from_text("sin(x)", 1.0, 9.0) == spec
+
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
@@ -81,6 +89,14 @@ def test_solve_xi0_stamps_init_phase_on_failure():
     spec = sin_spec(ref_tol=1e-30)  # unreachable tolerance
     with pytest.raises(Exception) as exc:
         solve_xi0(spec)
+    assert exc.value.phase == "init"
+
+
+def test_phase_keeps_the_innermost_tag():
+    with pytest.raises(ConfigError) as exc:
+        with phase("curve"):
+            with phase("init"):
+                raise ConfigError("synthetic failure")
     assert exc.value.phase == "init"
 
 
@@ -172,7 +188,7 @@ def test_run_is_deterministic(sin_curve):
 
 
 def test_run_metadata(sin_curve):
-    assert sin_curve.tableau_id == "fehlberg7"
+    assert sin_curve.spec.tableau.name == "fehlberg7"
     assert sin_curve.wall_time > 0.0
     assert sin_curve.spec.f_text == "sin(x)"
 
@@ -208,6 +224,17 @@ def test_singular_abort_suggests_shift():
         run(spec)
     assert exc.value.suggested_shift == 1.0
     assert exc.value.phase == "ode"
+    assert str(exc.value).endswith("; rerun with --shift-D 1")
+
+
+def test_mid_sweep_domain_error_propagates_with_ode_phase():
+    # sqrt(3-x) has no jet at x = 3, which the forward sweep from 2.5 reaches
+    spec = ProblemSpec.from_text("sqrt(3-x)", 1.0, 4.0, h=0.01)
+    with pytest.raises(DomainError) as exc:
+        run(spec)
+    assert exc.value.phase == "ode"
+    assert exc.value.x == 3.0
+    assert str(exc.value) == "non-finite jet component at x=3.0"
 
 
 # --------------------------------------------------------- branch switch
@@ -280,7 +307,7 @@ def test_csv_single_row():
     curve = ErrorCurve(
         rows=(CurveRow(x=1.0, xi=None, trapezium=0.0, error_term=0.0,
                        corrected=0.0),),
-        spec=sin_spec(), tableau_id="fehlberg7", wall_time=0.0)
+        spec=sin_spec(), wall_time=0.0)
     buf = io.StringIO()
     emit_csv(curve, buf)
     assert buf.getvalue() == CSV_HEADER + "\n1,,0,0,0,,\n"
@@ -289,8 +316,7 @@ def test_csv_single_row():
 def test_csv_full_row_formatting():
     row = CurveRow(x=1.25, xi=math.pi, trapezium=-0.5, error_term=0.125,
                    corrected=-0.375, reference=-0.375, residual=0.0)
-    curve = ErrorCurve(rows=(row,), spec=sin_spec(), tableau_id="t",
-                       wall_time=0.0)
+    curve = ErrorCurve(rows=(row,), spec=sin_spec(), wall_time=0.0)
     buf = io.StringIO()
     emit_csv(curve, buf)
     body = buf.getvalue().splitlines()[1]
@@ -331,7 +357,7 @@ def test_csv_unwritable_destination(sin_curve):
 
 
 def test_csv_empty_curve_rejected():
-    curve = ErrorCurve(rows=(), spec=sin_spec(), tableau_id="t", wall_time=0.0)
+    curve = ErrorCurve(rows=(), spec=sin_spec(), wall_time=0.0)
     with pytest.raises(ConfigError):
         emit_csv(curve, io.StringIO())
 

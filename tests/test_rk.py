@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from trapcorr import (ConfigError, DomainError, FEHLBERG7, IntegrationAbort,
-                      IoError, RKTableau, empirical_order, format_tableau,
-                      integrate, load_tableau, rk_step)
+from trapcorr import (ConfigError, DomainError, FEHLBERG7, IoError, RKTableau,
+                      empirical_order, format_tableau, integrate, load_tableau,
+                      rk_step)
 from trapcorr.rk import order_condition_residuals
 
 
@@ -115,20 +115,20 @@ def test_forward_reverse_round_trip():
         assert abs(back.y_end - 1.0) <= 10.0 * fwd_err
 
 
-def test_rhs_failure_carries_position_and_partial():
+def test_rhs_failure_propagates_unwrapped():
+    raised = []
+
     def rhs(x, y):
         if x > 0.55:
-            raise DomainError("synthetic failure", x)
+            raised.append(DomainError("synthetic failure", x))
+            raise raised[-1]
         return y
 
-    with pytest.raises(IntegrationAbort) as exc:
+    with pytest.raises(DomainError) as exc:
         integrate(rhs, 0.0, 1.0, 1.0, 0.1)
-    err = exc.value
-    assert err.stage_x > 0.55
-    assert isinstance(err.cause, DomainError)
-    assert err.partial is not None
-    assert err.partial.nodes[0] == (0.0, 1.0)
-    assert err.partial.xs[-1] <= 0.55
+    assert exc.value is raised[0]
+    assert 0.55 < exc.value.x <= 0.6  # a stage of the step from 0.5 to 0.6
+    assert exc.value.phase is None
 
 
 def test_on_node_replaces_each_node_and_sweep_continues_from_it():
@@ -144,18 +144,19 @@ def test_on_node_replaces_each_node_and_sweep_continues_from_it():
     assert [y for _, y in traj.nodes] == [1.0, 0.5, 0.25, 0.125]
 
 
-def test_on_node_failure_carries_position_and_partial():
+def test_on_node_failure_propagates_unwrapped():
+    raised = []
+
     def hook(x, y):
         if x > 0.25:
-            raise DomainError("synthetic failure", x)
+            raised.append(DomainError("synthetic failure", x))
+            raise raised[-1]
         return y
 
-    with pytest.raises(IntegrationAbort) as exc:
+    with pytest.raises(DomainError) as exc:
         integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.1, on_node=hook)
-    err = exc.value
-    assert err.stage_x == pytest.approx(0.3)
-    assert isinstance(err.cause, DomainError)
-    assert err.partial.xs == pytest.approx([0.0, 0.1, 0.2])
+    assert exc.value is raised[0]
+    assert exc.value.x == pytest.approx(0.3)
 
 
 # ------------------------------------------------------------ file format
