@@ -18,8 +18,7 @@ from .quadrature import (ReferenceResult, composite_trapezium,
                          reference_integral, trapezium)
 from .rk import (FEHLBERG7, RKTableau, Trajectory, empirical_order,
                  format_tableau, integrate, load_tableau, rk_step)
-from .xi_ode import (cubic_correction, error_term, shifted_problem,
-                     suggest_shift, unshift_error, xi_rhs)
+from .xi_ode import error_term, suggest_shift, unshift_error, xi_rhs
 
 __version__ = "0.1.0"
 
@@ -33,7 +32,6 @@ __all__ = [
     "ReferenceResult", "composite_trapezium", "reference_integral", "trapezium",
     "FEHLBERG7", "RKTableau", "Trajectory", "empirical_order",
     "format_tableau", "integrate", "load_tableau", "rk_step",
-    "cubic_correction", "error_term", "shifted_problem", "suggest_shift",
-    "unshift_error", "xi_rhs",
+    "error_term", "suggest_shift", "unshift_error", "xi_rhs",
     "__version__",
 ]

@@ -72,7 +72,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
                    help="seed abscissa for the bootstrap (default: midpoint of [a, b])")
     p.add_argument("--h", required=True, type=float, help="RK step size")
     p.add_argument("--shift-D", type=float, default=0.0, dest="shift_d",
-                   help="cubic shift constant D; g = f + D*x^3/6 (default: 0)")
+                   help="cubic shift constant D; g = f + D*(x-a)^3/6 (default: 0)")
     p.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
                    help="RK tableau to integrate with (default: builtin)")
     p.add_argument("--reference", action="store_true",

@@ -104,12 +104,12 @@ def contains_var(node: ExprAST) -> bool:
     return contains_var(node.left) or contains_var(node.right)
 
 
-def shift_by_cubic(node: ExprAST, d: float) -> ExprAST:
-    """Structural AST for ``node + d*x^3/6`` (identity when d == 0)."""
+def shift_by_cubic(node: ExprAST, d: float, a: float) -> ExprAST:
+    """Structural AST for ``node + d*(x-a)^3/6`` (identity when d == 0)."""
     if d == 0.0:
         return node
-    cubic = BinOp("/", BinOp("*", Num(d), BinOp("^", Var(), Num(3.0))), Num(6.0))
-    return BinOp("+", node, cubic)
+    cube = BinOp("^", BinOp("-", Var(), Num(a)), Num(3.0))
+    return BinOp("+", node, BinOp("/", BinOp("*", Num(d), cube), Num(6.0)))
 
 
 # ----------------------------------------------------------------- parser

@@ -20,8 +20,7 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import (F_COEFFICIENT, error_term, suggest_shift, unshift_error,
-                     xi_rhs)
+from .xi_ode import error_term, suggest_shift, unshift_error, xi_rhs
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -43,8 +42,8 @@ BISECT_WIDTH = 1e-14
 @dataclass(frozen=True)
 class ProblemSpec:
     """Everything one corrected-quadrature run needs, with the integrand
-    actually differentiated, g = f + shift*x^3/6, and g(a) built once.
-    ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
+    actually differentiated, g = f + shift*(x-a)^3/6, and g(a) = f(a)
+    built once.  ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
 
     f_text: str
     f_ast: ExprAST
@@ -55,7 +54,6 @@ class ProblemSpec:
     shift: float = 0.0
     ref_tol: float = 1e-13
     root_tol: float = 1e-12
-    f_coefficient: float = F_COEFFICIENT
     tableau: RKTableau = FEHLBERG7
     g: ExprAST = field(init=False, repr=False, compare=False)
     g_at_a: float = field(init=False, repr=False, compare=False)
@@ -81,7 +79,7 @@ class ProblemSpec:
             raise ConfigError(f"reference tolerance must be positive, got {self.ref_tol!r}")
         if self.root_tol <= 0.0:
             raise ConfigError(f"root tolerance must be positive, got {self.root_tol!r}")
-        object.__setattr__(self, "g", shift_by_cubic(self.f_ast, self.shift))
+        object.__setattr__(self, "g", shift_by_cubic(self.f_ast, self.shift, self.a))
         object.__setattr__(self, "g_at_a", eval_jet(self.g, self.a).d0)
 
     @classmethod

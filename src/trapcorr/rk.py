@@ -13,7 +13,7 @@ reverse trajectories reuse the same kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigError, IoError
@@ -81,6 +81,11 @@ class RKTableau:
         return max(abs(self.c[i] - math.fsum(self.a[i])) for i in range(self.stages))
 
     def validate(self) -> None:
+        # a NaN defect compares false against any bound, so check entries first
+        for what, values in (("A", [v for row in self.a for v in row]),
+                             ("b", self.b), ("c", self.c)):
+            if not all(map(math.isfinite, values)):
+                raise ConfigError(f"tableau '{self.name}': non-finite entry in {what}")
         defect = self.row_sum_defect()
         if defect > VALIDATE_TOL:
             raise ConfigError(f"tableau '{self.name}': row-sum defect {defect:.3e} "
@@ -147,12 +152,6 @@ class Trajectory:
     """Ordered (x, y) nodes of one integration sweep."""
 
     nodes: tuple[tuple[float, float], ...]
-    h: float  # signed step actually requested
-    direction: str = field(default="forward")  # "forward" | "reverse"
-
-    @property
-    def xs(self) -> list[float]:
-        return [x for x, _ in self.nodes]
 
     @property
     def y_end(self) -> float:
@@ -194,9 +193,8 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
     """
     if h_mag <= 0.0:
         raise ConfigError(f"step magnitude must be positive, got {h_mag!r}")
-    direction = "forward" if x_end >= x0 else "reverse"
     if x_end == x0:
-        return Trajectory(nodes=((x0, y0),), h=h_mag, direction=direction)
+        return Trajectory(nodes=((x0, y0),))
     sign = 1.0 if x_end > x0 else -1.0
     h = sign * h_mag
     nodes = [(x0, y0)]
@@ -215,7 +213,7 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
         if last:
             break
         x = x_next
-    return Trajectory(nodes=tuple(nodes), h=h, direction=direction)
+    return Trajectory(nodes=tuple(nodes))
 
 
 # ------------------------------------------------------------- file format

@@ -11,20 +11,21 @@ with respect to x and solving for xi'(x) gives
           / [(x-a)^3 f'''(xi)].
 
 The -6 coefficient on f(x) is fixed by that derivation and is gated by a
-residual test on the identity itself (see the pipeline test suite); the
-coefficient is exposed as a field so tests can demonstrate that a wrong
-value destroys the residual.
+residual test on the identity itself (see the pipeline test suite);
+``xi_rhs`` reads it from the module constant ``F_COEFFICIENT``, so tests
+can patch in a wrong value and show that it destroys the residual.
 
 When f''' comes close to zero the denominator degenerates.  Working with
-g = f + D*x^3/6 instead moves the third derivative to f''' + D, and the
-difference between the two error curves is a closed-form cubic quantity,
-so the shift is exactly reversible.  Every function here takes the problem
-as a :class:`~trapcorr.pipeline.ProblemSpec`, which builds g and g(a) once.
+g = f + D*(x-a)^3/6 instead moves the third derivative to f''' + D and
+keeps g(a) = f(a).  The cubic's own trapezium error term is the single
+term -D*(x-a)^4/24, so the shift is exactly reversible without
+cancellation, however far [a, b] lies from the origin.  Every function
+here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
+which builds g and g(a) once.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, SingularDenominatorError
@@ -33,10 +34,7 @@ from .expr import ExprAST, eval_jet
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
 
-__all__ = [
-    "xi_rhs", "error_term", "shifted_problem",
-    "cubic_correction", "unshift_error", "suggest_shift",
-]
+__all__ = ["xi_rhs", "error_term", "unshift_error", "suggest_shift"]
 
 #: |denominator| guard threshold scale: singular below eps * (1 + |x-a|^3)
 DEFAULT_DEN_GUARD = 1e-8
@@ -60,7 +58,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     den = t ** 3 * at_xi.d3
     if abs(den) < DEFAULT_DEN_GUARD * (1.0 + abs(t) ** 3):
         raise SingularDenominatorError(x, xi, den)
-    num = (p.f_coefficient * at_x.d0 + 6.0 * p.g_at_a
+    num = (F_COEFFICIENT * at_x.d0 + 6.0 * p.g_at_a
            + 6.0 * t * at_x.d1 - 3.0 * t * t * at_xi.d2)
     return num / den
 
@@ -76,28 +74,15 @@ def error_term(p: ProblemSpec, x: float, xi: float) -> float:
     return -((x - p.a) ** 3) / 12.0 * eval_jet(p.g, xi).d2
 
 
-def shifted_problem(p: ProblemSpec, shift: float) -> ProblemSpec:
-    """Same problem with the cubic shift constant replaced by ``shift``."""
-    return p if shift == p.shift else replace(p, shift=shift)
+def unshift_error(shifted_error: float, d: float, a: float, x: float) -> float:
+    """Error term of f given the error term of g = f + d*(x-a)^3/6 at the
+    same limits: the cubic's own error term is
 
-
-def cubic_correction(d: float, a: float, x: float) -> float:
-    """Exact error term of the trapezium rule on the shift cubic d*t^3/6:
-
-        integral_a^x d t^3/6 dt - (x-a)/2 * (d a^3/6 + d x^3/6)
-        = d (x^4 - a^4)/24 - d (x-a)(a^3 + x^3)/12
+        integral_a^x d (t-a)^3/6 dt - (x-a)/2 * d (x-a)^3/6 = -d (x-a)^4/24
     """
     if d == 0.0:
-        return 0.0
-    return d * (x ** 4 - a ** 4) / 24.0 - d * (x - a) * (a ** 3 + x ** 3) / 12.0
-
-
-def unshift_error(shifted_error: float, d: float, a: float, x: float) -> float:
-    """Error term of f given the error term of g = f + d*x^3/6 at the
-    same limits."""
-    if d == 0.0:
         return shifted_error
-    return shifted_error - cubic_correction(d, a, x)
+    return shifted_error + d * (x - a) ** 4 / 24.0
 
 
 #: :func:`suggest_shift`'s candidates, sample count and clearance

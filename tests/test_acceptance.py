@@ -13,7 +13,7 @@ import math
 import time
 
 from trapcorr import (FEHLBERG7, ProblemSpec, emit_csv, empirical_order,
-                      integrate, reference_integral, run, solve_xi0)
+                      integrate, reference_integral, run, solve_xi0, xi_ode)
 
 from conftest import exotic_spec, sin_spec
 from helpers import (FD_DOMAINS, composite_loglog_slope,
@@ -49,7 +49,7 @@ def test_criterion_2_initialization():
            f"|xi0 - 3.049296665128674| = {dev:.2e}, {elapsed:.3f}s")
 
 
-def test_criterion_3_residual_gate():
+def test_criterion_3_residual_gate(monkeypatch):
     start = time.perf_counter()
     sin = parse("sin(x)")
 
@@ -62,7 +62,8 @@ def test_criterion_3_residual_gate():
         return worst
 
     good = worst_residual(run(sin_spec()))
-    bad = worst_residual(run(sin_spec(f_coefficient=-18.0)))
+    monkeypatch.setattr(xi_ode, "F_COEFFICIENT", -18.0)
+    bad = worst_residual(run(sin_spec()))
     elapsed = time.perf_counter() - start
     report("3 residual-gate",
            good <= 1e-8 and bad > 1e-2 and elapsed < 30.0,

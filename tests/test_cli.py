@@ -230,6 +230,33 @@ def test_missing_tableau_file_exit_6(capsys):
     assert len(stderr_lines(capsys)) == 1
 
 
+#: tableaux whose NaN or inf entries leave every defect NaN, which no
+#: ``>`` bound catches: a NaN weight, and an inf node matched by an inf
+#: A entry (inf - inf)
+NON_FINITE_TABLEAUX = {
+    "nan-b": "1 1\n\nnan\n0.0\n",
+    "inf-a-and-c": "2 1\n\ninf\n0.5 0.5\n0.0 inf\n",
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["tableau-check"],
+    ["order-test"],
+    ["integrate", *SIN_ARGS],
+])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_TABLEAUX))
+def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
+    path = tmp_path / f"{name}.tab"
+    path.write_text(NON_FINITE_TABLEAUX[name], encoding="ascii")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = [ln for ln in captured.err.splitlines() if ln]
+    assert len(lines) == 1
+    assert lines[0].startswith("trapcorr: [config] ")
+    assert "non-finite entry" in lines[0]
+
+
 def test_close_seed_warning(capsys):
     code = main(["integrate", "--f", "sin(x)", "--a", "1", "--b", "2",
                  "--x0", "1.3", "--h", "0.01"])

@@ -217,6 +217,14 @@ def test_shifted_quadratic_matches_antiderivative():
         assert row.corrected == pytest.approx(row.x ** 3 / 3.0, abs=1e-10)
 
 
+def test_shifted_run_far_from_the_origin():
+    spec = ProblemSpec.from_text("sin(x)", 1000.0, 1009.0, x0=1004.5, h=0.01,
+                                 shift=2.0, ref_tol=1e-12, root_tol=1e-11)
+    worst = max(abs(r.corrected - (math.cos(1000.0) - math.cos(r.x)))
+                for r in run(spec).rows)
+    assert worst <= 1e-9
+
+
 def test_singular_abort_suggests_shift():
     spec = ProblemSpec.from_text("x^2", 0.0, 4.0, x0=2.0, h=0.01)
     from trapcorr import SingularDenominatorError

@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import pytest
 
 from trapcorr import (DomainError, ProblemSpec, SingularDenominatorError,
-                      cubic_correction, error_term, eval_jet, eval_value,
-                      parse, reference_integral, shifted_problem, solve_xi_at,
-                      suggest_shift, unshift_error, xi_rhs)
+                      error_term, eval_jet, eval_value, parse,
+                      reference_integral, solve_xi_at, suggest_shift,
+                      unshift_error, xi_ode, xi_rhs)
 
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
@@ -49,9 +50,10 @@ def test_rhs_rejects_lower_limit():
         xi_rhs(sin_problem(), 1.0, 2.0)
 
 
-def test_rhs_alternate_numerator_coefficient_changes_value():
+def test_rhs_alternate_numerator_coefficient_changes_value(monkeypatch):
     good = xi_rhs(sin_problem(), 5.0, XI0_SIN)
-    bad = xi_rhs(sin_problem(f_coefficient=-18.0), 5.0, XI0_SIN)
+    monkeypatch.setattr(xi_ode, "F_COEFFICIENT", -18.0)
+    bad = xi_rhs(sin_problem(), 5.0, XI0_SIN)
     assert abs(good - bad) > 0.1
 
 
@@ -79,11 +81,11 @@ def test_error_term_exact_for_quadratic():
 
 def test_shifted_problem_identity():
     p = sin_problem()
-    assert shifted_problem(p, 0.0) is p
+    assert p.g is p.f_ast
 
 
 def test_shifted_problem_sin_third_derivative_bounded():
-    p = shifted_problem(sin_problem(), 2.0)
+    p = sin_problem(shift=2.0)
     for x in [1.0 + 0.09 * k for k in range(101)]:
         d3 = eval_jet(p.g, x).d3
         assert 1.0 <= d3 <= 3.0  # -cos x + 2
@@ -92,7 +94,7 @@ def test_shifted_problem_sin_third_derivative_bounded():
 def test_shifted_problem_makes_flat_integrand_wellposed():
     p = ProblemSpec.from_text("x^2", 0.0, 4.0)
     assert eval_jet(p.g, 1.7).d3 == 0.0
-    shifted = shifted_problem(p, 1.0)
+    shifted = replace(p, shift=1.0)
     assert eval_jet(shifted.g, 1.7).d3 == 1.0
     # rhs now evaluable where the unshifted problem is singular
     xi_rhs(shifted, 2.0, 1.0)
@@ -101,9 +103,9 @@ def test_shifted_problem_makes_flat_integrand_wellposed():
 
 
 def test_shifted_problem_rebuilds_g_at_a():
-    p = shifted_problem(ProblemSpec.from_text("sin(x)", 1.0, 10.0), 2.0)
+    p = replace(ProblemSpec.from_text("sin(x)", 1.0, 10.0), shift=2.0)
     assert p.g_at_a == eval_value(p.g, p.a)
-    assert p.g_at_a == pytest.approx(math.sin(1.0) + 2.0 / 6.0, rel=1e-15)
+    assert p.g_at_a == math.sin(1.0)  # the cubic vanishes at a
 
 
 def test_problem_without_a_jet_at_a_fails_at_construction():
@@ -113,14 +115,19 @@ def test_problem_without_a_jet_at_a_fails_at_construction():
 
 
 def test_cubic_correction_values():
-    assert cubic_correction(0.0, 1.0, 5.0) == 0.0
-    assert cubic_correction(2.0, 3.0, 3.0) == 0.0
-    assert cubic_correction(2.0, 1.0, 5.0) == -32.0  # 52 - 84, exact
+    # the error term of d*(x-a)^3/6 is -d*(x-a)^4/24
+    assert unshift_error(0.0, 2.0, 3.0, 3.0) == 0.0
+    assert unshift_error(0.0, 2.0, 1.0, 5.0) == 2.0 * 4.0 ** 4 / 24.0
+    assert unshift_error(0.0, -3.0, 1.0, 3.0) == -2.0
+    # x - a = 1 exactly far from the origin: no terms of size a^4 cancel
+    got = unshift_error(0.0, 2.0, 1e4, 1e4 + 1.0)
+    assert got == pytest.approx(2.0 / 24.0, rel=1e-15)
 
 
 def test_unshift_identity_and_inverse():
     assert unshift_error(1.25, 0.0, 1.0, 5.0) == 1.25
-    shifted = -7.5 + cubic_correction(2.0, 1.0, 5.0)
+    assert math.copysign(1.0, unshift_error(-0.0, 0.0, 1.0, 5.0)) == -1.0
+    shifted = -7.5 - 2.0 * 4.0 ** 4 / 24.0
     assert unshift_error(shifted, 2.0, 1.0, 5.0) == pytest.approx(-7.5, rel=1e-14)
 
 
