@@ -14,12 +14,15 @@ tighter than unary minus inside its left operand, exactly as the grammar
 above reads: ``-x^2`` parses as ``(-x)^2``.  Literals must be finite and
 nesting may not exceed :data:`MAX_DEPTH` levels.
 
-Each AST node compiles once, on first use, to a closure returning the
-value and first three derivatives at a point (a :class:`Jet3`) through
-the sum, product, quotient and chain rules.  :func:`eval_jet` and
-:func:`eval_value` run that one closure; where only a derivative is
-undefined (``sqrt`` at 0), the value stands and the jet is rejected.
-Jets are exact to rounding; nothing here differentiates numerically.
+A tree compiles once, on first use, to straight-line Python emitted from
+one walk of its shape (source transformation: Griewank & Walther,
+*Evaluating Derivatives*, ch. 13): a jet function, giving the value and
+first three derivatives at a point (a :class:`Jet3`) by the sum,
+product, quotient and chain rules, and a value function made of the
+jet's d0 statements alone.  Literals are bound as values, so trees of one
+shape share one code object through a bounded cache.  Where only a
+derivative is undefined (``sqrt`` at 0), the value stands and the jet is
+rejected.  Jets are exact to rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 from .errors import DomainError, SyntaxError_, UnknownIdentifierError
@@ -48,14 +51,17 @@ MAX_DEPTH = 100
 # ----------------------------------------------------------------- AST
 
 class _Node:
-    """AST node base: compiles to its jet closure once, on first use."""
+    """AST node base: compiles to its evaluators once, on first use."""
 
     @cached_property
-    def _jet(self):
-        return _compile(self)
+    def _evaluators(self):
+        """``(jet, value)``: the code compiled for this tree's shape, shared
+        through a bounded cache, bound to this tree's literals."""
+        literals = []
+        return _factory(_shape(self, literals))(*literals)
 
-    def __getstate__(self):  # pickle the tree, not the closure
-        return {k: v for k, v in self.__dict__.items() if k != "_jet"}
+    def __getstate__(self):  # pickle the tree, not the compiled code
+        return {k: v for k, v in self.__dict__.items() if k != "_evaluators"}
 
 
 @dataclass(frozen=True)
@@ -272,94 +278,6 @@ class Jet3(NamedTuple):
 _UNDEFINED = (ArithmeticError, ValueError)
 
 
-def _compile(node: ExprAST):
-    """Closure ``x -> (d0, d1, d2, d3)`` for the jet of ``node``: d0 raises
-    DomainError outside its domain, undefined derivatives come out NaN."""
-    if isinstance(node, Var):
-        return lambda x: (x, 1.0, 0.0, 0.0)
-    if isinstance(node, (Num, Const)):
-        const = (node.value if isinstance(node, Num) else CONSTANTS[node.name],
-                 0.0, 0.0, 0.0)
-        return lambda x: const
-    if isinstance(node, BinOp):
-        lf, rf = node.left._jet, node.right._jet
-    else:
-        uf = node.arg._jet
-    if isinstance(node, Neg):
-        def jet(x):
-            u0, u1, u2, u3 = uf(x)
-            return (-u0, -u1, -u2, -u3)
-    elif isinstance(node, Call):
-        g, outer, lowest, below = _FUNCTIONS[node.func]
-
-        def jet(x):
-            u0, u1, u2, u3 = uf(x)
-            if u0 < lowest:
-                raise DomainError(f"{node.func} of {below} value {u0!r}", x)
-            g0 = g(u0)
-            try:
-                return _chain(g0, *outer(u0, g0), u1, u2, u3)
-            except _UNDEFINED:
-                return (g0, math.nan, math.nan, math.nan)
-    elif node.op == "+":
-        def jet(x):
-            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
-            return (u0 + v0, u1 + v1, u2 + v2, u3 + v3)
-    elif node.op == "-":
-        def jet(x):
-            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
-            return (u0 - v0, u1 - v1, u2 - v2, u3 - v3)
-    elif node.op == "*":
-        def jet(x):  # Leibniz rule with binomial weights
-            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
-            return (u0 * v0, u1 * v0 + u0 * v1, u2 * v0 + 2.0 * u1 * v1 + u0 * v2,
-                    u3 * v0 + 3.0 * u2 * v1 + 3.0 * u1 * v2 + u0 * v3)
-    elif node.op == "/":
-        def jet(x):
-            (u0, u1, u2, u3), (v0, v1, v2, v3) = lf(x), rf(x)
-            if v0 == 0.0:
-                raise DomainError("division by zero", x)
-            w0 = u0 / v0
-            w1 = (u1 - w0 * v1) / v0
-            w2 = (u2 - w0 * v2 - 2.0 * w1 * v1) / v0
-            return (w0, w1, w2, (u3 - w0 * v3 - 3.0 * w1 * v2 - 3.0 * w2 * v1) / v0)
-    elif contains_var(node.right):
-        # the parser admits x in an exponent only over a constant base b:
-        # the value is pow(b, v), the derivatives those of exp(v ln b)
-        def jet(x):
-            b = lf(x)[0]
-            v0, v1, v2, v3 = rf(x)
-            p = _pow_value(b, v0, x)
-            try:
-                ln_b = math.log(b)
-                return _chain(p, p, p, p, v1 * ln_b, v2 * ln_b, v3 * ln_b)
-            except _UNDEFINED:
-                return (p, math.nan, math.nan, math.nan)
-    else:
-        def jet(x):  # u^r for an exponent free of x
-            u0, u1, u2, u3 = lf(x)
-            r = rf(x)[0]
-            if r == 0.0:  # the constant 1, whatever u's derivatives
-                return (1.0, 0.0, 0.0, 0.0)
-            g0 = _pow_value(u0, r, x)
-            c2 = r * (r - 1.0)
-            c3 = c2 * (r - 2.0)
-            try:
-                return _chain(g0, r * math.pow(u0, r - 1.0),
-                              0.0 if c2 == 0.0 else c2 * math.pow(u0, r - 2.0),
-                              0.0 if c3 == 0.0 else c3 * math.pow(u0, r - 3.0),
-                              u1, u2, u3)
-            except _UNDEFINED:
-                return (g0, math.nan, math.nan, math.nan)
-    return jet
-
-
-def _chain(g0, g1, g2, g3, u1, u2, u3):
-    # Faa di Bruno through order 3
-    return (g0, g1 * u1, g2 * u1 * u1 + g1 * u2,
-            g3 * u1 ** 3 + 3.0 * g2 * u1 * u2 + g1 * u3)
-
-
 def _pow_value(u: float, r: float, x: float) -> float:
     if u < 0.0 and r != int(r):
         raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x)
@@ -368,47 +286,150 @@ def _pow_value(u: float, r: float, x: float) -> float:
     return math.pow(u, r)
 
 
-def _ln_outer(u, g):
-    iu = 1.0 / u
-    return iu, -iu * iu, 2.0 * iu ** 3
-
-
-def _log10_outer(u, g):
-    iu = 1.0 / (u * math.log(10.0))
-    return iu, -iu / u, 2.0 * iu / (u * u)
-
-
-def _sqrt_outer(u, s):
-    g1 = 0.5 / s  # infinite at u = 0, where the value is still defined
-    return g1, -0.5 * g1 / u, 0.75 * g1 / (u * u)
-
-
-def _tan_outer(u, t):
-    g1 = 1.0 + t * t
-    return g1, 2.0 * t * g1, 2.0 * g1 * (1.0 + 3.0 * t * t)
-
-
-#: per function: g; (u, g(u)) -> (g', g'', g''') at u; the least u in g's
-#: domain (ln and log10 need u > 0: the least positive float); and how an
-#: error names a value below it
+#: per function: g; statements setting (g', g'', g''') at u = {u0} as {g1},
+#: {g2}, {g3}, given g(u) = {w0}; the least u in g's domain (ln and log10
+#: need u > 0: the least positive float); and how an error names a value
+#: below it.  sqrt's g' is infinite at u = 0, where its value is defined.
 _FUNCTIONS = {
-    "sin": (math.sin, lambda u, s: (math.cos(u), -s, -math.cos(u)), -math.inf, ""),
-    "cos": (math.cos, lambda u, c: (-math.sin(u), -c, math.sin(u)), -math.inf, ""),
-    "tan": (math.tan, _tan_outer, -math.inf, ""),
-    "exp": (math.exp, lambda u, g: (g, g, g), -math.inf, ""),
-    "ln": (math.log, _ln_outer, math.ulp(0.0), "non-positive"),
-    "log10": (math.log10, _log10_outer, math.ulp(0.0), "non-positive"),
-    "sqrt": (math.sqrt, _sqrt_outer, 0.0, "negative"),
+    "sin": (math.sin, "{g1} = cos({u0}); {g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
+    "cos": (math.cos, "{g1} = -sin({u0}); {g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
+    "tan": (math.tan, "{g1} = 1.0 + {w0} * {w0}; {g2} = 2.0 * {w0} * {g1}; "
+                      "{g3} = 2.0 * {g1} * (1.0 + 3.0 * {w0} * {w0})", -math.inf, ""),
+    "exp": (math.exp, "{g1} = {g2} = {g3} = {w0}", -math.inf, ""),
+    "ln": (math.log, "{g1} = 1.0 / {u0}; {g2} = -{g1} * {g1}; {g3} = 2.0 * {g1} ** 3",
+           math.ulp(0.0), "non-positive"),
+    "log10": (math.log10, "{g1} = 1.0 / ({u0} * LN10); {g2} = -{g1} / {u0}; "
+                          "{g3} = 2.0 * {g1} / ({u0} * {u0})", math.ulp(0.0), "non-positive"),
+    "sqrt": (math.sqrt, "{g1} = 0.5 / {w0}; {g2} = -0.5 * {g1} / {u0}; "
+                        "{g3} = 0.75 * {g1} / ({u0} * {u0})", 0.0, "negative"),
 }
 
+#: Faa di Bruno through order 3: w = g(u) from g's derivatives g1-g3 at u
+_CHAIN = ("{w1} = {g1} * {u1}; {w2} = {g2} * {u1} * {u1} + {g1} * {u2}; "
+          "{w3} = {g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
 
-def _evaluate(ast: ExprAST, x: float) -> tuple:
-    try:
-        return ast._jet(x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
-    except _UNDEFINED as exc:
-        raise DomainError(f"undefined: {exc}", x) from exc
+
+def _guarded(statements: str) -> str:
+    """``statements`` setting w1-w3, which come out NaN where they raise."""
+    return f"try:\n    {statements}\nexcept UNDEFINED:\n    {{w1}} = {{w2}} = {{w3}} = nan"
+
+
+#: per node kind: its d0 statements, then its d1-d3 statements, over the
+#: jets u (operand or left) and v (right), the result w and scratch g, s
+_RULES = {
+    "neg": ("{w0} = -{u0}", "{w1} = -{u1}; {w2} = -{u2}; {w3} = -{u3}"),
+    "+": ("{w0} = {u0} + {v0}", "{w1} = {u1} + {v1}; {w2} = {u2} + {v2}; {w3} = {u3} + {v3}"),
+    "-": ("{w0} = {u0} - {v0}", "{w1} = {u1} - {v1}; {w2} = {u2} - {v2}; {w3} = {u3} - {v3}"),
+    "*": ("{w0} = {u0} * {v0}",  # Leibniz rule with binomial weights
+          "{w1} = {u1} * {v0} + {u0} * {v1}; "
+          "{w2} = {u2} * {v0} + 2.0 * {u1} * {v1} + {u0} * {v2}; "
+          "{w3} = {u3} * {v0} + 3.0 * {u2} * {v1} + 3.0 * {u1} * {v2} + {u0} * {v3}"),
+    "/": ("if {v0} == 0.0: raise DomainError('division by zero', x)\n{w0} = {u0} / {v0}",
+          "{w1} = ({u1} - {w0} * {v1}) / {v0}; "
+          "{w2} = ({u2} - {w0} * {v2} - 2.0 * {w1} * {v1}) / {v0}; "
+          "{w3} = ({u3} - {w0} * {v3} - 3.0 * {w1} * {v2} - 3.0 * {w2} * {v1}) / {v0}"),
+    # u^r, r free of x: the constant 1 at r = 0, whatever u's derivatives
+    "^r": ("{w0} = 1.0 if {v0} == 0.0 else pow_value({u0}, {v0}, x)",
+           _guarded("{s2} = {v0} * ({v0} - 1.0); {s3} = {s2} * ({v0} - 2.0); "
+                    "{g1} = {v0} * pow({u0}, {v0} - 1.0); "
+                    "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0); "
+                    "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0); " + _CHAIN)
+           + "\nif {v0} == 0.0: {w1} = {w2} = {w3} = 0.0"),
+    # b^v, b free of x: the value is pow(b, v), the derivatives those of
+    # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
+    "^v": ("{w0} = pow_value({u0}, {v0}, x)",
+           _guarded("{s0} = ln({u0}); {s1} = {v1} * {s0}; {s2} = {v2} * {s0}; {s3} = {v3} * {s0}; "
+                    + _CHAIN.format(g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}",
+                                    u3="{s3}", w1="{w1}", w2="{w2}", w3="{w3}"))),
+}
+#: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
+_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), x)\n"
+_RULES.update(
+    (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
+            + f"{{w0}} = {name}({{u0}})", _guarded(outer + "; " + _CHAIN)))
+    for name, (_, outer, lowest, below) in _FUNCTIONS.items())
+
+#: the two evaluators of one tree shape, over its literals lit0, lit1, ...
+_SOURCE = """\
+def bind({literals}):
+    def jet(x):
+{value}
+{derivs}
+        if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
+            return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
+        raise DomainError("non-finite jet component", x)
+
+    def value(x):
+{value}
+        if isfinite({w0}):
+            return {w0}
+        raise DomainError("non-finite value", x)
+
+    return jet, value
+"""
+
+#: what emitted code reads besides its locals: math's functions under
+#: their grammar names, math.pow as pow, and tuple.__new__ as new, which
+#: builds a Jet3 without the NamedTuple's Python-level __new__
+_NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
+_NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, LN10=math.log(10.0),
+                  nan=math.nan, isfinite=math.isfinite, Jet3=Jet3, DomainError=DomainError,
+                  UNDEFINED=_UNDEFINED)
+
+_LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3")
+_OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
+
+
+def _shape(node: ExprAST, literals: list):
+    """``node`` as nested tuples of node kinds, with each literal replaced
+    by "lit" and its value appended to ``literals``: all that its emitted
+    source depends on."""
+    if isinstance(node, Var):
+        return "x"
+    if isinstance(node, (Num, Const)):
+        literals.append(node.value if isinstance(node, Num) else CONSTANTS[node.name])
+        return "lit"
+    if isinstance(node, Neg):
+        return "neg", _shape(node.arg, literals)
+    if isinstance(node, Call):
+        return node.func, _shape(node.arg, literals)
+    kind = node.op if node.op != "^" else "^v" if contains_var(node.right) else "^r"
+    return kind, _shape(node.left, literals), _shape(node.right, literals)
+
+
+def _source(shape) -> str:
+    """Straight-line source of the evaluators of one tree shape.  The value
+    function runs the jet's d0 statements alone: derivative statements
+    never raise (an undefined derivative comes out NaN), so both fail
+    alike wherever the value does."""
+    value, derivs, literals = [], [], []
+
+    def emit(shape):  # -> the names (or float literals) of its d0..d3
+        if shape == "x":
+            return "x", "1.0", "0.0", "0.0"
+        if shape == "lit":
+            literals.append(f"lit{len(literals)}")
+            return literals[-1], "0.0", "0.0", "0.0"
+        kind, *args = shape
+        operands = sum(map(emit, args), ())
+        n = len(value)  # one d0 entry per node: a unique suffix
+        f = {name: f"{name}_{n}" for name in _LOCALS}
+        f.update(zip(_OPERANDS, operands))
+        value.append(_RULES[kind][0].format(**f))
+        derivs.append(_RULES[kind][1].format(**f))
+        return f["w0"], f["w1"], f["w2"], f["w3"]
+
+    w = emit(shape)
+    body = {key: "\n".join(" " * 8 + line for part in lines for line in part.split("\n"))
+            for key, lines in (("value", value), ("derivs", derivs))}
+    return _SOURCE.format(literals=", ".join(literals), **body, **dict(zip(_LOCALS, w)))
+
+
+@lru_cache(maxsize=256)
+def _factory(shape):
+    namespace = dict(_NAMESPACE)
+    exec(compile(_source(shape), "<trapcorr.expr emitted>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:
@@ -417,16 +438,20 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
     Raises :class:`DomainError` when the point is outside the
     expression's domain or any component fails to be finite.
     """
-    jet = Jet3._make(_evaluate(ast, x))
-    if not all(map(math.isfinite, jet)):
-        raise DomainError("non-finite jet component", x)
-    return jet
+    try:
+        return ast._evaluators[0](x)
+    except OverflowError as exc:
+        raise DomainError(f"overflow: {exc}", x) from exc
+    except _UNDEFINED as exc:
+        raise DomainError(f"undefined: {exc}", x) from exc
 
 
 def eval_value(ast: ExprAST, x: float) -> float:
-    """Evaluate just the value of ``ast`` at ``x``: the d0 of the jet,
-    defined also where a derivative is not (``sqrt`` at 0)."""
-    v = _evaluate(ast, x)[0]
-    if not math.isfinite(v):
-        raise DomainError("non-finite value", x)
-    return v
+    """Evaluate just the value of ``ast`` at ``x``: the jet's d0, defined
+    also where a derivative is not (``sqrt`` at 0)."""
+    try:
+        return ast._evaluators[1](x)
+    except OverflowError as exc:
+        raise DomainError(f"overflow: {exc}", x) from exc
+    except _UNDEFINED as exc:
+        raise DomainError(f"undefined: {exc}", x) from exc

@@ -193,6 +193,15 @@ def test_domain_error_exit_5(args, start, capsys):
     assert lines[0].startswith(start)
 
 
+def test_divergent_bootstrap_integral_exit_5(capsys):
+    # a pole inside (a, x0): the reference integral does not exist
+    code = main(["integrate", "--f=1/x", "--a=-1", "--b=2", "--h=0.05", "--x0=1.3"])
+    assert code == 5
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith("trapcorr: [init] integral looks divergent: ")
+
+
 def test_jet_domain_error_exit_5(capsys):
     # the value is defined at a, the derivatives are not (1/(a*a) underflows)
     code = main(["integrate", "--f", "sqrt(x)", "--a", "1e-200", "--b", "1",
@@ -268,18 +277,16 @@ def test_close_seed_warning(capsys):
 # ------------------------------------------------------ failure contract
 #
 # Every input ends in exit code 0 or 2-6, with one diagnostic line on
-# failure and none on success.  The listed integrands are smooth where
-# they are defined on the drawn intervals, so the Romberg budget reaches
-# every drawn tolerance.  A pole inside (a, x0) would not let it: with no
-# plateau stop yet (ROADMAP item 4) it costs 2^22 evaluations, seconds per
-# draw, so 1/x is not listed.  Token soup could still form one; this fixed
-# draw does not.
+# failure and none on success.  1/x puts a pole inside (a, x0) when a = -1:
+# the bootstrap Romberg table then stalls while its largest sample keeps
+# growing, and the run stops after about 2^14 evaluations, not its 2^22
+# budget (test_divergent_bootstrap_integral_exit_5), so a draw may list it.
 
 _DIAGNOSTIC = re.compile(r"trapcorr: \[(args|parse|config|init|ode|curve|output)\] ")
 
 _INTEGRANDS = st.sampled_from(
     ["sin(x)", "cos(x)+x/3", "x^2", "exp(x/4)", "sin(8*x)", "sqrt(3-x)",
-     "ln(x-2)", "sqrt(x)"])
+     "ln(x-2)", "sqrt(x)", "1/x"])
 _SOUP = st.lists(st.sampled_from(
     ["x", "2", "pi", "sin", "ln", "sqrt", "(", ")", "+", "-", "*", "/", "^",
      ".", ",", " ", "@", "1e400", "y"]), min_size=1, max_size=8).map("".join)

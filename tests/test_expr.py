@@ -1,5 +1,7 @@
+import json
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,12 @@ from hypothesis import strategies as st
 
 from trapcorr import (DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
                       eval_jet, eval_value, parse)
+from trapcorr import expr
 from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var
 
 from helpers import FD_DOMAINS, worst_jet_fd_deviation
+
+GOLDEN_JETS = Path(__file__).parent / "data" / "golden_jets.jsonl"
 
 
 # ------------------------------------------------------------- parsing
@@ -35,6 +40,28 @@ def test_parse_exotic_integrand():
 def test_parse_is_deterministic():
     text = "exp(sin(x))/sqrt(2+x) - pi*e + 0.5e1"
     assert parse(text) == parse(text)
+
+
+def test_trees_of_one_shape_share_compiled_code():
+    two, three = parse("sin(2*x)"), parse("sin(3*x)")
+    jet_two, value_two = two._evaluators
+    jet_three, value_three = three._evaluators
+    assert jet_two.__code__ is jet_three.__code__
+    assert value_two.__code__ is value_three.__code__
+    assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
+                                      -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
+    assert eval_jet(three, 0.5).d0 == math.sin(1.5)
+
+
+def test_compiled_code_cache_is_bounded():
+    assert isinstance(expr._factory.cache_info().maxsize, int)
+
+
+def test_literals_are_bound_values_not_source_text():
+    literals = []
+    shape = expr._shape(parse("x*123456.5"), literals)
+    assert literals == [123456.5]
+    assert "123456.5" not in expr._source(shape)
 
 
 def test_evaluated_tree_pickles_and_compares_as_before():
@@ -278,3 +305,29 @@ def test_fractional_power_jet():
     assert jet.d1 == pytest.approx(2.5 * 4.0 ** 1.5, rel=1e-15)
     assert jet.d2 == pytest.approx(2.5 * 1.5 * 2.0, rel=1e-15)
     assert jet.d3 == pytest.approx(2.5 * 1.5 * 0.5 * 0.5, rel=1e-15)
+
+
+def _outcome(evaluate, ast, x):
+    try:
+        return repr(evaluate(ast, x))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+def test_jets_and_values_match_the_recorded_evaluator():
+    """Bit-identity guard: every (expression, point) pair in the golden
+    file gives the same jet and value reprs, or the same DomainError
+    message, as the tree-walking evaluator that recorded them.  The pairs
+    cover every node kind and function, domain edges, derivative-only
+    failures, c^v, u^0 and fractional and negative exponents.  The
+    expected values come from this platform's math library (glibc);
+    another libm may round sin, exp or pow differently in the last bit."""
+    asts = {}
+    mismatches = []
+    for line in GOLDEN_JETS.read_text().splitlines():
+        text, x, jet, value = json.loads(line)
+        ast = asts.setdefault(text, parse(text))
+        got = (_outcome(eval_jet, ast, float(x)), _outcome(eval_value, ast, float(x)))
+        if got != (jet, value):
+            mismatches.append((text, x, got, (jet, value)))
+    assert len(asts) == 69 and mismatches == []

@@ -2,11 +2,19 @@
 module globals by name.  A refactor that drops or renames one of them
 breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
-and checks every name it patches."""
+and checks every name it patches.  The second counts one pinned run's
+calls through those names."""
 
 import importlib
 import runpy
+from collections import Counter
 from pathlib import Path
+
+import pytest
+
+from trapcorr import pipeline
+
+from conftest import sin_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -17,3 +25,28 @@ def test_every_traced_name_exists_in_its_module():
     missing = [f"{name}.{attr}" for name, attr, _ in patches
                if not hasattr(importlib.import_module(name), attr)]
     assert missing == []
+
+
+def _counting(fn, layer, calls):
+    def counted(*args, **kwargs):
+        calls[layer] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+# The work of one run is deterministic.  Counting through the names the
+# tracer patches also proves that every evaluation crosses a traced name:
+# an evaluator reached some other way would drop out of these counts.
+@pytest.mark.parametrize("residual,expected", [
+    (False, {"expr.eval_jet": 21274, "xi_ode.xi_rhs": 9889,
+             "rk.rk_step": 899, "expr.eval_value": 1931}),
+    (True, {"expr.eval_value": 10023}),
+])
+def test_pinned_work_counts(monkeypatch, residual, expected):
+    spec = sin_spec()  # built outside the count, as the tracer's self-test does
+    calls = Counter()
+    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
+    pipeline.run(spec, residual=residual)
+    assert {layer: calls[layer] for layer in expected} == expected

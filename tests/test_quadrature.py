@@ -3,7 +3,8 @@ import math
 import pytest
 
 from trapcorr import (ConfigError, ToleranceError, composite_trapezium,
-                      parse, reference_integral, trapezium)
+                      parse, quadrature, reference_integral, trapezium)
+from trapcorr.expr import eval_value
 
 from helpers import composite_loglog_slope, worst_additivity_defect
 
@@ -102,6 +103,44 @@ def test_reference_budget_exhaustion():
     with pytest.raises(ToleranceError) as exc:
         reference_integral(SIN, 1.0, 10.0, 1e-30, max_evals=2 ** 12)
     assert exc.value.achieved > 1e-30
+
+
+def _counted_evaluations(monkeypatch):
+    points = []
+
+    def counted(f, x):
+        points.append(x)
+        return eval_value(f, x)
+
+    monkeypatch.setattr(quadrature, "eval_value", counted)
+    return points
+
+
+@pytest.mark.parametrize("text,a,x,tol,reason", [
+    ("sin(x)", 1.0, 5.0, 1e-30, "round-off floor"),  # tolerance below round-off
+    ("1/x", -1.0, 1.3, 1e-13, "integral looks divergent"),  # a pole inside
+    ("1/x", -1.0, 2.0, 1e-13, "integral looks divergent"),
+    ("x^-2", -1.0, 1.3, 1e-13, "integral looks divergent"),
+])
+def test_reference_stops_when_the_table_stalls(monkeypatch, text, a, x, tol, reason):
+    points = _counted_evaluations(monkeypatch)
+    with pytest.raises(ToleranceError) as exc:
+        reference_integral(parse(text), a, x, tol)
+    assert reason in str(exc.value)
+    assert exc.value.achieved > tol
+    assert len(points) <= 2 ** 16  # of a 2^22 budget
+
+
+# each stalls for 3 to 6 levels, while the oscillation or the peak is
+# still under-resolved, and then converges: a stall alone must not stop it
+@pytest.mark.parametrize("text,a,x,exact", [
+    ("sin(3*x)", 1.0, 10.0, (math.cos(3.0) - math.cos(30.0)) / 3.0),
+    ("sin(20*x)", 1.0, 30.0, (math.cos(20.0) - math.cos(600.0)) / 20.0),
+    ("1/(1+10000*x^2)", -1.0, 1.3, (math.atan(130.0) + math.atan(100.0)) / 100.0),
+])
+def test_reference_converges_through_a_stall(text, a, x, exact):
+    res = reference_integral(parse(text), a, x, 1e-13)
+    assert res.value == pytest.approx(exact, abs=1e-13)
 
 
 def test_reference_deterministic():
