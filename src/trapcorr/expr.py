@@ -18,11 +18,13 @@ A tree compiles once, on first use, to straight-line Python emitted from
 one walk of its shape (source transformation: Griewank & Walther,
 *Evaluating Derivatives*, ch. 13): a jet function, giving the value and
 first three derivatives at a point (a :class:`Jet3`) by the sum,
-product, quotient and chain rules, and a value function made of the
-jet's d0 statements alone.  Literals are bound as values, so trees of one
-shape share one code object through a bounded cache.  Where only a
-derivative is undefined (``sqrt`` at 0), the value stands and the jet is
-rejected.  Jets are exact to rounding; nothing differentiates numerically.
+product, quotient and chain rules; a value function made of the jet's d0
+statements alone; and a slope function made of its d0 and d1 statements
+alone, the propagation truncated at order 1.  Literals are bound as
+values, so trees of one shape share their code objects through a bounded
+cache.  Where only a derivative is undefined (``sqrt`` at 0), the value
+stands and the jet is rejected; the slope stands where only d2 or d3 is.
+Jets are exact to rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import DomainError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
-    "MAX_DEPTH", "parse", "eval_jet", "eval_value", "contains_var",
+    "MAX_DEPTH", "parse", "eval_jet", "eval_slope", "eval_value", "contains_var",
     "shift_by_cubic",
 ]
 
@@ -55,7 +57,7 @@ class _Node:
 
     @cached_property
     def _evaluators(self):
-        """``(jet, value)``: the code compiled for this tree's shape, shared
+        """``(jet, value, slope)``: the code compiled for this tree's shape, shared
         through a bounded cache, bound to this tree's literals."""
         literals = []
         return _factory(_shape(self, literals))(*literals)
@@ -286,75 +288,69 @@ def _pow_value(u: float, r: float, x: float) -> float:
     return math.pow(u, r)
 
 
-#: per function: g; statements setting (g', g'', g''') at u = {u0} as {g1},
-#: {g2}, {g3}, given g(u) = {w0}; the least u in g's domain (ln and log10
-#: need u > 0: the least positive float); and how an error names a value
-#: below it.  sqrt's g' is infinite at u = 0, where its value is defined.
+#: per function: g; the statement setting g'(u) at u = {u0} as {g1}, then
+#: those setting g'' and g''' as {g2}, {g3}, given g(u) = {w0}; the least u
+#: in g's domain (ln and log10 need u > 0: the least positive float); and
+#: how an error names a value below it.  sqrt's g' is infinite at u = 0.
 _FUNCTIONS = {
-    "sin": (math.sin, "{g1} = cos({u0}); {g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
-    "cos": (math.cos, "{g1} = -sin({u0}); {g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
-    "tan": (math.tan, "{g1} = 1.0 + {w0} * {w0}; {g2} = 2.0 * {w0} * {g1}; "
-                      "{g3} = 2.0 * {g1} * (1.0 + 3.0 * {w0} * {w0})", -math.inf, ""),
-    "exp": (math.exp, "{g1} = {g2} = {g3} = {w0}", -math.inf, ""),
-    "ln": (math.log, "{g1} = 1.0 / {u0}; {g2} = -{g1} * {g1}; {g3} = 2.0 * {g1} ** 3",
+    "sin": (math.sin, "{g1} = cos({u0})", "{g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
+    "cos": (math.cos, "{g1} = -sin({u0})", "{g2} = -{w0}; {g3} = -{g1}", -math.inf, ""),
+    "tan": (math.tan, "{g1} = 1.0 + {w0} * {w0}", "{g2} = 2.0 * {w0} * {g1}; "
+            "{g3} = 2.0 * {g1} * (1.0 + 3.0 * {w0} * {w0})", -math.inf, ""),
+    "exp": (math.exp, "{g1} = {w0}", "{g2} = {g3} = {w0}", -math.inf, ""),
+    "ln": (math.log, "{g1} = 1.0 / {u0}", "{g2} = -{g1} * {g1}; {g3} = 2.0 * {g1} ** 3",
            math.ulp(0.0), "non-positive"),
-    "log10": (math.log10, "{g1} = 1.0 / ({u0} * LN10); {g2} = -{g1} / {u0}; "
-                          "{g3} = 2.0 * {g1} / ({u0} * {u0})", math.ulp(0.0), "non-positive"),
-    "sqrt": (math.sqrt, "{g1} = 0.5 / {w0}; {g2} = -0.5 * {g1} / {u0}; "
-                        "{g3} = 0.75 * {g1} / ({u0} * {u0})", 0.0, "negative"),
+    "log10": (math.log10, "{g1} = 1.0 / ({u0} * LN10)", "{g2} = -{g1} / {u0}; "
+              "{g3} = 2.0 * {g1} / ({u0} * {u0})", math.ulp(0.0), "non-positive"),
+    "sqrt": (math.sqrt, "{g1} = 0.5 / {w0}", "{g2} = -0.5 * {g1} / {u0}; "
+             "{g3} = 0.75 * {g1} / ({u0} * {u0})", 0.0, "negative"),
 }
 
-#: Faa di Bruno through order 3: w = g(u) from g's derivatives g1-g3 at u
-_CHAIN = ("{w1} = {g1} * {u1}; {w2} = {g2} * {u1} * {u1} + {g1} * {u2}; "
+#: Faa di Bruno through order 3, w = g(u) from g1-g3 at u: d1, then d2 and d3
+_CHAIN = ("{w1} = {g1} * {u1}",
+          "{w2} = {g2} * {u1} * {u1} + {g1} * {u2}; "
           "{w3} = {g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
 
-
-def _guarded(statements: str) -> str:
-    """``statements`` setting w1-w3, which come out NaN where they raise."""
-    return f"try:\n    {statements}\nexcept UNDEFINED:\n    {{w1}} = {{w2}} = {{w3}} = nan"
-
-
-#: per node kind: its d0 statements, then its d1-d3 statements, over the
-#: jets u (operand or left) and v (right), the result w and scratch g, s
+#: per node kind: its d0, its d1 and its d2-d3 statements, over the jets u
+#: (operand or left) and v (right), the result w and scratch g, s
 _RULES = {
-    "neg": ("{w0} = -{u0}", "{w1} = -{u1}; {w2} = -{u2}; {w3} = -{u3}"),
-    "+": ("{w0} = {u0} + {v0}", "{w1} = {u1} + {v1}; {w2} = {u2} + {v2}; {w3} = {u3} + {v3}"),
-    "-": ("{w0} = {u0} - {v0}", "{w1} = {u1} - {v1}; {w2} = {u2} - {v2}; {w3} = {u3} - {v3}"),
-    "*": ("{w0} = {u0} * {v0}",  # Leibniz rule with binomial weights
-          "{w1} = {u1} * {v0} + {u0} * {v1}; "
+    "neg": ("{w0} = -{u0}", "{w1} = -{u1}", "{w2} = -{u2}; {w3} = -{u3}"),
+    "+": ("{w0} = {u0} + {v0}", "{w1} = {u1} + {v1}", "{w2} = {u2} + {v2}; {w3} = {u3} + {v3}"),
+    "-": ("{w0} = {u0} - {v0}", "{w1} = {u1} - {v1}", "{w2} = {u2} - {v2}; {w3} = {u3} - {v3}"),
+    "*": ("{w0} = {u0} * {v0}", "{w1} = {u1} * {v0} + {u0} * {v1}",  # Leibniz rule
           "{w2} = {u2} * {v0} + 2.0 * {u1} * {v1} + {u0} * {v2}; "
           "{w3} = {u3} * {v0} + 3.0 * {u2} * {v1} + 3.0 * {u1} * {v2} + {u0} * {v3}"),
     "/": ("if {v0} == 0.0: raise DomainError('division by zero', x)\n{w0} = {u0} / {v0}",
-          "{w1} = ({u1} - {w0} * {v1}) / {v0}; "
+          "{w1} = ({u1} - {w0} * {v1}) / {v0}",
           "{w2} = ({u2} - {w0} * {v2} - 2.0 * {w1} * {v1}) / {v0}; "
           "{w3} = ({u3} - {w0} * {v3} - 3.0 * {w1} * {v2} - 3.0 * {w2} * {v1}) / {v0}"),
-    # u^r, r free of x: the constant 1 at r = 0, whatever u's derivatives
+    # u^r, r free of x
     "^r": ("{w0} = 1.0 if {v0} == 0.0 else pow_value({u0}, {v0}, x)",
-           _guarded("{s2} = {v0} * ({v0} - 1.0); {s3} = {s2} * ({v0} - 2.0); "
-                    "{g1} = {v0} * pow({u0}, {v0} - 1.0); "
-                    "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0); "
-                    "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0); " + _CHAIN)
-           + "\nif {v0} == 0.0: {w1} = {w2} = {w3} = 0.0"),
+           "{g1} = {v0} * pow({u0}, {v0} - 1.0); " + _CHAIN[0],
+           "{s2} = {v0} * ({v0} - 1.0); {s3} = {s2} * ({v0} - 2.0); "
+           "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0); "
+           "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0); " + _CHAIN[1]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
     "^v": ("{w0} = pow_value({u0}, {v0}, x)",
-           _guarded("{s0} = ln({u0}); {s1} = {v1} * {s0}; {s2} = {v2} * {s0}; {s3} = {v3} * {s0}; "
-                    + _CHAIN.format(g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}",
-                                    u3="{s3}", w1="{w1}", w2="{w2}", w3="{w3}"))),
+           "{s0} = ln({u0}); {s1} = {v1} * {s0}; {w1} = {w0} * {s1}",
+           "{s2} = {v2} * {s0}; {s3} = {v3} * {s0}; " + _CHAIN[1].format(
+               g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}", u3="{s3}",
+               w2="{w2}", w3="{w3}")),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
 _DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), x)\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
-            + f"{{w0}} = {name}({{u0}})", _guarded(outer + "; " + _CHAIN)))
-    for name, (_, outer, lowest, below) in _FUNCTIONS.items())
+            + f"{{w0}} = {name}({{u0}})", f"{g1}; {_CHAIN[0]}", f"{g23}; {_CHAIN[1]}"))
+    for name, (_, g1, g23, lowest, below) in _FUNCTIONS.items())
 
-#: the two evaluators of one tree shape, over its literals lit0, lit1, ...
+#: the three evaluators of one tree shape, over its literals lit0, lit1, ...
 _SOURCE = """\
 def bind({literals}):
     def jet(x):
 {value}
-{derivs}
+{jet}
         if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
             return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
         raise DomainError("non-finite jet component", x)
@@ -365,7 +361,14 @@ def bind({literals}):
             return {w0}
         raise DomainError("non-finite value", x)
 
-    return jet, value
+    def slope(x):
+{value}
+{slope}
+        if isfinite({w0}) and isfinite({w1}):
+            return {w0}, {w1}
+        raise DomainError("non-finite jet component", x)
+
+    return jet, value, slope
 """
 
 #: what emitted code reads besides its locals: math's functions under
@@ -399,10 +402,11 @@ def _shape(node: ExprAST, literals: list):
 
 def _source(shape) -> str:
     """Straight-line source of the evaluators of one tree shape.  The value
-    function runs the jet's d0 statements alone: derivative statements
-    never raise (an undefined derivative comes out NaN), so both fail
-    alike wherever the value does."""
-    value, derivs, literals = [], [], []
+    function runs the jet's d0 statements alone, and the slope function
+    its d0 and d1 statements: derivative statements never raise (an
+    undefined derivative comes out NaN), so all three fail alike wherever
+    the value does."""
+    value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
         if shape == "x":
@@ -415,13 +419,20 @@ def _source(shape) -> str:
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
         f.update(zip(_OPERANDS, operands))
-        value.append(_RULES[kind][0].format(**f))
-        derivs.append(_RULES[kind][1].format(**f))
+        d0, d1, d23 = _RULES[kind]
+        value.append(d0.format(**f))
+        for lines, body, names in ((slope, d1, "{w1}"),
+                                   (jet, f"{d1}; {d23}", "{w1} = {w2} = {w3}")):
+            if kind[0] == "^" or kind in _FUNCTIONS:  # statements that can raise
+                body = f"try:\n    {body}\nexcept UNDEFINED:\n    {names} = nan"
+            if kind == "^r":  # u^0 is the constant 1, whatever u's derivatives
+                body += f"\nif {{v0}} == 0.0: {names} = 0.0"
+            lines.append(body.format(**f))
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)
     body = {key: "\n".join(" " * 8 + line for part in lines for line in part.split("\n"))
-            for key, lines in (("value", value), ("derivs", derivs))}
+            for key, lines in (("value", value), ("slope", slope), ("jet", jet))}
     return _SOURCE.format(literals=", ".join(literals), **body, **dict(zip(_LOCALS, w)))
 
 
@@ -440,6 +451,16 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
     """
     try:
         return ast._evaluators[0](x)
+    except OverflowError as exc:
+        raise DomainError(f"overflow: {exc}", x) from exc
+    except _UNDEFINED as exc:
+        raise DomainError(f"undefined: {exc}", x) from exc
+
+
+def eval_slope(ast: ExprAST, x: float) -> tuple[float, float]:
+    """The jet's d0 and d1 at ``x``, defined also where only d2 or d3 is not."""
+    try:
+        return ast._evaluators[2](x)
     except OverflowError as exc:
         raise DomainError(f"overflow: {exc}", x) from exc
     except _UNDEFINED as exc:

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
+from typing import Callable
 
 from . import rk
 from .errors import (ConfigError, IoError, NoRootError,
@@ -20,7 +21,7 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import error_term, suggest_shift, unshift_error, xi_rhs
+from .xi_ode import error_term, suggest_shift, unshift_error, x_side, xi_rhs
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -41,9 +42,9 @@ BISECT_WIDTH = 1e-14
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Everything one corrected-quadrature run needs, with the integrand
-    actually differentiated, g = f + shift*(x-a)^3/6, and g(a) = f(a)
-    built once.  ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
+    """Everything one corrected-quadrature run needs, with g = f + shift*(x-a)^3/6
+    (the integrand actually differentiated), g(a) = f(a) and :func:`x_side` built
+    once.  ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
 
     f_text: str
     f_ast: ExprAST
@@ -57,6 +58,7 @@ class ProblemSpec:
     tableau: RKTableau = FEHLBERG7
     g: ExprAST = field(init=False, repr=False, compare=False)
     g_at_a: float = field(init=False, repr=False, compare=False)
+    x_side: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x0 is None:
@@ -81,6 +83,10 @@ class ProblemSpec:
             raise ConfigError(f"root tolerance must be positive, got {self.root_tol!r}")
         object.__setattr__(self, "g", shift_by_cubic(self.f_ast, self.shift, self.a))
         object.__setattr__(self, "g_at_a", eval_jet(self.g, self.a).d0)
+        object.__setattr__(self, "x_side", x_side(self.g, self.tableau.stages))
+
+    def __reduce__(self):  # pickle the inputs; unpickling builds g and its memo anew
+        return ProblemSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
 
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
@@ -180,9 +186,12 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     xi0 = _root(res, points, values, cells[0])
     achieved = abs(res(xi0))
     if achieved > root_tol:
-        raise NoRootError(
-            f"bisection converged but the residual {achieved!r} still exceeds "
-            f"the root tolerance {root_tol!r}", min_abs_residual=achieved, at=xi0)
+        floor = scale * abs(eval_jet(spec.g, xi0).d3) * math.ulp(xi0)  # R's step per ulp of xi
+        why = (f", above the root tolerance {root_tol!r}, sits at xi's float-resolution floor "
+               f"{floor!r}; a root tolerance above that floor can be met" if achieved <= floor
+               else f" still exceeds the root tolerance {root_tol!r}")
+        raise NoRootError(f"bisection converged but the residual {achieved!r}{why}",
+                          min_abs_residual=achieved, at=xi0)
     return xi0
 
 

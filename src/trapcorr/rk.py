@@ -7,13 +7,15 @@ seventh-order formula (the propagating half of his 7(8) pair).
 
 Stepping in decreasing x needs no special casing: a negative step size
 falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
-reverse trajectories reuse the same kernel.
+reverse trajectories reuse the same kernel.  A step walks only the
+tableau's nonzero entries, in index order, listed once per tableau.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 from .errors import ConfigError, IoError
@@ -75,6 +77,12 @@ class RKTableau:
     @property
     def stages(self) -> int:
         return len(self.b)
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple, tuple]:
+        """(j, A_ij) per nonzero A entry by row, and (i, b_i) per nonzero b_i."""
+        return (tuple(tuple((j, v) for j, v in enumerate(row) if v != 0.0) for row in self.a),
+                tuple((i, v) for i, v in enumerate(self.b) if v != 0.0))
 
     def row_sum_defect(self) -> float:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
@@ -163,19 +171,16 @@ def rk_step(rhs: Rhs, x: float, y: float, h: float,
     """Advance one explicit RK step of signed size ``h`` from (x, y)."""
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
-    a, b, c = tableau.a, tableau.b, tableau.c
+    rows, weights = tableau.nonzero
     k: list[float] = []
-    for i in range(tableau.stages):
+    for row, c in zip(rows, tableau.c):
         yi = y
-        row = a[i]
-        for j in range(i):
-            if row[j] != 0.0:
-                yi += h * row[j] * k[j]
-        k.append(rhs(x + c[i] * h, yi))
+        for j, a in row:
+            yi += h * a * k[j]
+        k.append(rhs(x + c * h, yi))
     acc = 0.0
-    for i in range(tableau.stages):
-        if b[i] != 0.0:
-            acc += b[i] * k[i]
+    for i, b in weights:
+        acc += b * k[i]
     return y + h * acc
 
 

@@ -26,15 +26,16 @@ which builds g and g(a) once.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError, SingularDenominatorError
-from .expr import ExprAST, eval_jet
+from .expr import ExprAST, eval_jet, eval_slope
 
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
 
-__all__ = ["xi_rhs", "error_term", "unshift_error", "suggest_shift"]
+__all__ = ["xi_rhs", "x_side", "error_term", "unshift_error", "suggest_shift"]
 
 #: |denominator| guard threshold scale: singular below eps * (1 + |x-a|^3)
 DEFAULT_DEN_GUARD = 1e-8
@@ -43,23 +44,31 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
+def x_side(g: ExprAST, stages: int):
+    """g(x) and g'(x), evaluated once per exact abscissa (0.0 and -0.0 are one)
+    while it is among the last ``stages`` used: stages of one RK step may share
+    an abscissa, and a step's last is often the next step's first."""
+    return lru_cache(maxsize=stages)(lambda x: eval_slope(g, x))
+
+
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     """Slope of the mean-value point xi at (x, xi).
 
     Requires x != a (the defining identity is 0 = 0 there) and a
     denominator above the guard threshold; raises
-    :class:`SingularDenominatorError` otherwise.
+    :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
+    alone (``p.x_side``), so it is defined where only g'' or g''' is not.
     """
     if x == p.a:
         raise ValueError("xi_rhs is undefined at x == a")
     t = x - p.a
-    at_x = eval_jet(p.g, x)
+    g_x, dg_x = p.x_side(x)
     at_xi = eval_jet(p.g, xi)
     den = t ** 3 * at_xi.d3
     if abs(den) < DEFAULT_DEN_GUARD * (1.0 + abs(t) ** 3):
         raise SingularDenominatorError(x, xi, den)
-    num = (F_COEFFICIENT * at_x.d0 + 6.0 * p.g_at_a
-           + 6.0 * t * at_x.d1 - 3.0 * t * t * at_xi.d2)
+    num = (F_COEFFICIENT * g_x + 6.0 * p.g_at_a
+           + 6.0 * t * dg_x - 3.0 * t * t * at_xi.d2)
     return num / den
 
 

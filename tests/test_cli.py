@@ -154,6 +154,21 @@ def test_no_root_exit_4(capsys):
     assert "[init]" in lines[0]
 
 
+def test_no_root_at_the_float_resolution_floor_exit_4(capsys):
+    # far from the origin one ulp of xi moves the bootstrap residual by
+    # about (x0-a)^3/12 |g'''(xi)| ulp(xi) = 2.6e-12, above the default
+    # root tolerance: the message names that floor
+    code = main(["integrate", "--f", "sin(x)", "--a", "1000", "--b", "1009",
+                 "--x0", "1004.5", "--h", "0.01", "--shift-D", "2"])
+    assert code == 4
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    floor = re.match(r"trapcorr: \[init\] bisection converged but the residual (\S+), above "
+                     r"the root tolerance 1e-12, sits at xi's float-resolution floor (\S+); "
+                     r"a root tolerance above that floor can be met: ", lines[0])
+    assert floor and 1e-12 < float(floor[1]) <= float(floor[2]) < 1e-11
+
+
 def test_exotic_runs_with_scaled_tolerances(tmp_path):
     out = tmp_path / "exotic.csv"
     code = main(["integrate", "--f", "x^2*(sin(x)*ln(2+x)-100*x)",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from trapcorr import (DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
                       eval_jet, eval_value, parse)
 from trapcorr import expr
-from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var
+from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_slope
 
 from helpers import FD_DOMAINS, worst_jet_fd_deviation
 
@@ -44,10 +44,9 @@ def test_parse_is_deterministic():
 
 def test_trees_of_one_shape_share_compiled_code():
     two, three = parse("sin(2*x)"), parse("sin(3*x)")
-    jet_two, value_two = two._evaluators
-    jet_three, value_three = three._evaluators
-    assert jet_two.__code__ is jet_three.__code__
-    assert value_two.__code__ is value_three.__code__
+    assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
+    for of_two, of_three in zip(two._evaluators, three._evaluators):
+        assert of_two.__code__ is of_three.__code__
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
     assert eval_jet(three, 0.5).d0 == math.sin(1.5)
@@ -273,15 +272,23 @@ def test_value_is_the_jet_value_and_errors_are_domain_errors(text, x):
     ast = parse(text)
     try:
         jet = eval_jet(ast, x)
-    except DomainError:
-        jet = None
+    except DomainError as exc:
+        jet, jet_error = None, str(exc)
+    try:
+        slope = eval_slope(ast, x)
+    except DomainError as exc:
+        slope, slope_error = None, str(exc)
     try:
         value = eval_value(ast, x)
     except DomainError:
         assert jet is None, f"{text} at {x!r}: jet {jet} but no value"
+        assert slope is None and slope_error == jet_error
         return
     if jet is not None:
         assert value == jet.d0
+        assert _same_floats(slope, jet[:2]), f"{text} at {x!r}: slope {slope}, jet {jet}"
+    elif slope is not None:
+        assert _same_floats(slope[:1], (value,))
 
 
 def test_constant_base_power_jet():
@@ -307,6 +314,11 @@ def test_fractional_power_jet():
     assert jet.d3 == pytest.approx(2.5 * 1.5 * 0.5 * 0.5, rel=1e-15)
 
 
+def _same_floats(got, want) -> bool:
+    """Equal bit for bit: signed zeros apart, NaN equal to itself."""
+    return got is not None and [v.hex() for v in got] == [v.hex() for v in want]
+
+
 def _outcome(evaluate, ast, x):
     try:
         return repr(evaluate(ast, x))
@@ -317,7 +329,8 @@ def _outcome(evaluate, ast, x):
 def test_jets_and_values_match_the_recorded_evaluator():
     """Bit-identity guard: every (expression, point) pair in the golden
     file gives the same jet and value reprs, or the same DomainError
-    message, as the tree-walking evaluator that recorded them.  The pairs
+    message, as the tree-walking evaluator that recorded them, and the
+    slope gives the recorded jet's d0 and d1.  The pairs
     cover every node kind and function, domain edges, derivative-only
     failures, c^v, u^0 and fractional and negative exponents.  The
     expected values come from this platform's math library (glibc);
@@ -330,4 +343,15 @@ def test_jets_and_values_match_the_recorded_evaluator():
         got = (_outcome(eval_jet, ast, float(x)), _outcome(eval_value, ast, float(x)))
         if got != (jet, value):
             mismatches.append((text, x, got, (jet, value)))
+        # the slope is the jet's (d0, d1) wherever the jet succeeds, and
+        # fails as the jet does wherever the value fails
+        try:
+            d0, d1 = eval_slope(ast, float(x))
+            slope = f"Jet3(d0={d0!r}, d1={d1!r}"
+        except DomainError as exc:
+            slope = f"DomainError: {exc}"
+        if jet.startswith("Jet3") and slope != jet.split(", d2=")[0]:
+            mismatches.append((text, x, slope, jet))
+        if value.startswith("DomainError") and slope != jet:
+            mismatches.append((text, x, slope, jet))
     assert len(asts) == 69 and mismatches == []

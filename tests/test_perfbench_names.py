@@ -3,7 +3,7 @@ module globals by name.  A refactor that drops or renames one of them
 breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
 and checks every name it patches.  The second counts one pinned run's
-calls through those names."""
+calls through those names and the order-1 evaluator the tracer misses."""
 
 import importlib
 import runpy
@@ -34,18 +34,26 @@ def _counting(fn, layer, calls):
     return counted
 
 
+# The order-1 evaluator the sweep reads g and g' from at x, which the
+# tracer does not patch: counted here next to the tracer's names
+SLOPE_PATCH = ("trapcorr.xi_ode", "eval_slope", "expr.eval_slope")
+
+
 # The work of one run is deterministic.  Counting through the names the
-# tracer patches also proves that every evaluation crosses a traced name:
+# tracer patches also proves that every evaluation crosses a counted name:
 # an evaluator reached some other way would drop out of these counts.
+# Each of the 899 steps evaluates g and g' once at each of its 9 new
+# abscissae (c = 1/6 twice, c = 1 the next step's c = 0), and each
+# sweep's first step once more, at x0.
 @pytest.mark.parametrize("residual,expected", [
-    (False, {"expr.eval_jet": 21274, "xi_ode.xi_rhs": 9889,
+    (False, {"expr.eval_jet": 11385, "expr.eval_slope": 8093, "xi_ode.xi_rhs": 9889,
              "rk.rk_step": 899, "expr.eval_value": 1931}),
     (True, {"expr.eval_value": 10023}),
 ])
 def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does
     calls = Counter()
-    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
+    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"] + (SLOPE_PATCH,):
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
     pipeline.run(spec, residual=residual)

@@ -1,5 +1,6 @@
 import io
 import math
+import pickle
 
 import pytest
 
@@ -223,6 +224,15 @@ def test_shifted_run_far_from_the_origin():
     worst = max(abs(r.corrected - (math.cos(1000.0) - math.cos(r.x)))
                 for r in run(spec).rows)
     assert worst <= 1e-9
+
+
+def test_spec_pickles_and_rebuilds_its_memo():
+    spec = sin_spec(shift=2.0)
+    spec.x_side(5.0)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.g == spec.g and copy.g_at_a == spec.g_at_a
+    assert copy.x_side.cache_info().currsize == 0
+    assert copy.x_side(5.0) == spec.x_side(5.0)
 
 
 def test_singular_abort_suggests_shift():

@@ -195,3 +195,42 @@ def test_loaded_tableau_drives_the_kernel(tmp_path):
     loaded = load_tableau(str(path))
     traj = integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.001, tableau=loaded)
     assert traj.y_end == pytest.approx(math.e, abs=1e-5)
+
+
+
+def _dense_step(rhs, x, y, h, t):
+    """One step over every tableau entry, skipping zero ones as they come."""
+    k = []
+    for i in range(t.stages):
+        yi = y
+        for j in range(i):
+            if t.a[i][j] != 0.0:
+                yi += h * t.a[i][j] * k[j]
+        k.append(rhs(x + t.c[i] * h, yi))
+    acc = 0.0
+    for i in range(t.stages):
+        if t.b[i] != 0.0:
+            acc += t.b[i] * k[i]
+    return y + h * acc
+
+
+def test_spelled_out_zeros_step_bit_identically(tmp_path):
+    # Fehlberg-7 with its zeros written in several spellings: the kernel
+    # walks only the nonzero entries, in the order a dense loop meets them
+    spellings = iter(["0", "-0", "0e0", "0.0", "-0.0e5"] * 20)
+    lines = format_tableau(FEHLBERG7).splitlines()
+    path = tmp_path / "fehlberg7-zeros.tab"
+    path.write_text("\n".join(" ".join(next(spellings) if float(v) == 0.0 else v
+                                       for v in line.split()) if i else line
+                              for i, line in enumerate(lines)) + "\n", encoding="ascii")
+    loaded = load_tableau(str(path))
+    assert "-0.0e5" in path.read_text() and loaded.nonzero == FEHLBERG7.nonzero
+
+    def rhs(x, y):
+        return math.sin(x * y) - y * y
+
+    for h in (0.01, -0.01, 0.3):
+        for x, y in ((0.5, 0.3), (-2.0, 1.7), (10.0, -0.25)):
+            want = _dense_step(rhs, x, y, h, FEHLBERG7).hex()
+            assert rk_step(rhs, x, y, h, loaded).hex() == want
+            assert rk_step(rhs, x, y, h, FEHLBERG7).hex() == want

@@ -6,7 +6,8 @@ import pytest
 from trapcorr import (DomainError, ProblemSpec, SingularDenominatorError,
                       error_term, eval_jet, eval_value, parse,
                       reference_integral, solve_xi_at, suggest_shift,
-                      unshift_error, xi_ode, xi_rhs)
+                      run, unshift_error, xi_ode, xi_rhs)
+from trapcorr import pipeline
 
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
@@ -55,6 +56,46 @@ def test_rhs_alternate_numerator_coefficient_changes_value(monkeypatch):
     monkeypatch.setattr(xi_ode, "F_COEFFICIENT", -18.0)
     bad = xi_rhs(sin_problem(), 5.0, XI0_SIN)
     assert abs(good - bad) > 0.1
+
+
+def test_rhs_reads_only_g_and_its_slope_at_x():
+    # |x|^2.5: g'' and g''' are undefined at 0, g and g' are 0 there
+    p = ProblemSpec.from_text("(x*x)^1.25", -1.0, 1.0)
+    with pytest.raises(DomainError):
+        eval_jet(p.g, 0.0)
+    at_xi = eval_jet(p.g, -0.5)
+    want = (6.0 * p.g_at_a - 3.0 * at_xi.d2) / at_xi.d3
+    assert math.isfinite(want) and xi_rhs(p, 0.0, -0.5) == want
+
+
+def _stage_calls(spec):
+    """Every (x, xi, slope) the sweep of ``run(spec)`` evaluates."""
+    calls = []
+
+    def recording(p, x, xi):
+        calls.append((x, xi, xi_ode.xi_rhs(p, x, xi)))
+        return calls[-1][2]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "xi_rhs", recording)
+        run(spec)
+    return calls
+
+
+@pytest.mark.parametrize("shift", [0.0, 2.0])
+def test_memo_gives_the_slope_a_cold_evaluation_gives(shift):
+    spec = sin_problem(x0=5.0, h=0.01, shift=shift)
+    calls = _stage_calls(spec)
+    assert len(calls) == 9889
+    for x, xi, warm in calls:
+        spec.x_side.cache_clear()
+        cold = xi_rhs(spec, x, xi)
+        # and the full jet at x, as the sweep read it before the memo
+        at_x, at_xi = eval_jet(spec.g, x), eval_jet(spec.g, xi)
+        t = x - spec.a
+        full = (xi_ode.F_COEFFICIENT * at_x.d0 + 6.0 * spec.g_at_a + 6.0 * t * at_x.d1
+                - 3.0 * t * t * at_xi.d2) / (t ** 3 * at_xi.d3)
+        assert warm.hex() == cold.hex() == full.hex(), (x, xi)
 
 
 # ---------------------------------------------------------- error term
