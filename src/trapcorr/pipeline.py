@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from functools import partial
 from operator import attrgetter
 from typing import Callable
 
@@ -269,10 +270,7 @@ def run(spec: ProblemSpec, reference: bool = False,
     t_start = time.perf_counter()
     reference = reference or residual
     xi0 = solve_xi0(spec)
-
-    def rhs(x: float, xi: float) -> float:
-        return xi_rhs(spec, x, xi)
-
+    rhs = partial(xi_rhs, spec)
     rev_target = spec.a + spec.h
     with phase("ode"):
         try:
@@ -293,33 +291,34 @@ def run(spec: ProblemSpec, reference: bool = False,
                          corrected=0.0,
                          reference=0.0 if reference else None,
                          residual=0.0 if residual else None)]
+        values = []
         for x, xi in nodes:
             trap = trapezium(spec.f_ast, spec.a, x)
             err = unshift_error(error_term(spec, x, xi), spec.shift, spec.a, x)
-            rows.append(CurveRow(x=x, xi=xi, trapezium=trap, error_term=err,
-                                 corrected=trap + err))
-        if reference:
-            rows = _attach_reference(spec, rows, residual)
+            values.append((x, xi, trap, err, trap + err))
+        column = (_reference_column(spec, [v[0] for v in values]) if reference
+                  else [None] * len(values))
+        rows += [CurveRow(*v, ref, (v[4] - ref) if residual else None)
+                 for v, ref in zip(values, column)]
 
     return ErrorCurve(rows=tuple(rows), spec=spec,
                       wall_time=time.perf_counter() - t_start)
 
 
-def _attach_reference(spec: ProblemSpec, rows: list[CurveRow],
-                      residual: bool) -> list[CurveRow]:
+def _reference_column(spec: ProblemSpec, xs: list[float]) -> list[float]:
+    """Reference integral of f over [a, x] for each of the ascending ``xs``."""
     # additive panel-by-panel references: sum of panel tolerances equals
     # ref_tol, so the accumulated estimate honours the requested budget
-    span = rows[-1].x - spec.a
-    out = [rows[0]]
+    span = xs[-1] - spec.a
+    column = []
     acc = 0.0
-    prev = rows[0].x
-    for row in rows[1:]:
-        piece_tol = spec.ref_tol * (row.x - prev) / span
-        acc += reference_integral(spec.f_ast, prev, row.x, piece_tol).value
-        prev = row.x
-        out.append(replace(row, reference=acc,
-                           residual=(row.corrected - acc) if residual else None))
-    return out
+    prev = spec.a
+    for x in xs:
+        piece_tol = spec.ref_tol * (x - prev) / span
+        acc += reference_integral(spec.f_ast, prev, x, piece_tol).value
+        prev = x
+        column.append(acc)
+    return column
 
 
 # ------------------------------------------------------------------ CSV
@@ -343,8 +342,10 @@ def _write_csv(curve: ErrorCurve, destination, columns: tuple[str, ...]) -> None
     if not curve.rows:
         raise ConfigError("cannot emit an empty curve")
     row_fields = attrgetter(*columns)
+    template = ",".join(["%.17g"] * len(columns))  # format(v, ".17g") per field
     lines = [",".join(columns)]
-    lines += [",".join(map(_field, row_fields(r))) for r in curve.rows]
+    lines += [",".join(map(_field, values)) if None in values else template % values
+              for values in map(row_fields, curve.rows)]
     _write_text("\n".join(lines) + "\n", destination)
 
 

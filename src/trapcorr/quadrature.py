@@ -34,6 +34,10 @@ ROUNDOFF = 64 * sys.float_info.epsilon
 #: 1/5000 of the interval wide is resolved by then, a narrower one may not be
 DIVERGENCE_PANELS = 2 ** 14
 
+#: Richardson divisors 4^j - 1 by column j; level k costs 2^(k-1)
+#: evaluations, so no table reaches column 64
+_DIVISORS = tuple(4.0 ** j - 1.0 for j in range(64))
+
 
 @dataclass(frozen=True)
 class ReferenceResult:
@@ -103,12 +107,13 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float,
         for i in range(1, n // 2 + 1):
             v = eval_value(f, a + (2 * i - 1) * h)
             mid_sum += v
-            peak = max(peak, abs(v))
+            if abs(v) > peak:  # max(peak, abs(v)) without the call
+                peak = abs(v)
         peaks.append(peak)
         evals += n // 2
         row = [0.5 * prev_row[0] + h * mid_sum]
         for j in range(1, k + 1):
-            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (4.0 ** j - 1.0))
+            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / _DIVISORS[j])
         # first diagonal agreement can be accidental; require two levels
         if k >= 2:
             est = abs(row[k] - prev_row[k - 1])

@@ -7,8 +7,10 @@ seventh-order formula (the propagating half of his 7(8) pair).
 
 Stepping in decreasing x needs no special casing: a negative step size
 falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
-reverse trajectories reuse the same kernel.  A step walks only the
-tableau's nonzero entries, in index order, listed once per tableau.
+reverse trajectories reuse the same kernel.  Each tableau compiles, once,
+on first use, to one straight-line step function over its nonzero
+entries, in index order, with the coefficients bound as values; the
+function is left out of a pickled tableau.
 """
 
 from __future__ import annotations
@@ -84,6 +86,14 @@ class RKTableau:
         return (tuple(tuple((j, v) for j, v in enumerate(row) if v != 0.0) for row in self.a),
                 tuple((i, v) for i, v in enumerate(self.b) if v != 0.0))
 
+    @cached_property
+    def step(self) -> Callable[[Rhs, float, float, float], float]:
+        """``step(rhs, x, y, h)``: one step of this method, straight-line code."""
+        return _compile_step(*self.nonzero, self.c)
+
+    def __getstate__(self):  # pickle the coefficients, not the compiled step
+        return {k: v for k, v in self.__dict__.items() if k != "step"}
+
     def row_sum_defect(self) -> float:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
         return max(abs(self.c[i] - math.fsum(self.a[i])) for i in range(self.stages))
@@ -129,6 +139,33 @@ def order_condition_residuals(t: RKTableau) -> list[tuple[str, int, float]]:
     return out
 
 
+def _compile_step(rows: tuple, weights: tuple, c: tuple) -> Callable:
+    """Emit and compile the step function of one tableau.  Stage i reads
+    k_i = rhs(x + c_i h, y + h a_ij k_j + ...) and the step returns
+    y + h (0.0 + b_i k_i + ...), summed left to right over the nonzero
+    entries: the operations, and so the roundings, of a loop over them."""
+    names, values, stages = [], [], []
+    for i, (row, ci) in enumerate(zip(rows, c)):
+        names.append(f"c{i}")
+        values.append(ci)
+        yi = "y"
+        for j, a in row:
+            names.append(f"a{i}_{j}")
+            values.append(a)
+            yi += f" + h * a{i}_{j} * k{j}"
+        stages.append(f"        k{i} = rhs(x + c{i} * h, {yi})\n")
+    acc = "0.0"
+    for i, b in weights:
+        names.append(f"b{i}")
+        values.append(b)
+        acc += f" + b{i} * k{i}"
+    source = (f"def bind({', '.join(names)}):\n    def step(rhs, x, y, h):\n"
+              f"{''.join(stages)}        return y + h * ({acc})\n    return step\n")
+    namespace: dict = {}
+    exec(compile(source, "<trapcorr.rk emitted>", "exec"), namespace)
+    return namespace["bind"](*values)
+
+
 def _fehlberg7() -> RKTableau:
     a = (
         (),
@@ -171,17 +208,7 @@ def rk_step(rhs: Rhs, x: float, y: float, h: float,
     """Advance one explicit RK step of signed size ``h`` from (x, y)."""
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
-    rows, weights = tableau.nonzero
-    k: list[float] = []
-    for row, c in zip(rows, tableau.c):
-        yi = y
-        for j, a in row:
-            yi += h * a * k[j]
-        k.append(rhs(x + c * h, yi))
-    acc = 0.0
-    for i, b in weights:
-        acc += b * k[i]
-    return y + h * acc
+    return tableau.step(rhs, x, y, h)
 
 
 def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,

@@ -15,9 +15,10 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import ProblemSpec, emit_csv, emit_xi_csv, run
+from trapcorr import ProblemSpec, emit_csv, emit_xi_csv, load_tableau, run
 
-GOLDEN_CSV = Path(__file__).parent / "data" / "golden_csv.json"
+DATA = Path(__file__).parent / "data"
+GOLDEN_CSV = DATA / "golden_csv.json"
 
 _SIN = dict(f_text="sin(x)", a=1.0, b=10.0, x0=5.0, h=0.01)
 _EXOTIC = dict(f_text="x^2*(sin(x)*ln(2+x)-100*x)", a=1.0, b=10.0, x0=5.0, h=0.01,
@@ -27,6 +28,11 @@ _EXOTIC = dict(f_text="x^2*(sin(x)*ln(2+x)-100*x)", a=1.0, b=10.0, x0=5.0, h=0.0
 CASES = {
     "sin": (_SIN, {}, emit_csv),
     "sin-residual": (_SIN, {"residual": True}, emit_csv),
+    # the one row shape with a single absent field: reference but no residual
+    "sin-reference": (_SIN, {"reference": True}, emit_csv),
+    # classic RK4 read from a file, its zeros spelled 0, 0.0 and -0
+    "sin-rk4-file": (dict(_SIN, tableau=load_tableau(str(DATA / "rk4.tab"), name="rk4")),
+                     {}, emit_csv),
     "sin-shift2": (dict(_SIN, shift=2.0), {}, emit_csv),
     "sin-shift-2": (dict(_SIN, shift=-2.0), {}, emit_csv),
     "sin-xi-curve": (_SIN, {}, emit_xi_csv),

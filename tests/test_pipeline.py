@@ -235,6 +235,14 @@ def test_spec_pickles_and_rebuilds_its_memo():
     assert copy.x_side(5.0) == spec.x_side(5.0)
 
 
+def test_spec_pickles_after_its_tableau_has_stepped():
+    spec = sin_spec()
+    curve = run(spec)  # compiles the tableau's step
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and "step" not in copy.tableau.__dict__
+    assert run(copy).rows == curve.rows
+
+
 def test_singular_abort_suggests_shift():
     spec = ProblemSpec.from_text("x^2", 0.0, 4.0, x0=2.0, h=0.01)
     from trapcorr import SingularDenominatorError
@@ -343,6 +351,27 @@ def test_csv_full_row_formatting():
     for field, want in zip(body.split(","), (1.25, math.pi, -0.5, 0.125,
                                              -0.375, -0.375, 0.0)):
         assert float(field) == want
+
+
+def test_csv_fields_are_format_17g_per_field():
+    # rows with no absent field take one %-template, the rest go field by
+    # field; both must write what format(v, ".17g") writes
+    edge = (-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 7, -2.5e-10, math.inf, -math.nan)
+    rows = []
+    for i in range(len(edge)):
+        v = [edge[(i + j) % len(edge)] for j in range(7)]
+        rows.append(CurveRow(*v))
+        rows.append(CurveRow(*v[:5]))
+        rows.append(CurveRow(v[0], None, *v[2:6]))
+        rows.append(CurveRow(*v[:6]))
+    curve = ErrorCurve(rows=tuple(rows), spec=sin_spec(), wall_time=0.0)
+    for writer, columns in ((emit_csv, CSV_HEADER.split(",")), (emit_xi_csv, ["x", "xi"])):
+        buf = io.StringIO()
+        writer(curve, buf)
+        want = [",".join(columns)] + [
+            ",".join("" if v is None else format(v, ".17g")
+                     for v in (getattr(r, c) for c in columns)) for r in rows]
+        assert buf.getvalue() == "\n".join(want) + "\n"
 
 
 def test_csv_values_round_trip(sin_curve):

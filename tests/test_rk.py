@@ -1,4 +1,8 @@
 import math
+import pickle
+import random
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -234,3 +238,57 @@ def test_spelled_out_zeros_step_bit_identically(tmp_path):
             want = _dense_step(rhs, x, y, h, FEHLBERG7).hex()
             assert rk_step(rhs, x, y, h, loaded).hex() == want
             assert rk_step(rhs, x, y, h, FEHLBERG7).hex() == want
+
+
+def _recorded(rhs):
+    """``rhs`` that also logs each call's arguments and result as hex."""
+    calls = []
+
+    def logged(x, y):
+        k = rhs(x, y)
+        calls.append((x.hex(), y.hex(), k.hex()))
+        return k
+
+    return logged, calls
+
+
+def test_compiled_step_matches_a_dense_loop_bit_for_bit():
+    # the rhs see the sign of zero: x + 0.0*h is +0.0 at x = -0.0, and a
+    # weighted sum of -0.0 slopes starts from +0.0
+    rhs_cases = (lambda x, y: math.sin(x * y) - y * y,
+                 lambda x, y: -0.0,
+                 lambda x, y: math.copysign(y, x) if y < 1.0 else -0.0 * y)
+    tableaus = (
+        FEHLBERG7,
+        load_tableau(str(Path(__file__).parent / "data" / "rk4.tab")),
+        RKTableau(name="kutta3-skew", order=3, a=((), (0.5,), (-1.0, 2.0), (0.0, -0.0, 1.0)),
+                  b=(1 / 6, 2 / 3, 0.0, 1 / 6), c=(0.0, 0.5, 1.0, 1.0)),
+    )
+    rng = random.Random(20231018)
+    points = [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.75)]
+    points += [(rng.uniform(-20.0, 20.0), rng.uniform(-2.0, 2.0)) for _ in range(20)]
+    for t in tableaus:
+        for rhs in rhs_cases:
+            for h in (0.01, -0.01, 0.37, -1.5):
+                for x, y in points:
+                    want_rhs, want_calls = _recorded(rhs)
+                    got_rhs, got_calls = _recorded(rhs)
+                    want = _dense_step(want_rhs, x, y, h, t).hex()
+                    assert rk_step(got_rhs, x, y, h, t).hex() == want, (t.name, h, x, y)
+                    assert got_calls == want_calls
+
+
+def test_compiled_step_stays_out_of_pickles_hash_and_equality():
+    def rhs(x, y):
+        return math.cos(x) * y
+
+    want = rk_step(rhs, 0.3, 1.1, -0.02)
+    assert "step" in FEHLBERG7.__dict__  # compiled on that first step
+    fresh = RKTableau(**{f.name: getattr(FEHLBERG7, f.name) for f in fields(RKTableau)})
+    assert "step" not in fresh.__dict__
+    assert fresh == FEHLBERG7 and hash(fresh) == hash(FEHLBERG7)
+    copy = pickle.loads(pickle.dumps(FEHLBERG7))
+    assert "step" not in copy.__dict__
+    assert copy == FEHLBERG7 and hash(copy) == hash(FEHLBERG7)
+    assert rk_step(rhs, 0.3, 1.1, -0.02, copy).hex() == want.hex()
+    assert copy.step is not FEHLBERG7.step and copy == FEHLBERG7
