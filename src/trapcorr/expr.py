@@ -31,10 +31,10 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
+from ._value import Value
 from .errors import DomainError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
@@ -52,7 +52,7 @@ MAX_DEPTH = 100
 
 # ----------------------------------------------------------------- AST
 
-class _Node:
+class _Node(Value):
     """AST node base: compiles to its evaluators once, on first use."""
 
     @cached_property
@@ -62,38 +62,29 @@ class _Node:
         literals = []
         return _factory(_shape(self, literals))(*literals)
 
-    def __getstate__(self):  # pickle the tree, not the compiled code
-        return {k: v for k, v in self.__dict__.items() if k != "_evaluators"}
 
-
-@dataclass(frozen=True)
 class Num(_Node):
     value: float
 
 
-@dataclass(frozen=True)
 class Var(_Node):
     """The single free variable x."""
 
 
-@dataclass(frozen=True)
 class Const(_Node):
     name: str  # "pi" or "e"
 
 
-@dataclass(frozen=True)
 class Neg(_Node):
     arg: "ExprAST"
 
 
-@dataclass(frozen=True)
 class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "ExprAST"
     right: "ExprAST"
 
 
-@dataclass(frozen=True)
 class Call(_Node):
     func: str
     arg: "ExprAST"

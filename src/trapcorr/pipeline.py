@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, fields
-from functools import partial
-from operator import attrgetter
-from typing import Callable
+from functools import lru_cache, partial
+from operator import attrgetter, is_
+from typing import NamedTuple
 
 from . import rk
+from ._value import Value
 from .errors import (ConfigError, IoError, NoRootError,
                      SingularDenominatorError, phase)
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
@@ -41,8 +41,7 @@ SCAN_INTERVALS = 256
 BISECT_WIDTH = 1e-14
 
 
-@dataclass(frozen=True)
-class ProblemSpec:
+class ProblemSpec(Value):
     """Everything one corrected-quadrature run needs, with g = f + shift*(x-a)^3/6
     (the integrand actually differentiated), g(a) = f(a) and :func:`x_side` built
     once.  ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
@@ -57,11 +56,9 @@ class ProblemSpec:
     ref_tol: float = 1e-13
     root_tol: float = 1e-12
     tableau: RKTableau = FEHLBERG7
-    g: ExprAST = field(init=False, repr=False, compare=False)
-    g_at_a: float = field(init=False, repr=False, compare=False)
-    x_side: Callable = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         if self.x0 is None:
             object.__setattr__(self, "x0", 0.5 * (self.a + self.b))
         for name in ("a", "b", "x0", "h", "shift", "ref_tol", "root_tol"):
@@ -86,17 +83,13 @@ class ProblemSpec:
         object.__setattr__(self, "g_at_a", eval_jet(self.g, self.a).d0)
         object.__setattr__(self, "x_side", x_side(self.g, self.tableau.stages))
 
-    def __reduce__(self):  # pickle the inputs; unpickling builds g and its memo anew
-        return ProblemSpec, tuple(getattr(self, f.name) for f in fields(self) if f.init)
-
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
                   h: float = 0.01, **kwargs) -> "ProblemSpec":
         return cls(f_text=f_text, f_ast=parse(f_text), a=a, b=b, x0=x0, h=h, **kwargs)
 
 
-@dataclass(frozen=True)
-class CurveRow:
+class CurveRow(NamedTuple):
     x: float
     xi: float | None
     trapezium: float
@@ -106,8 +99,7 @@ class CurveRow:
     residual: float | None = None
 
 
-@dataclass(frozen=True)
-class ErrorCurve:
+class ErrorCurve(NamedTuple):
     rows: tuple[CurveRow, ...]
     spec: ProblemSpec
     wall_time: float
@@ -323,8 +315,10 @@ def _reference_column(spec: ProblemSpec, xs: list[float]) -> list[float]:
 
 # ------------------------------------------------------------------ CSV
 
-def _field(v: float | None) -> str:
-    return "" if v is None else format(v, ".17g")
+@lru_cache(maxsize=256)
+def _template(absent: tuple[bool, ...]) -> str:
+    """A row's format: "%.17g" per field, "%.0s" (None prints as "") per absent one."""
+    return ",".join(["%.0s" if gone else "%.17g" for gone in absent])
 
 
 def _write_text(text: str, destination) -> None:
@@ -342,9 +336,11 @@ def _write_csv(curve: ErrorCurve, destination, columns: tuple[str, ...]) -> None
     if not curve.rows:
         raise ConfigError("cannot emit an empty curve")
     row_fields = attrgetter(*columns)
-    template = ",".join(["%.17g"] * len(columns))  # format(v, ".17g") per field
+    nones = (None,) * len(columns)
+    full = _template((False,) * len(columns))
     lines = [",".join(columns)]
-    lines += [",".join(map(_field, values)) if None in values else template % values
+    lines += [full % values if None not in values
+              else _template(tuple(map(is_, values, nones))) % values
               for values in map(row_fields, curve.rows)]
     _write_text("\n".join(lines) + "\n", destination)
 

@@ -14,7 +14,7 @@ the panels shrink, as at a pole inside the interval.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConfigError, ToleranceError
 from .expr import ExprAST, eval_value
@@ -39,8 +39,7 @@ DIVERGENCE_PANELS = 2 ** 14
 _DIVISORS = tuple(4.0 ** j - 1.0 for j in range(64))
 
 
-@dataclass(frozen=True)
-class ReferenceResult:
+class ReferenceResult(NamedTuple):
     """Reference integral with its internal error estimate.
 
     ``panels`` counts integrand evaluations spent on the estimate.

@@ -16,10 +16,10 @@ function is left out of a pickled tableau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
+from ._value import Value
 from .errors import ConfigError, IoError
 
 __all__ = [
@@ -50,8 +50,7 @@ _ORDER_CONDITIONS = (
 )
 
 
-@dataclass(frozen=True)
-class RKTableau:
+class RKTableau(Value):
     """Coefficients of an explicit Runge-Kutta method of declared order.
 
     ``a`` holds only the strict lower triangle: row i lists the i
@@ -64,7 +63,8 @@ class RKTableau:
     b: tuple[float, ...]
     c: tuple[float, ...]
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         s = len(self.b)
         if len(self.c) != s or len(self.a) != s:
             raise ConfigError(f"tableau '{self.name}': inconsistent stage counts")
@@ -90,9 +90,6 @@ class RKTableau:
     def step(self) -> Callable[[Rhs, float, float, float], float]:
         """``step(rhs, x, y, h)``: one step of this method, straight-line code."""
         return _compile_step(*self.nonzero, self.c)
-
-    def __getstate__(self):  # pickle the coefficients, not the compiled step
-        return {k: v for k, v in self.__dict__.items() if k != "step"}
 
     def row_sum_defect(self) -> float:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
@@ -192,8 +189,7 @@ def _fehlberg7() -> RKTableau:
 FEHLBERG7 = _fehlberg7()
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """Ordered (x, y) nodes of one integration sweep."""
 
     nodes: tuple[tuple[float, float], ...]

@@ -1,6 +1,9 @@
 import io
 import math
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -104,6 +107,16 @@ def test_main_help_golden(capsys):
 def test_integrate_help_golden(capsys):
     assert main(["integrate", "--help"]) == 0
     assert capsys.readouterr().out == (DATA / "help_integrate.txt").read_text()
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # both cost start-up time on every command; -S keeps site's imports out
+    check = ("import sys, trapcorr.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-S", "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
 # ------------------------------------------------------- error mapping

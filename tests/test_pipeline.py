@@ -354,8 +354,8 @@ def test_csv_full_row_formatting():
 
 
 def test_csv_fields_are_format_17g_per_field():
-    # rows with no absent field take one %-template, the rest go field by
-    # field; both must write what format(v, ".17g") writes
+    # each row takes the %-template of its pattern of absent fields; every
+    # pattern must write what format(v, ".17g") writes
     edge = (-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0, 7, -2.5e-10, math.inf, -math.nan)
     rows = []
     for i in range(len(edge)):
