@@ -20,22 +20,24 @@ one walk of its shape (source transformation: Griewank & Walther,
 first three derivatives at a point (a :class:`Jet3`) by the sum,
 product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
-alone, the propagation truncated at order 1.  Literals are bound as
-values, so trees of one shape share their code objects through a bounded
-cache.  Where only a derivative is undefined (``sqrt`` at 0), the value
-stands and the jet is rejected; the slope stands where only d2 or d3 is.
-Jets are exact to rounding; nothing differentiates numerically.
+alone, the propagation truncated at order 1.  On a run's first use, the
+walk also writes the xi-ODE's right-hand side with the jet at xi inline
+(:func:`trapcorr.xi_ode.bind_rhs`).  Literals are bound as values, so trees
+of one shape share their code through bounded caches.  Where only a
+derivative is undefined (``sqrt`` at 0), the value stands and the jet is
+rejected; the slope stands where only d2 or d3 is.  Jets are exact to
+rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Union
 
 from ._value import Value
-from .errors import DomainError, SyntaxError_, UnknownIdentifierError
+from .errors import DomainError, SingularDenominatorError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
@@ -61,6 +63,13 @@ class _Node(Value):
         through a bounded cache, bound to this tree's literals."""
         literals = []
         return _factory(_shape(self, literals))(*literals)
+
+    @cached_property
+    def _kernel(self):
+        """``kernel(a, g_a, x_side, F, guard)`` -> the xi-ODE's ``rhs(x, xi)`` over this
+        tree, its code compiled per shape on first use into a cache of its own."""
+        literals = []
+        return partial(_kernel_factory(_shape(self, literals)), *literals)
 
 
 class Num(_Node):
@@ -266,8 +275,8 @@ class Jet3(NamedTuple):
     d3: float
 
 
-#: what derivative arithmetic raises where a derivative is undefined or
-#: overflows (a zero divisor, ``**`` out of range, math.pow/log domain)
+#: what arithmetic raises where an operation is undefined or overflows (a zero
+#: divisor, ``**`` or exp out of range, math.pow/log domain, sin of inf)
 _UNDEFINED = (ArithmeticError, ValueError)
 
 
@@ -303,7 +312,7 @@ _CHAIN = ("{w1} = {g1} * {u1}",
           "{w3} = {g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
 
 #: per node kind: its d0, its d1 and its d2-d3 statements, over the jets u
-#: (operand or left) and v (right), the result w and scratch g, s
+#: (operand or left) and v (right), the result w, scratch g, s and the point x
 _RULES = {
     "neg": ("{w0} = -{u0}", "{w1} = -{u1}", "{w2} = -{u2}; {w3} = -{u3}"),
     "+": ("{w0} = {u0} + {v0}", "{w1} = {u1} + {v1}", "{w2} = {u2} + {v2}; {w3} = {u3} + {v3}"),
@@ -311,26 +320,26 @@ _RULES = {
     "*": ("{w0} = {u0} * {v0}", "{w1} = {u1} * {v0} + {u0} * {v1}",  # Leibniz rule
           "{w2} = {u2} * {v0} + 2.0 * {u1} * {v1} + {u0} * {v2}; "
           "{w3} = {u3} * {v0} + 3.0 * {u2} * {v1} + 3.0 * {u1} * {v2} + {u0} * {v3}"),
-    "/": ("if {v0} == 0.0: raise DomainError('division by zero', x)\n{w0} = {u0} / {v0}",
+    "/": ("if {v0} == 0.0: raise DomainError('division by zero', {x})\n{w0} = {u0} / {v0}",
           "{w1} = ({u1} - {w0} * {v1}) / {v0}",
           "{w2} = ({u2} - {w0} * {v2} - 2.0 * {w1} * {v1}) / {v0}; "
           "{w3} = ({u3} - {w0} * {v3} - 3.0 * {w1} * {v2} - 3.0 * {w2} * {v1}) / {v0}"),
     # u^r, r free of x
-    "^r": ("{w0} = 1.0 if {v0} == 0.0 else pow_value({u0}, {v0}, x)",
+    "^r": ("{w0} = 1.0 if {v0} == 0.0 else pow_value({u0}, {v0}, {x})",
            "{g1} = {v0} * pow({u0}, {v0} - 1.0); " + _CHAIN[0],
            "{s2} = {v0} * ({v0} - 1.0); {s3} = {s2} * ({v0} - 2.0); "
            "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0); "
            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0); " + _CHAIN[1]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
-    "^v": ("{w0} = pow_value({u0}, {v0}, x)",
+    "^v": ("{w0} = pow_value({u0}, {v0}, {x})",
            "{s0} = ln({u0}); {s1} = {v1} * {s0}; {w1} = {w0} * {s1}",
            "{s2} = {v2} * {s0}; {s3} = {v3} * {s0}; " + _CHAIN[1].format(
                g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}", u3="{s3}",
                w2="{w2}", w3="{w3}")),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
-_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), x)\n"
+_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), {x})\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
             + f"{{w0}} = {name}({{u0}})", f"{g1}; {_CHAIN[0]}", f"{g23}; {_CHAIN[1]}"))
@@ -340,7 +349,6 @@ _RULES.update(
 _SOURCE = """\
 def bind({literals}):
     def jet(x):
-{value}
 {jet}
         if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
             return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
@@ -353,7 +361,6 @@ def bind({literals}):
         raise DomainError("non-finite value", x)
 
     def slope(x):
-{value}
 {slope}
         if isfinite({w0}) and isfinite({w1}):
             return {w0}, {w1}
@@ -362,13 +369,40 @@ def bind({literals}):
     return jet, value, slope
 """
 
+#: xi's slope over g, bound per run: g and g' at x from the run's memo, the jet
+#: at xi inline, its finiteness checks, the guard on t^3 g'''(xi), the numerator
+_KERNEL = """\
+def bind({literals}a, g_a, x_side, F, guard):
+    def rhs(x, xi):
+        if x == a:
+            raise ValueError("xi_rhs is undefined at x == a")
+        t = x - a
+        g_x, dg_x = x_side(x)
+{jet}
+        if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
+            den = t ** 3 * {w3}
+            if abs(den) < guard * (1.0 + abs(t) ** 3):
+                raise SingularDenominatorError(x, xi, den)
+            return (F * g_x + 6.0 * g_a + 6.0 * t * dg_x - 3.0 * t * t * {w2}) / den
+        raise DomainError("non-finite jet component", xi)
+    return rhs
+"""
+
+#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {x}
+_GUARDED = """\
+        try:
+{body}
+        except UNDEFINED as exc:
+            kind = "overflow" if isinstance(exc, OverflowError) else "undefined"
+            raise DomainError(f"{{kind}}: {{exc}}", {x}) from exc"""
+
 #: what emitted code reads besides its locals: math's functions under
 #: their grammar names, math.pow as pow, and tuple.__new__ as new, which
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
 _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, LN10=math.log(10.0),
                   nan=math.nan, isfinite=math.isfinite, Jet3=Jet3, DomainError=DomainError,
-                  UNDEFINED=_UNDEFINED)
+                  SingularDenominatorError=SingularDenominatorError, UNDEFINED=_UNDEFINED)
 
 _LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
@@ -391,17 +425,17 @@ def _shape(node: ExprAST, literals: list):
     return kind, _shape(node.left, literals), _shape(node.right, literals)
 
 
-def _source(shape) -> str:
-    """Straight-line source of the evaluators of one tree shape.  The value
-    function runs the jet's d0 statements alone, and the slope function
-    its d0 and d1 statements: derivative statements never raise (an
-    undefined derivative comes out NaN), so all three fail alike wherever
-    the value does."""
+def _source(shape, template: str, x: str) -> str:
+    """Straight-line source of ``template`` for one tree shape, its statements
+    over the point named ``x``.  The value function runs the jet's d0
+    statements alone, and the slope function its d0 and d1 statements:
+    derivative statements never raise (an undefined derivative comes out
+    NaN), so all three fail alike wherever the value does."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
         if shape == "x":
-            return "x", "1.0", "0.0", "0.0"
+            return x, "1.0", "0.0", "0.0"
         if shape == "lit":
             literals.append(f"lit{len(literals)}")
             return literals[-1], "0.0", "0.0", "0.0"
@@ -409,7 +443,7 @@ def _source(shape) -> str:
         operands = sum(map(emit, args), ())
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
-        f.update(zip(_OPERANDS, operands))
+        f.update(zip(_OPERANDS, operands), x=x)
         d0, d1, d23 = _RULES[kind]
         value.append(d0.format(**f))
         for lines, body, names in ((slope, d1, "{w1}"),
@@ -422,16 +456,25 @@ def _source(shape) -> str:
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)
-    body = {key: "\n".join(" " * 8 + line for part in lines for line in part.split("\n"))
-            for key, lines in (("value", value), ("slope", slope), ("jet", jet))}
-    return _SOURCE.format(literals=", ".join(literals), **body, **dict(zip(_LOCALS, w)))
+    guarded = {key: _GUARDED.format(x=x, body="\n".join(
+        " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
+        for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
+    return template.format(literals="".join(name + ", " for name in literals),
+                           **guarded, **dict(zip(_LOCALS, w)))
 
 
-@lru_cache(maxsize=256)
-def _factory(shape):
-    namespace = dict(_NAMESPACE)
-    exec(compile(_source(shape), "<trapcorr.expr emitted>", "exec"), namespace)
-    return namespace["bind"]
+def _compiler(template: str, x: str):
+    """A bounded cache of ``template``'s ``bind`` per tree shape."""
+    @lru_cache(maxsize=256)
+    def factory(shape):
+        namespace = dict(_NAMESPACE)
+        exec(compile(_source(shape, template, x), "<trapcorr.expr emitted>", "exec"), namespace)
+        return namespace["bind"]
+    return factory
+
+
+_factory = _compiler(_SOURCE, "x")
+_kernel_factory = _compiler(_KERNEL, "xi")
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:
@@ -440,30 +483,15 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
     Raises :class:`DomainError` when the point is outside the
     expression's domain or any component fails to be finite.
     """
-    try:
-        return ast._evaluators[0](x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
-    except _UNDEFINED as exc:
-        raise DomainError(f"undefined: {exc}", x) from exc
+    return ast._evaluators[0](x)
 
 
 def eval_slope(ast: ExprAST, x: float) -> tuple[float, float]:
     """The jet's d0 and d1 at ``x``, defined also where only d2 or d3 is not."""
-    try:
-        return ast._evaluators[2](x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
-    except _UNDEFINED as exc:
-        raise DomainError(f"undefined: {exc}", x) from exc
+    return ast._evaluators[2](x)
 
 
 def eval_value(ast: ExprAST, x: float) -> float:
     """Evaluate just the value of ``ast`` at ``x``: the jet's d0, defined
     also where a derivative is not (``sqrt`` at 0)."""
-    try:
-        return ast._evaluators[1](x)
-    except OverflowError as exc:
-        raise DomainError(f"overflow: {exc}", x) from exc
-    except _UNDEFINED as exc:
-        raise DomainError(f"undefined: {exc}", x) from exc
+    return ast._evaluators[1](x)

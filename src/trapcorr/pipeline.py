@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from functools import lru_cache, partial
+from functools import lru_cache
 from operator import attrgetter, is_
 from typing import NamedTuple
 
@@ -22,7 +22,8 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import error_term, suggest_shift, unshift_error, x_side, xi_rhs
+from .xi_ode import bind_rhs, error_term, suggest_shift, unshift_error, x_side
+from .xi_ode import xi_rhs  # noqa: F401  perfbench/tracer.py patches pipeline.xi_rhs by name
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -262,7 +263,7 @@ def run(spec: ProblemSpec, reference: bool = False,
     t_start = time.perf_counter()
     reference = reference or residual
     xi0 = solve_xi0(spec)
-    rhs = partial(xi_rhs, spec)
+    rhs = bind_rhs(spec)
     rev_target = spec.a + spec.h
     with phase("ode"):
         try:

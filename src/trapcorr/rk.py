@@ -101,6 +101,9 @@ class RKTableau(Value):
                              ("b", self.b), ("c", self.c)):
             if not all(map(math.isfinite, values)):
                 raise ConfigError(f"tableau '{self.name}': non-finite entry in {what}")
+        for i, ci in enumerate(self.c, 1):  # a node outside [0, 1] puts a stage outside its step
+            if not 0.0 <= ci <= 1.0:
+                raise ConfigError(f"tableau '{self.name}': node c_{i} = {ci!r} outside [0, 1]")
         defect = self.row_sum_defect()
         if defect > VALIDATE_TOL:
             raise ConfigError(f"tableau '{self.name}': row-sum defect {defect:.3e} "

@@ -12,8 +12,8 @@ with respect to x and solving for xi'(x) gives
 
 The -6 coefficient on f(x) is fixed by that derivation and is gated by a
 residual test on the identity itself (see the pipeline test suite);
-``xi_rhs`` reads it from the module constant ``F_COEFFICIENT``, so tests
-can patch in a wrong value and show that it destroys the residual.
+:func:`bind_rhs` reads it from the module constant ``F_COEFFICIENT``, so
+tests can patch in a wrong value and show that it destroys the residual.
 
 When f''' comes close to zero the denominator degenerates.  Working with
 g = f + D*(x-a)^3/6 instead moves the third derivative to f''' + D and
@@ -29,13 +29,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, SingularDenominatorError
-from .expr import ExprAST, eval_jet, eval_slope
+from .errors import DomainError
+from .expr import ExprAST, eval_jet
 
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
 
-__all__ = ["xi_rhs", "x_side", "error_term", "unshift_error", "suggest_shift"]
+__all__ = ["bind_rhs", "xi_rhs", "x_side", "error_term", "unshift_error", "suggest_shift"]
 
 #: |denominator| guard threshold scale: singular below eps * (1 + |x-a|^3)
 DEFAULT_DEN_GUARD = 1e-8
@@ -48,7 +48,13 @@ def x_side(g: ExprAST, stages: int):
     """g(x) and g'(x), evaluated once per exact abscissa (0.0 and -0.0 are one)
     while it is among the last ``stages`` used: stages of one RK step may share
     an abscissa, and a step's last is often the next step's first."""
-    return lru_cache(maxsize=stages)(lambda x: eval_slope(g, x))
+    return lru_cache(maxsize=stages)(g._evaluators[2])  # the emitted (g, g') at x
+
+
+def bind_rhs(p: ProblemSpec):
+    """:func:`xi_rhs` over ``p`` as ``rhs(x, xi)``: g's emitted kernel, bound to a, g(a),
+    ``p.x_side`` and the current ``F_COEFFICIENT`` and ``DEFAULT_DEN_GUARD``."""
+    return p.g._kernel(p.a, p.g_at_a, p.x_side, F_COEFFICIENT, DEFAULT_DEN_GUARD)
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -59,17 +65,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
     alone (``p.x_side``), so it is defined where only g'' or g''' is not.
     """
-    if x == p.a:
-        raise ValueError("xi_rhs is undefined at x == a")
-    t = x - p.a
-    g_x, dg_x = p.x_side(x)
-    at_xi = eval_jet(p.g, xi)
-    den = t ** 3 * at_xi.d3
-    if abs(den) < DEFAULT_DEN_GUARD * (1.0 + abs(t) ** 3):
-        raise SingularDenominatorError(x, xi, den)
-    num = (F_COEFFICIENT * g_x + 6.0 * p.g_at_a
-           + 6.0 * t * dg_x - 3.0 * t * t * at_xi.d2)
-    return num / den
+    return bind_rhs(p)(x, xi)
 
 
 def error_term(p: ProblemSpec, x: float, xi: float) -> float:

@@ -294,6 +294,21 @@ def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
     assert "non-finite entry" in lines[0]
 
 
+@pytest.mark.parametrize("command", [
+    ["tableau-check"],
+    ["integrate", "--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.01"],
+    ["integrate", "--f", "sin(x)", "--a", "2", "--b", "4", "--h", "0.01"],
+])
+def test_tableau_node_outside_the_step_exit_5(command, capsys):
+    # a valid order-2 method with c_2 = 2: its second stage would sample
+    # x + 2h, outside the step, at a (x == a) or below it
+    path = str(DATA / "node_outside_step.tab")
+    assert main([*command, "--tableau", path]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trapcorr: [config] tableau '{path}': node c_2 = 2.0 outside [0, 1]\n"
+
+
 def test_close_seed_warning(capsys):
     code = main(["integrate", "--f", "sin(x)", "--a", "1", "--b", "2",
                  "--x0", "1.3", "--h", "0.01"])

@@ -47,6 +47,9 @@ def test_trees_of_one_shape_share_compiled_code():
     assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
+    # and one xi-ODE kernel, bound to each tree's literals
+    assert two._kernel.func is three._kernel.func
+    assert (two._kernel.args, three._kernel.args) == ((2.0,), (3.0,))
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
     assert eval_jet(three, 0.5).d0 == math.sin(1.5)
@@ -60,7 +63,8 @@ def test_literals_are_bound_values_not_source_text():
     literals = []
     shape = expr._shape(parse("x*123456.5"), literals)
     assert literals == [123456.5]
-    assert "123456.5" not in expr._source(shape)
+    for template, x in ((expr._SOURCE, "x"), (expr._KERNEL, "xi")):
+        assert "123456.5" not in expr._source(shape, template, x)
 
 
 def test_evaluated_tree_pickles_and_compares_as_before():

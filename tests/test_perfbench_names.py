@@ -3,7 +3,8 @@ module globals by name.  A refactor that drops or renames one of them
 breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
 and checks every name it patches.  The second counts one pinned run's
-calls through those names and the order-1 evaluator the tracer misses."""
+calls through those names and, for the sweep's kernel that the tracer
+misses, through the counters of its x-side memo."""
 
 import importlib
 import runpy
@@ -34,27 +35,31 @@ def _counting(fn, layer, calls):
     return counted
 
 
-# The order-1 evaluator the sweep reads g and g' from at x, which the
-# tracer does not patch: counted here next to the tracer's names
-SLOPE_PATCH = ("trapcorr.xi_ode", "eval_slope", "expr.eval_slope")
-
-
 # The work of one run is deterministic.  Counting through the names the
-# tracer patches also proves that every evaluation crosses a counted name:
-# an evaluator reached some other way would drop out of these counts.
-# Each of the 899 steps evaluates g and g' once at each of its 9 new
-# abscissae (c = 1/6 twice, c = 1 the next step's c = 0), and each
+# tracer patches also proves that every evaluation outside the sweep crosses
+# a counted name: an evaluator reached some other way would drop out of
+# these counts.  The sweep's rhs is one emitted kernel per integrand shape,
+# which the tracer's names do not see; it looks up g and g' at x in the
+# spec's memo once per call, so the memo's own counters count it: one call
+# per lookup, one order-1 evaluation per miss, and one jet at xi, inline,
+# per call.  Each of the 899 steps evaluates g and g' once at each of its 9
+# new abscissae (c = 1/6 twice, c = 1 the next step's c = 0), and each
 # sweep's first step once more, at x0.
 @pytest.mark.parametrize("residual,expected", [
-    (False, {"expr.eval_jet": 11385, "expr.eval_slope": 8093, "xi_ode.xi_rhs": 9889,
-             "rk.rk_step": 899, "expr.eval_value": 1931}),
+    (False, {"expr.eval_jet": 11385, "expr.eval_jet by name": 1496, "expr.eval_slope": 8093,
+             "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1931}),
     (True, {"expr.eval_value": 10023}),
 ])
 def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does
     calls = Counter()
-    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"] + (SLOPE_PATCH,):
+    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
     pipeline.run(spec, residual=residual)
+    memo = spec.x_side.cache_info()
+    calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
+    calls["xi_ode.xi_rhs"] = memo.hits + memo.misses
+    calls["expr.eval_slope"] = memo.misses
+    calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
     assert {layer: calls[layer] for layer in expected} == expected

@@ -4,7 +4,7 @@ import pickle
 
 import pytest
 
-from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec,
+from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
                       emit_csv, emit_xi_csv, eval_jet, integrate, parse,
                       pipeline, reference_integral, run, solve_xi0,
                       solve_xi_at, trapezium, xi_ode, xi_rhs)
@@ -233,6 +233,21 @@ def test_spec_pickles_and_rebuilds_its_memo():
     assert copy == spec and copy.g == spec.g and copy.g_at_a == spec.g_at_a
     assert copy.x_side.cache_info().currsize == 0
     assert copy.x_side(5.0) == spec.x_side(5.0)
+
+
+def test_set_up_leaves_the_kernel_to_the_first_run():
+    # the xi-ODE kernel compiles per shape on a run's first use, never when a
+    # spec is built; this shape appears in no other test
+    info = expr._kernel_factory.cache_info
+    before = info()
+    spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)
+    assert info() == before
+    run(spec)
+    first = info()
+    assert (first.misses, first.hits) == (before.misses + 1, before.hits)
+    run(spec)
+    run(ProblemSpec.from_text("1.5*exp(x/9)-x/4", 1.0, 4.0, x0=2.5, h=0.05))
+    assert info().misses == first.misses
 
 
 def test_spec_pickles_after_its_tableau_has_stepped():

@@ -44,6 +44,19 @@ def test_tableau_consistency_validation():
         t.validate()
 
 
+@pytest.mark.parametrize("node", [2.0, -0.5, 1.0 + 2.0 ** -52])
+def test_tableau_node_outside_the_step_fails_validation(node):
+    # consistent (row sums match c), but the second stage leaves the step
+    t = RKTableau(name="wide", order=1, a=((), (node,)), b=(1.0, 0.0), c=(0.0, node))
+    with pytest.raises(ConfigError, match=rf"node c_2 = {node!r} outside \[0, 1\]"):
+        t.validate()
+
+
+def test_tableau_nodes_at_the_step_ends_validate():
+    FEHLBERG7.validate()  # c runs from 0 to 1 inclusive
+    RKTableau(name="ends", order=1, a=((), (-0.0,)), b=(1.0, 0.0), c=(0.0, -0.0)).validate()
+
+
 # ---------------------------------------------------------------- steps
 
 def test_step_constant_rhs_zero():

@@ -71,12 +71,16 @@ def _stage_calls(spec):
     """Every (x, xi, slope) the sweep of ``run(spec)`` evaluates."""
     calls = []
 
-    def recording(p, x, xi):
-        calls.append((x, xi, xi_ode.xi_rhs(p, x, xi)))
-        return calls[-1][2]
+    def recording(p):
+        rhs = xi_ode.bind_rhs(p)
+
+        def recorded(x, xi):
+            calls.append((x, xi, rhs(x, xi)))
+            return calls[-1][2]
+        return recorded
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "xi_rhs", recording)
+        mp.setattr(pipeline, "bind_rhs", recording)
         run(spec)
     return calls
 
