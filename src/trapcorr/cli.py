@@ -181,27 +181,22 @@ def _cmd_order_test(ns: argparse.Namespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     rows = empirical_order(tableau)
     print(f"tableau {tableau.name}: declared order {tableau.order}")
-    print("h        error         slope")
-    for i, (h, err, slope) in enumerate(rows):
-        if i + 1 == len(rows):
-            s = "-"
-        elif math.isnan(slope):
-            s = "at rounding floor"
-        else:
-            s = f"{slope:.3f}"
-        print(f"{h:<8g} {err:<13.3e} {s}")
+    print("h           error         slope")
+    for i, (h, err, slope) in enumerate(rows, 1):
+        s = ("-" if i == len(rows) else "at rounding floor" if math.isnan(slope)
+             else f"{slope:.3f}")
+        print(f"{h:<11g} {err:<13.3e} {s}")
     return 0
 
 
 def _cmd_tableau_check(ns: argparse.Namespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     tableau.validate()
-    print(f"tableau {tableau.name}: {tableau.stages} stages, declared order "
-          f"{tableau.order}")
+    print(f"tableau {tableau.name}: {tableau.stages} stages, declared order {tableau.order}")
     print(f"row-sum defect:   {tableau.row_sum_defect():.3e}")
-    print(f"weight-sum defect: {abs(math.fsum(tableau.b) - 1.0):.3e}")
-    for label, order, residual in order_condition_residuals(tableau):
-        print(f"order {order} condition {label}: residual {residual:.3e}")
+    print("order  trees  worst residual")
+    for order, trees, worst in order_condition_residuals(tableau):
+        print(f"{order:<6} {trees:<6} {worst:.3e}")
     print("OK")
     return 0
 

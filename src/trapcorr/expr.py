@@ -22,11 +22,11 @@ product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
 alone, the propagation truncated at order 1.  On a run's first use, the
 walk also writes the xi-ODE's right-hand side with the jet at xi inline
-(:func:`trapcorr.xi_ode.bind_rhs`).  Literals are bound as values, so trees
-of one shape share their code through bounded caches.  Where only a
-derivative is undefined (``sqrt`` at 0), the value stands and the jet is
-rejected; the slope stands where only d2 or d3 is.  Jets are exact to
-rounding; nothing differentiates numerically.
+(:func:`trapcorr.xi_ode.bind_rhs`), its errors at xi raised at x.  Literals
+are bound as values, so trees of one shape share their code through bounded
+caches.  Where only a derivative is undefined (``sqrt`` at 0), the value
+stands and the jet is rejected; the slope stands where only d2 or d3 is.
+Jets are exact to rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
@@ -370,22 +370,28 @@ def bind({literals}):
 """
 
 #: xi's slope over g, bound per run: g and g' at x from the run's memo, the jet
-#: at xi inline, its finiteness checks, the guard on t^3 g'''(xi), the numerator
+#: at xi inline, its finiteness checks, the guard on t^3 g'''(xi), the numerator.
+#: The jet's guarded block keeps the evaluators' depth inside a try of its own,
+#: which raises a DomainError of the jet at xi again at the sweep's x, naming xi
 _KERNEL = """\
 def bind({literals}a, g_a, x_side, F, guard):
-    def rhs(x, xi):
-        if x == a:
-            raise ValueError("xi_rhs is undefined at x == a")
-        t = x - a
-        g_x, dg_x = x_side(x)
+  def rhs(x, xi):
+    if x == a:
+        raise ValueError("xi_rhs is undefined at x == a")
+    t = x - a
+    g_x, dg_x = x_side(x)
+    try:
 {jet}
-        if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
-            den = t ** 3 * {w3}
-            if abs(den) < guard * (1.0 + abs(t) ** 3):
-                raise SingularDenominatorError(x, xi, den)
-            return (F * g_x + 6.0 * g_a + 6.0 * t * dg_x - 3.0 * t * t * {w2}) / den
-        raise DomainError("non-finite jet component", xi)
-    return rhs
+    except DomainError as exc:
+        what = exc.args[0].removesuffix(f" at x={{xi!r}}")
+        raise DomainError(f"{{what}} for xi={{xi!r}}", x) from exc.__cause__
+    if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
+        den = t ** 3 * {w3}
+        if abs(den) < guard * (1.0 + abs(t) ** 3):
+            raise SingularDenominatorError(x, xi, den)
+        return (F * g_x + 6.0 * g_a + 6.0 * t * dg_x - 3.0 * t * t * {w2}) / den
+    raise DomainError(f"non-finite jet component for xi={{xi!r}}", x)
+  return rhs
 """
 
 #: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {x}

@@ -11,12 +11,17 @@ reverse trajectories reuse the same kernel.  Each tableau compiles, once,
 on first use, to one straight-line step function over its nonzero
 entries, in index order, with the coefficients bound as values; the
 function is left out of a pickled tableau.
+
+A declared order p, at most the stage count and ``MAX_ORDER``, is checked by
+Butcher's condition b . Phi(t) = 1/gamma(t) for each rooted tree t of order up
+to p, the trees built on first use (Hairer, Norsett & Wanner I, II.2).
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
+from operator import mul
 from typing import Callable, NamedTuple
 
 from ._value import Value
@@ -30,24 +35,14 @@ __all__ = [
 
 Rhs = Callable[[float, float], float]
 
-#: largest row-sum and weight-sum defect :meth:`RKTableau.validate` accepts
+#: largest row-sum defect and order-condition residual :meth:`RKTableau.validate` accepts
 VALIDATE_TOL = 1e-10
 
-#: :func:`empirical_order`'s step sizes and rounding floor (ulps of e)
-ORDER_STEPS = (0.1, 0.05, 0.025)
-FLOOR_ULPS = 4.0
+#: highest declarable order: 1,205 trees through order 10, some 20 million through 20
+MAX_ORDER = 10
 
-#: pairs (condition, exact value) for every rooted tree through order 4
-_ORDER_CONDITIONS = (
-    ("sum b_i", 1, 1.0),
-    ("sum b_i c_i", 2, 0.5),
-    ("sum b_i c_i^2", 3, 1.0 / 3.0),
-    ("sum b_i a_ij c_j", 3, 1.0 / 6.0),
-    ("sum b_i c_i^3", 4, 0.25),
-    ("sum b_i c_i a_ij c_j", 4, 0.125),
-    ("sum b_i a_ij c_j^2", 4, 1.0 / 12.0),
-    ("sum b_i a_ij a_jk c_k", 4, 1.0 / 24.0),
-)
+#: :func:`empirical_order`'s rounding floor (ulps of e)
+FLOOR_ULPS = 4.0
 
 
 class RKTableau(Value):
@@ -73,8 +68,9 @@ class RKTableau(Value):
                 raise ConfigError(
                     f"tableau '{self.name}': A row {i + 1} has {len(row)} "
                     f"entries, expected {i}")
-        if self.order < 1:
-            raise ConfigError(f"tableau '{self.name}': order must be >= 1")
+        if not 1 <= self.order <= min(s, MAX_ORDER):  # p > s: the tall tree has b A^(p-1) 1 = 0
+            raise ConfigError(f"tableau '{self.name}': order {self.order} outside "
+                              f"[1, min(stage count {s}, {MAX_ORDER})]")
 
     @property
     def stages(self) -> int:
@@ -108,35 +104,37 @@ class RKTableau(Value):
         if defect > VALIDATE_TOL:
             raise ConfigError(f"tableau '{self.name}': row-sum defect {defect:.3e} "
                               f"exceeds {VALIDATE_TOL:.1e}")
-        weight = abs(math.fsum(self.b) - 1.0)
-        if weight > VALIDATE_TOL:
-            raise ConfigError(f"tableau '{self.name}': weights sum to 1 within "
-                              f"{weight:.3e} > {VALIDATE_TOL:.1e}")
+        for order, _, worst in order_condition_residuals(self):
+            if worst > VALIDATE_TOL:
+                raise ConfigError(f"tableau '{self.name}': order-{order} residual "
+                                  f"{worst:.3e} exceeds {VALIDATE_TOL:.1e}")
 
 
-def order_condition_residuals(t: RKTableau) -> list[tuple[str, int, float]]:
-    """Residuals of the algebraic order conditions up to min(order, 4).
+@lru_cache(maxsize=None)
+def _trees(n: int) -> tuple:
+    """The rooted trees of order ``n``, each the sorted tuple of its root's subtrees:
+    a tree of order k with one more subtree, of order n - k, at its root."""
+    return ((),) if n == 1 else tuple(sorted({tuple(sorted(t + (u,))) for k in range(1, n)
+                                              for t in _trees(k) for u in _trees(n - k)}))
 
-    Returns (condition, order, |achieved - exact|) triples.
-    """
-    s = t.stages
-    a, b, c = t.a, t.b, t.c
-    values = (
-        math.fsum(b),
-        math.fsum(b[i] * c[i] for i in range(s)),
-        math.fsum(b[i] * c[i] ** 2 for i in range(s)),
-        math.fsum(b[i] * a[i][j] * c[j] for i in range(s) for j in range(i)),
-        math.fsum(b[i] * c[i] ** 3 for i in range(s)),
-        math.fsum(b[i] * c[i] * a[i][j] * c[j] for i in range(s) for j in range(i)),
-        math.fsum(b[i] * a[i][j] * c[j] ** 2 for i in range(s) for j in range(i)),
-        math.fsum(b[i] * a[i][j] * a[j][k] * c[k]
-                  for i in range(s) for j in range(i) for k in range(j)),
-    )
-    out = []
-    for (label, order, exact), got in zip(_ORDER_CONDITIONS, values):
-        if order <= min(t.order, 4):
-            out.append((label, order, abs(got - exact)))
-    return out
+
+def order_condition_residuals(t: RKTableau) -> list[tuple[int, int, float]]:
+    """(order, tree count, worst |b . Phi(u) - 1/gamma(u)|) over the trees u of
+    each order 1..``t.order``: zero rows for a method of the declared order."""
+    rows = (*t.a, t.b)  # b as a last stage's row: its (A Phi(u)) is b . Phi(u)
+
+    @lru_cache(maxsize=None)
+    def weights(u):  # -> (A Phi(u) per stage, then b . Phi(u); |u|; gamma(u))
+        phi, order, gamma = [1.0] * t.stages, 1, 1  # Phi_i(u): A Phi(v) over subtrees v
+        for v in u:
+            a_phi, v_order, v_gamma = weights(v)
+            phi = list(map(mul, phi, a_phi))
+            order, gamma = order + v_order, gamma * v_gamma
+        return [math.fsum(map(mul, row, phi)) for row in rows], order, gamma * order
+
+    return [(n, len(_trees(n)), max(abs(a_phi[-1] - 1.0 / gamma)
+                                    for a_phi, _, gamma in map(weights, _trees(n))))
+            for n in range(1, t.order + 1)]
 
 
 def _compile_step(rows: tuple, weights: tuple, c: tuple) -> Callable:
@@ -305,20 +303,18 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
 def empirical_order(tableau: RKTableau = FEHLBERG7) -> list[tuple[float, float, float]]:
     """Measure convergence on y' = y over [0, 1] against exp(1).
 
-    Returns (h, error, slope) rows, h in ``ORDER_STEPS``, where slope is
-    log2(err(h)/err(h/2)) for consecutive step pairs; a slope is NaN when
-    the finer error sits at the rounding floor (within ``FLOOR_ULPS`` ulps
-    of the exact endpoint value) and no longer reflects truncation.
+    Returns (h, error, slope) rows, where slope is log2(err(h)/err(h/2))
+    for consecutive step pairs; a slope is NaN when the finer error sits at
+    the rounding floor (within ``FLOOR_ULPS`` ulps of the exact endpoint
+    value) and no longer reflects truncation.  For declared order p, up to
+    five steps halve from the coarsest 0.2 * 2^k with h^p <= 1e-3 while
+    h^p >= 1e-10: past the pre-asymptotic range, short of the floor.
     """
-    errs = []
-    for h in ORDER_STEPS:
-        traj = integrate(lambda x, y: y, 0.0, 1.0, 1.0, h, tableau)
-        errs.append(abs(traj.y_end - math.e))
+    p = tableau.order
+    coarsest = 0.2 * 2.0 ** math.floor(math.log2(1e-3 ** (1.0 / p) / 0.2))
+    steps = [h for h in (coarsest / 2 ** k for k in range(5)) if h ** p >= 1e-10]
+    errs = [abs(integrate(lambda x, y: y, 0.0, 1.0, 1.0, h, tableau).y_end - math.e)
+            for h in steps]
     floor = FLOOR_ULPS * math.ulp(math.e)
-    rows = []
-    for i, h in enumerate(ORDER_STEPS):
-        slope = float("nan")
-        if i + 1 < len(ORDER_STEPS) and errs[i + 1] > floor and errs[i + 1] > 0.0:
-            slope = math.log2(errs[i] / errs[i + 1])
-        rows.append((h, errs[i], slope))
-    return rows
+    return [(h, err, math.log2(err / finer) if finer > floor else math.nan)
+            for h, err, finer in zip(steps, errs, errs[1:] + [0.0])]

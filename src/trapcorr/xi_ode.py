@@ -64,6 +64,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     denominator above the guard threshold; raises
     :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
     alone (``p.x_side``), so it is defined where only g'' or g''' is not.
+    A :class:`DomainError` of the jet at xi is raised at x, naming xi.
     """
     return bind_rhs(p)(x, xi)
 

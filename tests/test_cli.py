@@ -84,6 +84,20 @@ def test_tableau_check_file(tmp_path, capsys):
     assert main(["tableau-check", "--tableau", str(path)]) == 0
 
 
+def test_tableau_check_prints_one_row_per_order(capsys):
+    path = str(DATA / "rk4.tab")
+    assert main(["tableau-check", "--tableau", path]) == 0
+    assert capsys.readouterr().out == (
+        f"tableau {path}: 4 stages, declared order 4\n"
+        "row-sum defect:   0.000e+00\n"
+        "order  trees  worst residual\n"
+        "1      1      0.000e+00\n"
+        "2      1      0.000e+00\n"
+        "3      2      0.000e+00\n"
+        "4      4      0.000e+00\n"
+        "OK\n")
+
+
 def test_verbose_notes(tmp_path, capsys):
     out = tmp_path / "c.csv"
     code = main(["integrate", *SIN_ARGS, "--out", str(out), "-v"])
@@ -117,6 +131,19 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
     proc = subprocess.run([sys.executable, "-S", "-c", check], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_builtin_integrate_builds_no_rooted_trees(tmp_path):
+    # start-up is a metric: order conditions are checked by tableau-check and
+    # for tableau files, never at import or for the builtin's runs
+    argv = ["integrate", *SIN_ARGS, "--out", str(tmp_path / "c.csv")]
+    check = ("import trapcorr.cli, trapcorr.rk; "
+             f"code = trapcorr.cli.main({argv!r}); "
+             "print(code, trapcorr.rk._trees.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
 
 
 # ------------------------------------------------------- error mapping
@@ -292,6 +319,43 @@ def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("trapcorr: [config] ")
     assert "non-finite entry" in lines[0]
+
+
+#: tableaux that cannot have the order they declare, and the end of the one
+#: line naming why: more than their stages (caught when the tableau is built,
+#: before any defect is computed), more than ``rk.MAX_ORDER``, or a failing
+#: order condition (methods padded with zero-weight stages, so that order <=
+#: stages holds, fail at their own order + 1)
+UNREACHED_ORDER_TABLEAUX = {
+    "zero-stages": ("0 1\n\n\n", "order 1 outside [1, min(stage count 0, 10)]"),
+    "euler-as-3": ("1 3\n\n1.0\n0.0\n", "order 3 outside [1, min(stage count 1, 10)]"),
+    "rk4-as-7": ("4 7\n" + (DATA / "rk4.tab").read_text().split("\n", 1)[1],
+                 "order 7 outside [1, min(stage count 4, 10)]"),
+    "fehlberg7-as-11": ("11 11\n" + format_tableau(FEHLBERG7).split("\n", 1)[1],
+                        "order 11 outside [1, min(stage count 11, 10)]"),
+    "padded-euler-as-3": ("3 3\n\n0.0\n0.0 0.0\n1.0 0.0 0.0\n0.0 0.0 0.0\n",
+                          "order-2 residual 5.000e-01 exceeds 1.0e-10"),
+    "padded-rk4-as-7": ("7 7\n\n0.5\n0 0.5\n0.0 -0 1.0\n0 0 0 0\n0 0 0 0 0\n0 0 0 0 0 0\n"
+                        "0.16666666666666666 0.3333333333333333 0.3333333333333333 "
+                        "0.16666666666666666 0 0 0\n0.0 0.5 0.5 1.0 0 0 0\n",
+                        "order-5 residual 1.250e-02 exceeds 1.0e-10"),
+}
+
+
+@pytest.mark.parametrize("command", [
+    ["tableau-check"],
+    ["order-test"],
+    ["integrate", *SIN_ARGS],
+])
+@pytest.mark.parametrize("name", sorted(UNREACHED_ORDER_TABLEAUX))
+def test_unreached_order_tableau_exit_5(name, command, tmp_path, capsys):
+    text, reason = UNREACHED_ORDER_TABLEAUX[name]
+    path = tmp_path / f"{name}.tab"
+    path.write_text(text, encoding="ascii")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"trapcorr: [config] tableau '{path}': {reason}\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -3,7 +3,9 @@ it fails exactly as the per-stage path it replaced did (``xi_rhs``'s own
 arithmetic over the ``eval_jet`` and ``eval_slope`` wrappers).  Every
 expectation below was recorded from that path: the exception's type,
 message, abscissa, arguments and phase from ``run()``, and the exit code
-and one diagnostic line from the CLI."""
+and one diagnostic line from the CLI.  The one departure is by design: an
+error in the jet at xi is located at the sweep's x, and its message names
+xi ("... for xi=... at x=..."), where that path located it at xi alone."""
 
 import math
 
@@ -17,14 +19,16 @@ from trapcorr.expr import eval_jet, eval_slope, eval_value
 RUNS = {
     # the inner exp overflows at xi, which the sweep has driven far past b
     "xi-inner-overflow": (("exp(exp(x))", 1.0, 7.0, 2.0, 0.01, 1e-3, 1e-2), DomainError,
-                    ("overflow: math range error at x=7.727723430810782e+194",),
-                    7.727723430810782e+194),
+                          ("overflow: math range error for xi=7.727723430810782e+194 "
+                           "at x=6.3100000000000005",), 6.3100000000000005),
     # the outer exp overflows at xi, just past where g does
     "xi-outer-overflow": (("exp(exp(x))", 0.0, 7.0, 1.0, 0.01, 1e-3, 1e-2), DomainError,
-                   ("overflow: math range error at x=6.569072034370699",), 6.569072034370699),
+                          ("overflow: math range error for xi=6.569072034370699 "
+                           "at x=6.3100000000000005",), 6.3100000000000005),
     # g''' at xi overflows to inf
     "xi-non-finite": (("exp(x^2)", 1.0, 27.0, 2.0, 0.1, 1e-6, 1e-5), DomainError,
-                      ("non-finite jet component at x=26.516489693822503",), 26.516489693822503),
+                      ("non-finite jet component for xi=26.516489693822503 "
+                       "at x=26.400000000000002",), 26.400000000000002),
     "division-by-zero": (("1/(x-2.5)", 1.0, 4.0, 2.0, 0.01, 1e-13, 1e-12), DomainError,
                          ("division by zero at x=2.5",), 2.5),
     # g' at the abscissa x = 3 is infinite
@@ -41,9 +45,12 @@ RUNS = {
 
 #: name: the CLI's exit code and its one line on stderr
 CLI = {
-    "xi-inner-overflow": (5, "[ode] overflow: math range error at x=7.727723430810782e+194"),
-    "xi-outer-overflow": (5, "[ode] overflow: math range error at x=6.569072034370699"),
-    "xi-non-finite": (5, "[ode] non-finite jet component at x=26.516489693822503"),
+    "xi-inner-overflow": (5, "[ode] overflow: math range error for xi=7.727723430810782e+194 "
+                             "at x=6.3100000000000005"),
+    "xi-outer-overflow": (5, "[ode] overflow: math range error for xi=6.569072034370699 "
+                             "at x=6.3100000000000005"),
+    "xi-non-finite": (5, "[ode] non-finite jet component for xi=26.516489693822503 "
+                         "at x=26.400000000000002"),
     "division-by-zero": (5, "[ode] division by zero at x=2.5"),
     "x-non-finite": (5, "[ode] non-finite jet component at x=3.0"),
     "singular": (3, "[ode] denominator 0.0 below guard at x=2.0, xi=1.0; rerun with --shift-D 1"),
@@ -81,10 +88,12 @@ EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
 @pytest.mark.parametrize("call,message,x,cause", [
     (lambda: xi_rhs(EXP, 710.0, 2.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
-    (lambda: xi_rhs(SQRT, 2.0, -1.0), "sqrt of negative value -1.0 at x=-1.0", -1.0, None),
-    (lambda: xi_rhs(SIN, 2.0, math.inf), "undefined: math domain error at x=inf", math.inf,
+    (lambda: xi_rhs(SQRT, 2.0, -1.0), "sqrt of negative value -1.0 for xi=-1.0 at x=2.0", 2.0,
+     None),
+    (lambda: xi_rhs(SIN, 2.0, math.inf), "undefined: math domain error for xi=inf at x=2.0", 2.0,
      ValueError),
-    (lambda: xi_rhs(SIN, 2.0, math.nan), "non-finite jet component at x=nan", math.nan, None),
+    (lambda: xi_rhs(SIN, 2.0, math.nan), "non-finite jet component for xi=nan at x=2.0", 2.0,
+     None),
     (lambda: eval_jet(parse("exp(x)"), 710.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
     (lambda: eval_value(parse("exp(x)"), 710.0), "overflow: math range error at x=710.0", 710.0,

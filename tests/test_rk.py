@@ -8,7 +8,25 @@ import pytest
 from trapcorr import (ConfigError, DomainError, FEHLBERG7, IoError, RKTableau,
                       empirical_order, format_tableau, integrate, load_tableau,
                       rk_step)
-from trapcorr.rk import order_condition_residuals
+from trapcorr.rk import FLOOR_ULPS, MAX_ORDER, _trees, order_condition_residuals
+
+DATA = Path(__file__).parent / "data"
+RK4 = load_tableau(str(DATA / "rk4.tab"))
+HEUN = RKTableau(name="heun", order=2, a=((), (1.0,)), b=(0.5, 0.5), c=(0.0, 1.0))
+KUTTA3_SKEW = RKTableau(name="kutta3-skew", order=3,
+                        a=((), (0.5,), (-1.0, 2.0), (0.0, -0.0, 1.0)),
+                        b=(1 / 6, 2 / 3, 0.0, 1 / 6), c=(0.0, 0.5, 1.0, 1.0))
+
+
+def _declared(t: RKTableau, order: int) -> RKTableau:
+    return RKTableau(t.name, order, t.a, t.b, t.c)
+
+
+def _padded(t: RKTableau, stages: int, order: int) -> RKTableau:
+    """``t`` with zero-weight stages at c = 0 appended: every b . Phi is unchanged."""
+    extra = range(t.stages, stages)
+    return RKTableau(f"{t.name}-padded", order, t.a + tuple((0.0,) * i for i in extra),
+                     t.b + (0.0,) * len(extra), t.c + (0.0,) * len(extra))
 
 
 # ------------------------------------------------------------- tableau
@@ -21,11 +39,90 @@ def test_shipped_tableau_weights():
     assert abs(math.fsum(FEHLBERG7.b) - 1.0) <= 1e-15
 
 
-def test_shipped_tableau_order_conditions_to_four():
-    residuals = order_condition_residuals(FEHLBERG7)
-    assert len(residuals) == 8  # all rooted trees through order 4
-    for label, order, residual in residuals:
-        assert residual <= 1e-13, f"{label} (order {order}): {residual:.3e}"
+def test_shipped_tableau_order_conditions_to_seven():
+    rows = order_condition_residuals(FEHLBERG7)
+    assert [order for order, _, _ in rows] == list(range(1, 8))
+    assert sum(count for _, count, _ in rows) == 85  # all rooted trees through order 7
+    for order, _, worst in rows:
+        assert worst <= 1e-13, f"order {order}: {worst:.3e}"
+
+
+def test_rooted_tree_counts_follow_a000081():
+    assert [len(_trees(n)) for n in range(1, 9)] == [1, 1, 2, 4, 9, 20, 48, 115]
+    for n in range(1, 9):  # each tree once, in its one sorted form, of order n
+        assert len(set(_trees(n))) == len(_trees(n))
+        for t in _trees(n):
+            assert list(t) == sorted(t) and _order(t) == n
+
+
+def _order(tree) -> int:
+    return 1 + sum(map(_order, tree))
+
+
+def _hand_residuals(t: RKTableau) -> dict[int, float]:
+    """Worst residual per order 1..4 from the eight conditions written out by hand."""
+    s = t.stages
+    a, b, c = t.a, t.b, t.c
+    conditions = (
+        (1, 1.0, math.fsum(b)),
+        (2, 0.5, math.fsum(b[i] * c[i] for i in range(s))),
+        (3, 1.0 / 3.0, math.fsum(b[i] * c[i] ** 2 for i in range(s))),
+        (3, 1.0 / 6.0, math.fsum(b[i] * a[i][j] * c[j] for i in range(s) for j in range(i))),
+        (4, 0.25, math.fsum(b[i] * c[i] ** 3 for i in range(s))),
+        (4, 0.125, math.fsum(b[i] * c[i] * a[i][j] * c[j]
+                             for i in range(s) for j in range(i))),
+        (4, 1.0 / 12.0, math.fsum(b[i] * a[i][j] * c[j] ** 2
+                                  for i in range(s) for j in range(i))),
+        (4, 1.0 / 24.0, math.fsum(b[i] * a[i][j] * a[j][k] * c[k]
+                                  for i in range(s) for j in range(i) for k in range(j))),
+    )
+    worst: dict[int, float] = {}
+    for order, exact, got in conditions:
+        worst[order] = max(worst.get(order, 0.0), abs(got - exact))
+    return worst
+
+
+@pytest.mark.parametrize("t", [FEHLBERG7, RK4, HEUN, KUTTA3_SKEW], ids=lambda t: t.name)
+def test_recursion_matches_the_hand_written_conditions(t):
+    # declared through order 4 where the stages allow: kutta3-skew's order-4
+    # residuals are nonzero, so the comparison also covers failing rows
+    rows = order_condition_residuals(_declared(t, min(4, t.stages)))
+    hand = _hand_residuals(t)
+    assert [order for order, _, _ in rows] == list(range(1, min(4, t.stages) + 1))
+    for order, count, worst in rows:
+        assert count == [1, 1, 2, 4][order - 1]
+        assert worst == pytest.approx(hand[order], rel=1e-12, abs=1e-15), order
+    if t is KUTTA3_SKEW:
+        assert rows[3][2] > 1e-3
+
+
+@pytest.mark.parametrize("t,message", [
+    (_declared(FEHLBERG7, 8), "order-8 residual 1.837e-05 exceeds 1.0e-10"),
+    (_padded(RK4, 7, 7), "order-5 residual 1.250e-02 exceeds 1.0e-10"),
+    (_padded(RKTableau("euler", 1, ((),), (1.0,), (0.0,)), 3, 3),
+     "order-2 residual 5.000e-01 exceeds 1.0e-10"),
+], ids=["fehlberg7-as-8", "rk4-as-7", "euler-as-3"])
+def test_validate_rejects_the_first_failing_order(t, message):
+    with pytest.raises(ConfigError) as exc:
+        t.validate()
+    assert str(exc.value) == f"tableau '{t.name}': {message}"
+
+
+def test_validate_passes_every_method_of_its_declared_order():
+    for t in (FEHLBERG7, RK4, HEUN, KUTTA3_SKEW, _padded(RK4, 7, 4)):
+        t.validate()
+
+
+@pytest.mark.parametrize("stages,order", [
+    (0, 1), (1, 3), (4, 7), (2, 0), (MAX_ORDER + 1, MAX_ORDER + 1),
+])
+def test_declared_order_is_bounded_when_built(stages, order):
+    # an s-stage method has order at most s; MAX_ORDER bounds the trees checked
+    with pytest.raises(ConfigError) as exc:
+        RKTableau("t", order, tuple((0.0,) * i for i in range(stages)), (0.0,) * stages,
+                  (0.0,) * stages)
+    assert str(exc.value) == (f"tableau 't': order {order} outside "
+                              f"[1, min(stage count {stages}, {MAX_ORDER})]")
 
 
 def test_tableau_shape_validation():
@@ -112,6 +209,15 @@ def test_nodes_strictly_monotone():
     traj = integrate(lambda x, y: math.sin(x) * y, 5.0, 1.0, 1.0, 0.01)
     xs = [x for x, _ in traj.nodes]
     assert all(b < a for a, b in zip(xs, xs[1:]))
+
+
+@pytest.mark.parametrize("t", [FEHLBERG7, RK4], ids=lambda t: t.name)
+def test_empirical_order_gives_two_slopes_above_the_floor(t):
+    rows = empirical_order(t)
+    slopes = [s for _, _, s in rows if not math.isnan(s)]
+    assert len(slopes) >= 2
+    assert all(abs(s - t.order) <= 0.5 for s in slopes)
+    assert all(err > FLOOR_ULPS * math.ulp(math.e) for _, err, _ in rows)
 
 
 def test_empirical_order_is_seven():
@@ -270,12 +376,7 @@ def test_compiled_step_matches_a_dense_loop_bit_for_bit():
     rhs_cases = (lambda x, y: math.sin(x * y) - y * y,
                  lambda x, y: -0.0,
                  lambda x, y: math.copysign(y, x) if y < 1.0 else -0.0 * y)
-    tableaus = (
-        FEHLBERG7,
-        load_tableau(str(Path(__file__).parent / "data" / "rk4.tab")),
-        RKTableau(name="kutta3-skew", order=3, a=((), (0.5,), (-1.0, 2.0), (0.0, -0.0, 1.0)),
-                  b=(1 / 6, 2 / 3, 0.0, 1 / 6), c=(0.0, 0.5, 1.0, 1.0)),
-    )
+    tableaus = (FEHLBERG7, RK4, KUTTA3_SKEW)
     rng = random.Random(20231018)
     points = [(-0.0, -0.0), (0.0, 0.0), (-0.0, 0.75)]
     points += [(rng.uniform(-20.0, 20.0), rng.uniform(-2.0, 2.0)) for _ in range(20)]
