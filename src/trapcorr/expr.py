@@ -24,16 +24,19 @@ alone, the propagation truncated at order 1.  On a run's first use, the
 walk also writes the xi-ODE's right-hand side with the jet at xi inline
 (:func:`trapcorr.xi_ode.bind_rhs`), its errors at xi raised at x.  Literals
 are bound as values, so trees of one shape share their code through bounded
-caches.  Where only a derivative is undefined (``sqrt`` at 0), the value
-stands and the jet is rejected; the slope stands where only d2 or d3 is.
-Jets are exact to rounding; nothing differentiates numerically.
+caches, and a literal exponent's terms are computed once per bind.  The code
+drops a factor 1.0 (u * 1.0 == u for every double) but no term or factor 0.0
+(-0.0 + 0.0 is 0.0, inf * 0.0 is NaN).  Where only a derivative is undefined
+(``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
+where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates
+numerically.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache, partial, reduce
 from typing import NamedTuple, Union
 
 from ._value import Value
@@ -288,6 +291,11 @@ def _pow_value(u: float, r: float, x: float) -> float:
     return math.pow(u, r)
 
 
+def _undefined(exc: ArithmeticError | ValueError, x: float) -> DomainError:
+    kind = "overflow" if isinstance(exc, OverflowError) else "undefined"
+    return DomainError(f"{kind}: {exc}", x)
+
+
 #: per function: g; the statement setting g'(u) at u = {u0} as {g1}, then
 #: those setting g'' and g''' as {g2}, {g3}, given g(u) = {w0}; the least u
 #: in g's domain (ln and log10 need u > 0: the least positive float); and
@@ -310,6 +318,12 @@ _FUNCTIONS = {
 _CHAIN = ("{w1} = {g1} * {u1}",
           "{w2} = {g2} * {u1} * {u1} + {g1} * {u2}; "
           "{w3} = {g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
+#: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
+_POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, {x})"
+_TERMS = ("{m1} = {v0} - 1.0; {m2} = {v0} - 2.0; {m3} = {v0} - 3.0; ",
+          "{s2} = {v0} * ({m1}); {s3} = {s2} * ({m2})")
+#: the exact folds, once per emitted source, of x's d1, 1.0, where the rules multiply by it
+_ONES = ((" * 1.0 ** 3", ""), (" * 1.0", ""), ("= 1.0 * ", "= "))
 
 #: per node kind: its d0, its d1 and its d2-d3 statements, over the jets u
 #: (operand or left) and v (right), the result w, scratch g, s and the point x
@@ -324,15 +338,14 @@ _RULES = {
           "{w1} = ({u1} - {w0} * {v1}) / {v0}",
           "{w2} = ({u2} - {w0} * {v2} - 2.0 * {w1} * {v1}) / {v0}; "
           "{w3} = ({u3} - {w0} * {v3} - 3.0 * {w1} * {v2} - 3.0 * {w2} * {v1}) / {v0}"),
-    # u^r, r free of x
-    "^r": ("{w0} = 1.0 if {v0} == 0.0 else pow_value({u0}, {v0}, {x})",
-           "{g1} = {v0} * pow({u0}, {v0} - 1.0); " + _CHAIN[0],
-           "{s2} = {v0} * ({v0} - 1.0); {s3} = {s2} * ({v0} - 2.0); "
-           "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0); "
-           "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0); " + _CHAIN[1]),
+    # u^r, r free of x; r's _TERMS are bound once for a literal r, else inline per call
+    "^r": ("{w0} = 1.0 if {v0} == 0.0 else " + _POW,
+           "{g1} = {v0} * pow({u0}, {m1}); " + _CHAIN[0],
+           "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {m2}); "
+           "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {m3}); " + _CHAIN[1]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
-    "^v": ("{w0} = pow_value({u0}, {v0}, {x})",
+    "^v": ("{w0} = " + _POW,
            "{s0} = ln({u0}); {s1} = {v1} * {s0}; {w1} = {w0} * {s1}",
            "{s2} = {v2} * {s0}; {s3} = {v3} * {s0}; " + _CHAIN[1].format(
                g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}", u3="{s3}",
@@ -348,6 +361,7 @@ _RULES.update(
 #: the three evaluators of one tree shape, over its literals lit0, lit1, ...
 _SOURCE = """\
 def bind({literals}):
+    {bound}
     def jet(x):
 {jet}
         if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
@@ -375,6 +389,7 @@ def bind({literals}):
 #: which raises a DomainError of the jet at xi again at the sweep's x, naming xi
 _KERNEL = """\
 def bind({literals}a, g_a, x_side, F, guard):
+  {bound}
   def rhs(x, xi):
     if x == a:
         raise ValueError("xi_rhs is undefined at x == a")
@@ -399,18 +414,18 @@ _GUARDED = """\
         try:
 {body}
         except UNDEFINED as exc:
-            kind = "overflow" if isinstance(exc, OverflowError) else "undefined"
-            raise DomainError(f"{{kind}}: {{exc}}", {x}) from exc"""
+            raise undefined(exc, {x}) from exc"""
 
 #: what emitted code reads besides its locals: math's functions under
 #: their grammar names, math.pow as pow, and tuple.__new__ as new, which
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
-_NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, LN10=math.log(10.0),
-                  nan=math.nan, isfinite=math.isfinite, Jet3=Jet3, DomainError=DomainError,
-                  SingularDenominatorError=SingularDenominatorError, UNDEFINED=_UNDEFINED)
+_NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefined=_undefined,
+                  LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite, Jet3=Jet3,
+                  DomainError=DomainError, SingularDenominatorError=SingularDenominatorError,
+                  UNDEFINED=_UNDEFINED)
 
-_LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3")
+_LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3", "m1", "m2", "m3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
 
 
@@ -437,7 +452,7 @@ def _source(shape, template: str, x: str) -> str:
     statements alone, and the slope function its d0 and d1 statements:
     derivative statements never raise (an undefined derivative comes out
     NaN), so all three fail alike wherever the value does."""
-    value, slope, jet, literals = [], [], [], []
+    value, slope, jet, literals, bound = [], [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
         if shape == "x":
@@ -451,6 +466,11 @@ def _source(shape, template: str, x: str) -> str:
         f = {name: f"{name}_{n}" for name in _LOCALS}
         f.update(zip(_OPERANDS, operands), x=x)
         d0, d1, d23 = _RULES[kind]
+        if kind == "^r" and args[1] == "lit":
+            bound.append("".join(_TERMS).format(**f))
+        elif kind == "^r":
+            f.update({f"m{k}": f"{f['v0']} - {k}.0" for k in (1, 2, 3)})
+            d23 = f"{_TERMS[1]}; {d23}"
         value.append(d0.format(**f))
         for lines, body, names in ((slope, d1, "{w1}"),
                                    (jet, f"{d1}; {d23}", "{w1} = {w2} = {w3}")):
@@ -465,8 +485,9 @@ def _source(shape, template: str, x: str) -> str:
     guarded = {key: _GUARDED.format(x=x, body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
         for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
-    return template.format(literals="".join(name + ", " for name in literals),
-                           **guarded, **dict(zip(_LOCALS, w)))
+    return reduce(lambda source, fold: source.replace(*fold), _ONES, template.format(
+        literals="".join(name + ", " for name in literals), bound="; ".join(bound),
+        **guarded, **dict(zip(_LOCALS, w))))
 
 
 def _compiler(template: str, x: str):

@@ -15,7 +15,7 @@ from functools import lru_cache
 from operator import attrgetter, is_
 from typing import NamedTuple
 
-from . import rk
+from . import quadrature, rk
 from ._value import Value
 from .errors import (ConfigError, IoError, NoRootError,
                      SingularDenominatorError, phase)
@@ -156,7 +156,7 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     the first bracketing one down to ``BISECT_WIDTH``.  When |R| never
     exceeds ``root_tol`` the residual carries no information about xi
     (constant g'' already matching) and the midpoint is returned by
-    convention.
+    convention.  The scan stops once it has a bracket and some |R| > root_tol.
     """
     a = spec.a
     w = x - a
@@ -168,8 +168,15 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     def res(xi: float) -> float:
         return base - scale * eval_jet(spec.g, xi).d2
 
-    points, values = _scan(res, a, w)
-    if max(abs(v) for v in values) <= root_tol:
+    points, values, bracketed, informative = [], [], False, False
+    for i in range(SCAN_INTERVALS + 1):  # _scan's points, up to a cell that _brackets finds
+        points.append(a + w * i / SCAN_INTERVALS)
+        values.append(res(points[i]))
+        informative = informative or abs(values[i]) > root_tol
+        bracketed = bracketed or values[i] == 0.0 or i > 0 and values[i - 1] * values[i] < 0.0
+        if bracketed and informative:
+            break
+    if not informative:
         return a + 0.5 * w
     cells = _brackets(values)
     if not cells:
@@ -285,8 +292,9 @@ def run(spec: ProblemSpec, reference: bool = False,
                          reference=0.0 if reference else None,
                          residual=0.0 if residual else None)]
         values = []
+        f_a = quadrature.eval_value(spec.f_ast, spec.a)  # once per run, by the traced name
         for x, xi in nodes:
-            trap = trapezium(spec.f_ast, spec.a, x)
+            trap = trapezium(spec.f_ast, spec.a, x, f_a)
             err = unshift_error(error_term(spec, x, xi), spec.shift, spec.a, x)
             values.append((x, xi, trap, err, trap + err))
         column = (_reference_column(spec, [v[0] for v in values]) if reference

@@ -50,9 +50,9 @@ class ReferenceResult(NamedTuple):
     panels: int
 
 
-def trapezium(f: ExprAST, a: float, x: float) -> float:
-    """One-panel trapezium value (x-a)/2 * (f(a) + f(x))."""
-    return 0.5 * (x - a) * (eval_value(f, a) + eval_value(f, x))
+def trapezium(f: ExprAST, a: float, x: float, f_a: float | None = None) -> float:
+    """One-panel trapezium value (x-a)/2 * (f(a) + f(x)); ``f_a``, if given, is f(a)."""
+    return 0.5 * (x - a) * ((eval_value(f, a) if f_a is None else f_a) + eval_value(f, x))
 
 
 def composite_trapezium(f: ExprAST, a: float, b: float, n: int) -> float:

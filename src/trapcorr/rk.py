@@ -118,7 +118,8 @@ def _trees(n: int) -> tuple:
                                               for t in _trees(k) for u in _trees(n - k)}))
 
 
-def order_condition_residuals(t: RKTableau) -> list[tuple[int, int, float]]:
+@lru_cache(maxsize=16)  # one computation per tableau, for validate() and its printout
+def order_condition_residuals(t: RKTableau) -> tuple[tuple[int, int, float], ...]:
     """(order, tree count, worst |b . Phi(u) - 1/gamma(u)|) over the trees u of
     each order 1..``t.order``: zero rows for a method of the declared order."""
     rows = (*t.a, t.b)  # b as a last stage's row: its (A Phi(u)) is b . Phi(u)
@@ -132,9 +133,9 @@ def order_condition_residuals(t: RKTableau) -> list[tuple[int, int, float]]:
             order, gamma = order + v_order, gamma * v_gamma
         return [math.fsum(map(mul, row, phi)) for row in rows], order, gamma * order
 
-    return [(n, len(_trees(n)), max(abs(a_phi[-1] - 1.0 / gamma)
-                                    for a_phi, _, gamma in map(weights, _trees(n))))
-            for n in range(1, t.order + 1)]
+    return tuple((n, len(_trees(n)), max(abs(a_phi[-1] - 1.0 / gamma)
+                                         for a_phi, _, gamma in map(weights, _trees(n))))
+                 for n in range(1, t.order + 1))
 
 
 def _compile_step(rows: tuple, weights: tuple, c: tuple) -> Callable:

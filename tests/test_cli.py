@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from trapcorr import rk
 from trapcorr.cli import main
 from trapcorr.rk import FEHLBERG7, format_tableau
 
@@ -96,6 +97,17 @@ def test_tableau_check_prints_one_row_per_order(capsys):
         "3      2      0.000e+00\n"
         "4      4      0.000e+00\n"
         "OK\n")
+
+
+@pytest.mark.parametrize("argv", [["tableau-check", "--tableau", str(DATA / "rk4.tab")],
+                                  ["tableau-check"]])
+def test_tableau_check_computes_the_order_conditions_once(capsys, argv):
+    # a file is validated as it loads and again by the command, which then
+    # prints the same rows: each read after the first is a hit of the cache
+    rk.order_condition_residuals.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out.rstrip().endswith("OK")
+    assert rk.order_condition_residuals.cache_info().misses == 1
 
 
 def test_verbose_notes(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -359,3 +360,31 @@ def test_jets_and_values_match_the_recorded_evaluator():
         if value.startswith("DomainError") and slope != jet:
             mismatches.append((text, x, slope, jet))
     assert len(asts) == 69 and mismatches == []
+
+
+def _exponents(shape):
+    """The right operands of the ``^r`` nodes of a tree shape."""
+    if not isinstance(shape, tuple):
+        return []
+    own = [shape[2]] if shape[0] == "^r" else []
+    return own + [e for arg in shape[1:] for e in _exponents(arg)]
+
+
+def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
+    # x * 1.0 == x for every double, so no emitted source multiplies by 1.0;
+    # a literal exponent's r - 1, r - 2, r - 3 are computed once, in bind,
+    # and any other constant exponent's per call, as they always were
+    texts = {json.loads(line)[0] for line in GOLDEN_JETS.read_text().splitlines()}
+    ones = re.compile(r"\* 1\.0(?![\w.])|(?<![\w.])1\.0 \*")
+    counts = {"lit": 0, "other": 0}
+    for text in texts:
+        shape = expr._shape(parse(text), [])
+        kinds = {"lit" if e == "lit" else "other" for e in _exponents(shape)}
+        for template, x in ((expr._SOURCE, "x"), (expr._KERNEL, "xi")):
+            _, bind, per_call = expr._source(shape, template, x).split("def ", 2)
+            assert not ones.search(bind + per_call), text
+            assert ("lit" in kinds) == bool(re.search(r"= lit\d+ - 1\.0;", bind)), text
+            assert not re.search(r"lit\d+ - [123]\.0", per_call), text
+            assert ("other" in kinds) == bool(re.search(r"w0_\d+ - 1\.0\)", per_call)), text
+        counts.update({kind: counts[kind] + 1 for kind in kinds})
+    assert len(texts) == 69 and counts == {"lit": 15, "other": 6}

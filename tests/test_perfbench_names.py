@@ -46,9 +46,9 @@ def _counting(fn, layer, calls):
 # new abscissae (c = 1/6 twice, c = 1 the next step's c = 0), and each
 # sweep's first step once more, at x0.
 @pytest.mark.parametrize("residual,expected", [
-    (False, {"expr.eval_jet": 11385, "expr.eval_jet by name": 1496, "expr.eval_slope": 8093,
-             "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1931}),
-    (True, {"expr.eval_value": 10023}),
+    (False, {"expr.eval_jet": 11261, "expr.eval_jet by name": 1372, "expr.eval_slope": 8093,
+             "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
+    (True, {"expr.eval_value": 9124}),
 ])
 def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does

@@ -11,7 +11,7 @@ from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
 from trapcorr.errors import phase
 from trapcorr.pipeline import CSV_HEADER, CurveRow, ErrorCurve, in_interval_xi
 
-from conftest import sin_spec
+from conftest import exotic_spec, sin_spec
 
 
 # ------------------------------------------------------------ validation
@@ -91,6 +91,87 @@ def test_solve_xi0_stamps_init_phase_on_failure():
     with pytest.raises(Exception) as exc:
         solve_xi0(spec)
     assert exc.value.phase == "init"
+
+
+def _full_scan_xi_at(spec, x, i_ref, root_tol):
+    """The bootstrap with the scan run to its end: R at every scan point, the
+    midpoint when no |R| exceeds root_tol, else the root in cells[0]."""
+    a, w = spec.a, x - spec.a
+    base = trapezium(spec.g, a, x) - i_ref
+    scale = w ** 3 / 12.0
+
+    def res(xi):
+        return base - scale * eval_jet(spec.g, xi).d2
+
+    points, values = pipeline._scan(res, a, w)
+    if max(abs(v) for v in values) <= root_tol:
+        return a + 0.5 * w
+    cells = pipeline._brackets(values)
+    if not cells:
+        at = points[min(range(len(values)), key=lambda i: abs(values[i]))]
+        raise NoRootError("no sign change of the bootstrap residual in (a, x0)",
+                          min_abs_residual=min(abs(v) for v in values), at=at)
+    xi0 = pipeline._root(res, points, values, cells[0])
+    achieved = abs(res(xi0))
+    if achieved > root_tol:
+        floor = scale * abs(eval_jet(spec.g, xi0).d3) * math.ulp(xi0)
+        why = (f", above the root tolerance {root_tol!r}, sits at xi's float-resolution floor "
+               f"{floor!r}; a root tolerance above that floor can be met" if achieved <= floor
+               else f" still exceeds the root tolerance {root_tol!r}")
+        raise NoRootError(f"bisection converged but the residual {achieved!r}{why}",
+                          min_abs_residual=achieved, at=xi0)
+    return xi0
+
+
+def _outcome(solve, *args):
+    """A solve's result in hex, or its NoRootError's message and fields."""
+    try:
+        return solve(*args).hex()
+    except NoRootError as exc:
+        return str(exc), exc.min_abs_residual.hex(), exc.at.hex()
+
+
+def _bootstrap(spec):
+    return (spec, spec.x0, reference_integral(spec.g, spec.a, spec.x0, spec.ref_tol).value,
+            spec.root_tol)
+
+
+@pytest.mark.parametrize("spec", [
+    sin_spec(),
+    exotic_spec(),
+    exotic_spec(root_tol=1e-12),  # bisection converges above the tolerance
+    sin_spec(shift=2.0),
+    sin_spec(shift=-2.0),
+    ProblemSpec.from_text("x^2", 0.0, 4.0, x0=2.0, h=0.01),  # the midpoint convention
+    ProblemSpec.from_text("sin(8*x)", 1.0, 30.0, h=0.01),  # no root within the tolerance
+    sin_spec(a=1000.0, b=1009.0, x0=1004.5, shift=2.0),  # at xi's float-resolution floor
+], ids=["sin", "exotic", "exotic-tight", "sin-shift+2", "sin-shift-2", "x^2", "sin(8x)",
+        "floor"])
+def test_early_stopping_scan_matches_the_full_scan(spec):
+    expected = _outcome(_full_scan_xi_at, *_bootstrap(spec))
+    assert _outcome(solve_xi0, spec) == expected
+
+
+def test_early_stopping_scan_matches_the_full_scan_without_a_sign_change():
+    spec, x, i_ref, root_tol = _bootstrap(sin_spec())
+    expected = _outcome(_full_scan_xi_at, spec, x, i_ref + 6.0, root_tol)
+    assert "no sign change" in expected[0]
+    assert _outcome(solve_xi_at, spec, x, i_ref + 6.0, root_tol) == expected
+
+
+def test_scan_stops_before_a_jet_failure_past_its_first_bracket():
+    # g''' of (x*x)^1.25 is infinite at 0, scan point 128 of (-1, 1); the first
+    # bracket is cell 86, so the scan stops before it and the root stands
+    spec = ProblemSpec.from_text("(x*x)^1.25", -1.0, 2.0, x0=1.0, h=0.01)
+    with pytest.raises(DomainError, match="at x=0.0"):
+        _full_scan_xi_at(*_bootstrap(spec))
+    _, x, i_ref, root_tol = _bootstrap(spec)
+    xi0 = solve_xi0(spec)
+    points = [spec.a + (x - spec.a) * i / pipeline.SCAN_INTERVALS for i in (86, 87)]
+    assert points[0] < xi0 < points[1]
+    residual = (trapezium(spec.g, spec.a, x) - i_ref
+                - (x - spec.a) ** 3 / 12.0 * eval_jet(spec.g, xi0).d2)
+    assert abs(residual) <= root_tol
 
 
 def test_phase_keeps_the_innermost_tag():

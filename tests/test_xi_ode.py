@@ -8,6 +8,8 @@ from trapcorr import (DomainError, ProblemSpec, SingularDenominatorError,
                       run, unshift_error, xi_ode, xi_rhs)
 from trapcorr import pipeline
 
+from conftest import exotic_spec
+
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
 
@@ -85,9 +87,13 @@ def _stage_calls(spec):
     return calls
 
 
-@pytest.mark.parametrize("shift", [0.0, 2.0])
-def test_memo_gives_the_slope_a_cold_evaluation_gives(shift):
-    spec = sin_problem(x0=5.0, h=0.01, shift=shift)
+@pytest.mark.parametrize("spec", [
+    pytest.param(sin_problem(x0=5.0, h=0.01), id="0.0"),
+    pytest.param(sin_problem(x0=5.0, h=0.01, shift=2.0), id="2.0"),
+    # the kernel's power rule (x^2) against the composition of eval_jet
+    pytest.param(exotic_spec(), id="exotic"),
+])
+def test_memo_gives_the_slope_a_cold_evaluation_gives(spec):
     calls = _stage_calls(spec)
     assert len(calls) == 9889
     for x, xi, warm in calls:
