@@ -20,9 +20,9 @@ one walk of its shape (source transformation: Griewank & Walther,
 first three derivatives at a point (a :class:`Jet3`) by the sum,
 product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
-alone, the propagation truncated at order 1.  On a run's first use, the
-walk also writes the xi-ODE's right-hand side with the jet at xi inline
-(:func:`trapcorr.xi_ode.bind_rhs`), its errors at xi raised at x.  Literals
+alone, the propagation truncated at order 1.  The walk also writes a stage
+of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as
+its rhs and into every stage of the sweep's step by a tableau.  Literals
 are bound as values, so trees of one shape share their code through bounded
 caches, and a literal exponent's terms are computed once per bind.  The code
 drops a factor 1.0 (u * 1.0 == u for every double) but no term or factor 0.0
@@ -41,6 +41,7 @@ from typing import NamedTuple, Union
 
 from ._value import Value
 from .errors import DomainError, SingularDenominatorError, SyntaxError_, UnknownIdentifierError
+from .rk import step_source
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
@@ -67,12 +68,11 @@ class _Node(Value):
         literals = []
         return _factory(_shape(self, literals))(*literals)
 
-    @cached_property
-    def _kernel(self):
-        """``kernel(a, g_a, x_side, F, guard)`` -> the xi-ODE's ``rhs(x, xi)`` over this
-        tree, its code compiled per shape on first use into a cache of its own."""
+    def _xi(self, tableau=None):
+        """``bind(a, g_a, slope, F, guard, d2)`` -> the xi-ODE's ``rhs(x, xi)``, or its
+        sweep's ``step(x, y, h)`` by ``tableau``, compiled per (shape, tableau)."""
         literals = []
-        return partial(_kernel_factory(_shape(self, literals)), *literals)
+        return partial(_xi_factory(_shape(self, literals), tableau), *literals)
 
 
 class Num(_Node):
@@ -296,6 +296,11 @@ def _undefined(exc: ArithmeticError | ValueError, x: float) -> DomainError:
     return DomainError(f"{kind}: {exc}", x)
 
 
+def _at_x(what: str, xi: float, x: float) -> DomainError:
+    """The error ``what`` of the jet at ``xi``, located at the sweep's ``x`` instead, naming xi."""
+    return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
+
+
 #: per function: g; the statement setting g'(u) at u = {u0} as {g1}, then
 #: those setting g'' and g''' as {g2}, {g3}, given g(u) = {w0}; the least u
 #: in g's domain (ln and log10 need u > 0: the least positive float); and
@@ -383,30 +388,31 @@ def bind({literals}):
     return jet, value, slope
 """
 
-#: xi's slope over g, bound per run: g and g' at x from the run's memo, the jet
-#: at xi inline, its finiteness checks, the guard on t^3 g'''(xi), the numerator.
-#: The jet's guarded block keeps the evaluators' depth inside a try of its own,
-#: which raises a DomainError of the jet at xi again at the sweep's x, naming xi
-_KERNEL = """\
-def bind({literals}a, g_a, x_side, F, guard):
-  {bound}
-  def rhs(x, xi):
-    if x == a:
-        raise ValueError("xi_rhs is undefined at x == a")
-    t = x - a
-    g_x, dg_x = x_side(x)
-    try:
+#: xi's slope {k} at (x_s, xi_s) from g, g' at x_s ({x_side}) and the jet at xi_s, whose
+#: try keeps the evaluators' depth and raises its DomainError again at x_s, naming xi_s
+_STAGE = """\
+if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
+t = x_s - a
+{x_side}
+try:
 {jet}
-    except DomainError as exc:
-        what = exc.args[0].removesuffix(f" at x={{xi!r}}")
-        raise DomainError(f"{{what}} for xi={{xi!r}}", x) from exc.__cause__
-    if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
-        den = t ** 3 * {w3}
-        if abs(den) < guard * (1.0 + abs(t) ** 3):
-            raise SingularDenominatorError(x, xi, den)
-        return (F * g_x + 6.0 * g_a + 6.0 * t * dg_x - 3.0 * t * t * {w2}) / den
-    raise DomainError(f"non-finite jet component for xi={{xi!r}}", x)
-  return rhs
+except DomainError as exc:
+    raise at_x(exc.args[0], xi_s, x_s) from exc.__cause__
+if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
+    raise at_x("non-finite jet component", xi_s, x_s)
+den = t ** 3 * {w3}
+if abs(den) < guard * (1.0 + abs(t) ** 3): raise SingularDenominatorError(x_s, xi_s, den)
+{k} = (F * {g} + 6.0 * g_a + 6.0 * t * {dg} - 3.0 * t * t * {w2}) / den"""
+
+#: the xi-ODE, bound per run: rhs(x_s, xi_s), one stage, or the sweep's step(x, y, h)
+_XI = """\
+def bind({names}{literals}a, g_a, slope, F, guard, d2):
+    {bound}
+    carry_x, carry = nan, None
+    def xi_ode({params}):
+        nonlocal carry_x, carry
+{stages}
+    return xi_ode
 """
 
 #: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {x}
@@ -421,15 +427,15 @@ _GUARDED = """\
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
 _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefined=_undefined,
-                  LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite, Jet3=Jet3,
-                  DomainError=DomainError, SingularDenominatorError=SingularDenominatorError,
-                  UNDEFINED=_UNDEFINED)
+                  at_x=_at_x, LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite,
+                  Jet3=Jet3, DomainError=DomainError,
+                  SingularDenominatorError=SingularDenominatorError, UNDEFINED=_UNDEFINED)
 
 _LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3", "m1", "m2", "m3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
 
 
-def _shape(node: ExprAST, literals: list):
+def _shape(node: ExprAST, literals: list, exponent: bool = False):
     """``node`` as nested tuples of node kinds, with each literal replaced
     by "lit" and its value appended to ``literals``: all that its emitted
     source depends on."""
@@ -439,19 +445,22 @@ def _shape(node: ExprAST, literals: list):
         literals.append(node.value if isinstance(node, Num) else CONSTANTS[node.name])
         return "lit"
     if isinstance(node, Neg):
-        return "neg", _shape(node.arg, literals)
+        arg = _shape(node.arg, literals)
+        if exponent and arg == "lit":  # as a literal: ^r reads no d1 (elsewhere -0.0, not 0.0)
+            literals[-1] = -literals[-1]
+            return arg
+        return "neg", arg
     if isinstance(node, Call):
         return node.func, _shape(node.arg, literals)
     kind = node.op if node.op != "^" else "^v" if contains_var(node.right) else "^r"
-    return kind, _shape(node.left, literals), _shape(node.right, literals)
+    return kind, _shape(node.left, literals), _shape(node.right, literals, kind == "^r")
 
 
-def _source(shape, template: str, x: str) -> str:
-    """Straight-line source of ``template`` for one tree shape, its statements
-    over the point named ``x``.  The value function runs the jet's d0
-    statements alone, and the slope function its d0 and d1 statements:
-    derivative statements never raise (an undefined derivative comes out
-    NaN), so all three fail alike wherever the value does."""
+def _emit(shape, x: str) -> dict:
+    """One tree shape's literal names, once-per-bind statements, d0..d3 names and
+    value, slope and jet blocks at ``x``: the d0 statements, then the d1, then all.
+    Derivative statements never raise (an undefined one comes out NaN), so all
+    three fail alike wherever the value does."""
     value, slope, jet, literals, bound = [], [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -482,26 +491,53 @@ def _source(shape, template: str, x: str) -> str:
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)
-    guarded = {key: _GUARDED.format(x=x, body="\n".join(
+    blocks = {key: _GUARDED.format(x=x, body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
         for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
-    return reduce(lambda source, fold: source.replace(*fold), _ONES, template.format(
-        literals="".join(name + ", " for name in literals), bound="; ".join(bound),
-        **guarded, **dict(zip(_LOCALS, w))))
+    return dict(blocks, literals="".join(name + ", " for name in literals),
+                bound="; ".join(bound), **dict(zip(_LOCALS, w)))
 
 
-def _compiler(template: str, x: str):
-    """A bounded cache of ``template``'s ``bind`` per tree shape."""
-    @lru_cache(maxsize=256)
-    def factory(shape):
-        namespace = dict(_NAMESPACE)
-        exec(compile(_source(shape, template, x), "<trapcorr.expr emitted>", "exec"), namespace)
-        return namespace["bind"]
-    return factory
+def _source(shape, tableau=None, xi: bool = False) -> tuple[str, list]:
+    """One shape's evaluators, or with ``xi`` its xi-ODE rhs or, by a ``tableau``, its
+    sweep's step, which reads (g, g') once per node c, carries a node c = 1's into the
+    next step's c = 0 at an equal abscissa and records stage 0's g''(xi) in d2."""
+    fields, names, values = _emit(shape, "xi_s" if xi else "x"), [], []
+    stage = partial(_STAGE.format, **fields)
+    if not xi:
+        source = _SOURCE.format(**fields)
+    elif tableau is None:
+        params, body = "x_s, xi_s", stage(x_side="g, dg = slope(x_s)", g="g", dg="dg", k="k")
+        body += "\nreturn k"
+    else:
+        c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
+
+        def step_stage(i, yi):
+            n = nodes.index(nodes[i])  # the node's first stage
+            read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
+                    "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
+            x_side = f"g{n}, dg{n} = {read}" if n == i else ""
+            return (f"x_s = x + c{i} * h\nxi_s = {yi}\n"
+                    + stage(x_side=x_side, g=f"g{n}", dg=f"dg{n}", k=f"k{i}")
+                    + (f"\nd2[x] = {fields['w2']}" if i == 0 and c[0] == 0.0 else ""))
+        params, (names, values, body) = "x, y, h", step_source(tableau, step_stage)
+    if xi:  # the stages at the body's indent
+        source = _XI.format(names="".join(name + ", " for name in names), params=params,
+                            stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields)
+    return reduce(lambda source, fold: source.replace(*fold), _ONES, source), values
 
 
-_factory = _compiler(_SOURCE, "x")
-_kernel_factory = _compiler(_KERNEL, "xi")
+def _compiled(shape, tableau=None, xi: bool = False):
+    """``bind`` of :func:`_source`'s code, the tableau's coefficients bound."""
+    source, values = _source(shape, tableau, xi)
+    namespace = dict(_NAMESPACE)
+    exec(compile(source, "<trapcorr.expr emitted>", "exec"), namespace)
+    return partial(namespace["bind"], *values)
+
+
+#: bounded caches of the evaluators per shape, and of the xi-ODE per (shape, tableau)
+_factory = lru_cache(maxsize=256)(_compiled)
+_xi_factory = lru_cache(maxsize=256)(partial(_compiled, xi=True))
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:

@@ -22,7 +22,7 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
 from .quadrature import reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import bind_rhs, error_term, suggest_shift, unshift_error, x_side
+from .xi_ode import bind_step, error_term, suggest_shift, unshift_error
 from .xi_ode import xi_rhs  # noqa: F401  perfbench/tracer.py patches pipeline.xi_rhs by name
 
 __all__ = [
@@ -44,8 +44,8 @@ BISECT_WIDTH = 1e-14
 
 class ProblemSpec(Value):
     """Everything one corrected-quadrature run needs, with g = f + shift*(x-a)^3/6
-    (the integrand actually differentiated), g(a) = f(a) and :func:`x_side` built
-    once.  ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
+    (the integrand actually differentiated) and g(a) = f(a) built once.
+    ``x0=None`` seeds the bootstrap at the midpoint of [a, b]."""
 
     f_text: str
     f_ast: ExprAST
@@ -82,7 +82,6 @@ class ProblemSpec(Value):
             raise ConfigError(f"root tolerance must be positive, got {self.root_tol!r}")
         object.__setattr__(self, "g", shift_by_cubic(self.f_ast, self.shift, self.a))
         object.__setattr__(self, "g_at_a", eval_jet(self.g, self.a).d0)
-        object.__setattr__(self, "x_side", x_side(self.g, self.tableau.stages))
 
     @classmethod
     def from_text(cls, f_text: str, a: float, b: float, x0: float | None = None,
@@ -270,15 +269,15 @@ def run(spec: ProblemSpec, reference: bool = False,
     t_start = time.perf_counter()
     reference = reference or residual
     xi0 = solve_xi0(spec)
-    rhs = bind_rhs(spec)
+    step, d2 = bind_step(spec)
     rev_target = spec.a + spec.h
     with phase("ode"):
         try:
-            forward = rk.integrate(rhs, spec.x0, xi0, spec.b, spec.h,
-                                   spec.tableau, _keep_in_interval(spec, xi0))
+            forward = rk.integrate(step, spec.x0, xi0, spec.b, spec.h,
+                                   None, _keep_in_interval(spec, xi0))
             if rev_target < spec.x0:
-                reverse = rk.integrate(rhs, spec.x0, xi0, rev_target, spec.h,
-                                       spec.tableau, _keep_in_interval(spec, xi0))
+                reverse = rk.integrate(step, spec.x0, xi0, rev_target, spec.h,
+                                       None, _keep_in_interval(spec, xi0))
                 nodes = list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
             else:
                 nodes = list(forward.nodes)
@@ -295,7 +294,7 @@ def run(spec: ProblemSpec, reference: bool = False,
         f_a = quadrature.eval_value(spec.f_ast, spec.a)  # once per run, by the traced name
         for x, xi in nodes:
             trap = trapezium(spec.f_ast, spec.a, x, f_a)
-            err = unshift_error(error_term(spec, x, xi), spec.shift, spec.a, x)
+            err = unshift_error(error_term(spec, x, xi, d2.get(x)), spec.shift, spec.a, x)
             values.append((x, xi, trap, err, trap + err))
         column = (_reference_column(spec, [v[0] for v in values]) if reference
                   else [None] * len(values))

@@ -10,7 +10,8 @@ falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
 reverse trajectories reuse the same kernel.  Each tableau compiles, once,
 on first use, to one straight-line step function over its nonzero
 entries, in index order, with the coefficients bound as values; the
-function is left out of a pickled tableau.
+function is left out of a pickled tableau.  The xi-ODE's sweep writes its
+stages into the same step (:func:`step_source`).
 
 A declared order p, at most the stage count and ``MAX_ORDER``, is checked by
 Butcher's condition b . Phi(t) = 1/gamma(t) for each rooted tree t of order up
@@ -85,7 +86,12 @@ class RKTableau(Value):
     @cached_property
     def step(self) -> Callable[[Rhs, float, float, float], float]:
         """``step(rhs, x, y, h)``: one step of this method, straight-line code."""
-        return _compile_step(*self.nonzero, self.c)
+        names, values, body = step_source(self)
+        source = (f"def bind({', '.join(names)}):\n    def step(rhs, x, y, h):\n        "
+                  + body.replace("\n", "\n        ") + "\n    return step\n")
+        namespace: dict = {}
+        exec(compile(source, "<trapcorr.rk emitted>", "exec"), namespace)
+        return namespace["bind"](*values)
 
     def row_sum_defect(self) -> float:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
@@ -138,13 +144,15 @@ def order_condition_residuals(t: RKTableau) -> tuple[tuple[int, int, float], ...
                  for n in range(1, t.order + 1))
 
 
-def _compile_step(rows: tuple, weights: tuple, c: tuple) -> Callable:
-    """Emit and compile the step function of one tableau.  Stage i reads
-    k_i = rhs(x + c_i h, y + h a_ij k_j + ...) and the step returns
-    y + h (0.0 + b_i k_i + ...), summed left to right over the nonzero
-    entries: the operations, and so the roundings, of a loop over them."""
+def step_source(t: RKTableau, stage: Callable[[int, str], str] | None = None) -> tuple:
+    """(names, values, body) of one step of ``t`` from (x, y) by h: its nonzero
+    coefficients and its statements.  Stage i sets k_i at x + c_i h and
+    y + h a_ij k_j + ... by the source ``stage(i, y_i)``, by default k_i = rhs(...),
+    and the step returns y + h (0.0 + b_i k_i + ...), summed left to right over
+    the nonzero entries: the operations, and so the roundings, of a loop over them."""
+    rows, weights = t.nonzero
     names, values, stages = [], [], []
-    for i, (row, ci) in enumerate(zip(rows, c)):
+    for i, (row, ci) in enumerate(zip(rows, t.c)):
         names.append(f"c{i}")
         values.append(ci)
         yi = "y"
@@ -152,17 +160,13 @@ def _compile_step(rows: tuple, weights: tuple, c: tuple) -> Callable:
             names.append(f"a{i}_{j}")
             values.append(a)
             yi += f" + h * a{i}_{j} * k{j}"
-        stages.append(f"        k{i} = rhs(x + c{i} * h, {yi})\n")
+        stages.append(stage(i, yi) if stage else f"k{i} = rhs(x + c{i} * h, {yi})")
     acc = "0.0"
     for i, b in weights:
         names.append(f"b{i}")
         values.append(b)
         acc += f" + b{i} * k{i}"
-    source = (f"def bind({', '.join(names)}):\n    def step(rhs, x, y, h):\n"
-              f"{''.join(stages)}        return y + h * ({acc})\n    return step\n")
-    namespace: dict = {}
-    exec(compile(source, "<trapcorr.rk emitted>", "exec"), namespace)
-    return namespace["bind"](*values)
+    return names, values, "\n".join(stages + [f"return y + h * ({acc})"])
 
 
 def _fehlberg7() -> RKTableau:
@@ -202,15 +206,16 @@ class Trajectory(NamedTuple):
 
 
 def rk_step(rhs: Rhs, x: float, y: float, h: float,
-            tableau: RKTableau = FEHLBERG7) -> float:
-    """Advance one explicit RK step of signed size ``h`` from (x, y)."""
+            tableau: RKTableau | None = FEHLBERG7) -> float:
+    """Advance one explicit RK step of signed size ``h`` from (x, y).  With
+    ``tableau=None``, ``rhs`` is a step fused with its method, ``rhs(x, y, h)``."""
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
-    return tableau.step(rhs, x, y, h)
+    return rhs(x, y, h) if tableau is None else tableau.step(rhs, x, y, h)
 
 
 def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
-              tableau: RKTableau = FEHLBERG7,
+              tableau: RKTableau | None = FEHLBERG7,
               on_node: Rhs | None = None) -> Trajectory:
     """Fixed steps of magnitude ``h_mag`` from (x0, y0) toward ``x_end``.
 

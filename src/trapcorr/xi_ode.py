@@ -12,7 +12,7 @@ with respect to x and solving for xi'(x) gives
 
 The -6 coefficient on f(x) is fixed by that derivation and is gated by a
 residual test on the identity itself (see the pipeline test suite);
-:func:`bind_rhs` reads it from the module constant ``F_COEFFICIENT``, so
+:func:`xi_rhs` and :func:`bind_step` read it from the module constant ``F_COEFFICIENT``, so
 tests can patch in a wrong value and show that it destroys the residual.
 
 When f''' comes close to zero the denominator degenerates.  Working with
@@ -26,7 +26,6 @@ which builds g and g(a) once.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import DomainError
@@ -35,7 +34,7 @@ from .expr import ExprAST, eval_jet
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
 
-__all__ = ["bind_rhs", "xi_rhs", "x_side", "error_term", "unshift_error", "suggest_shift"]
+__all__ = ["bind_step", "xi_rhs", "error_term", "unshift_error", "suggest_shift"]
 
 #: |denominator| guard threshold scale: singular below eps * (1 + |x-a|^3)
 DEFAULT_DEN_GUARD = 1e-8
@@ -44,17 +43,16 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
-def x_side(g: ExprAST, stages: int):
-    """g(x) and g'(x), evaluated once per exact abscissa (0.0 and -0.0 are one)
-    while it is among the last ``stages`` used: stages of one RK step may share
-    an abscissa, and a step's last is often the next step's first."""
-    return lru_cache(maxsize=stages)(g._evaluators[2])  # the emitted (g, g') at x
+def _bind(p: ProblemSpec, tableau, d2=None):  # F_COEFFICIENT and the guard as they read now
+    return p.g._xi(tableau)(p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT,
+                            DEFAULT_DEN_GUARD, d2)
 
 
-def bind_rhs(p: ProblemSpec):
-    """:func:`xi_rhs` over ``p`` as ``rhs(x, xi)``: g's emitted kernel, bound to a, g(a),
-    ``p.x_side`` and the current ``F_COEFFICIENT`` and ``DEFAULT_DEN_GUARD``."""
-    return p.g._kernel(p.a, p.g_at_a, p.x_side, F_COEFFICIENT, DEFAULT_DEN_GUARD)
+def bind_step(p: ProblemSpec):
+    """``(step, d2)``: the sweep's ``step(x, y, h)``, :func:`xi_rhs` in each stage, and
+    the dict of g''(y) each step records under its x.  Per run: it holds run state."""
+    d2 = {}
+    return _bind(p, p.tableau, d2), d2
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -63,21 +61,23 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     Requires x != a (the defining identity is 0 = 0 there) and a
     denominator above the guard threshold; raises
     :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
-    alone (``p.x_side``), so it is defined where only g'' or g''' is not.
+    alone, so it is defined where only g'' or g''' is not.
     A :class:`DomainError` of the jet at xi is raised at x, naming xi.
     """
-    return bind_rhs(p)(x, xi)
+    return _bind(p, None)(x, xi)
 
 
-def error_term(p: ProblemSpec, x: float, xi: float) -> float:
-    """Trapezium error term -(x-a)^3/12 * g''(xi).
+def error_term(p: ProblemSpec, x: float, xi: float, d2: float | None = None) -> float:
+    """Trapezium error term -(x-a)^3/12 * g''(xi), g''(xi) given as ``d2`` or evaluated.
 
     Adding this to the one-panel trapezium value reproduces the integral
     of g exactly when xi is the true mean-value point.
     """
     if x == p.a:
         return 0.0
-    return -((x - p.a) ** 3) / 12.0 * eval_jet(p.g, xi).d2
+    if d2 is None:
+        d2 = eval_jet(p.g, xi).d2
+    return -((x - p.a) ** 3) / 12.0 * d2
 
 
 def unshift_error(shifted_error: float, d: float, a: float, x: float) -> float:

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapcorr import (DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
+from trapcorr import (FEHLBERG7, DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
                       eval_jet, eval_value, parse)
 from trapcorr import expr
 from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_slope
@@ -48,24 +48,34 @@ def test_trees_of_one_shape_share_compiled_code():
     assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
-    # and one xi-ODE kernel, bound to each tree's literals
-    assert two._kernel.func is three._kernel.func
-    assert (two._kernel.args, three._kernel.args) == ((2.0,), (3.0,))
+    # and one xi-ODE rhs, and one sweep step per tableau, bound to each tree's literals
+    assert two._xi().func is three._xi().func
+    assert (two._xi().args, three._xi().args) == ((2.0,), (3.0,))
+    step_two, step_three = two._xi(FEHLBERG7), three._xi(FEHLBERG7)
+    assert step_two.func is step_three.func and step_two.func is not two._xi().func
+    assert (step_two.args[-1], step_three.args[-1]) == (2.0, 3.0)
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
     assert eval_jet(three, 0.5).d0 == math.sin(1.5)
 
 
+def _emitted(shape):
+    """Every source emitted for one tree shape: evaluators, xi's rhs, a sweep step."""
+    return [expr._source(shape, tableau, xi)[0]
+            for tableau, xi in ((None, False), (None, True), (FEHLBERG7, True))]
+
+
 def test_compiled_code_cache_is_bounded():
     assert isinstance(expr._factory.cache_info().maxsize, int)
+    assert isinstance(expr._xi_factory.cache_info().maxsize, int)
 
 
 def test_literals_are_bound_values_not_source_text():
     literals = []
     shape = expr._shape(parse("x*123456.5"), literals)
     assert literals == [123456.5]
-    for template, x in ((expr._SOURCE, "x"), (expr._KERNEL, "xi")):
-        assert "123456.5" not in expr._source(shape, template, x)
+    for source in _emitted(shape):
+        assert "123456.5" not in source
 
 
 def test_evaluated_tree_pickles_and_compares_as_before():
@@ -372,19 +382,19 @@ def _exponents(shape):
 
 def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
     # x * 1.0 == x for every double, so no emitted source multiplies by 1.0;
-    # a literal exponent's r - 1, r - 2, r - 3 are computed once, in bind,
-    # and any other constant exponent's per call, as they always were
+    # a literal exponent's r - 1, r - 2, r - 3 are computed once, in bind, a
+    # negated literal's too (x^-1), and any other constant exponent's per call
     texts = {json.loads(line)[0] for line in GOLDEN_JETS.read_text().splitlines()}
     ones = re.compile(r"\* 1\.0(?![\w.])|(?<![\w.])1\.0 \*")
     counts = {"lit": 0, "other": 0}
     for text in texts:
         shape = expr._shape(parse(text), [])
         kinds = {"lit" if e == "lit" else "other" for e in _exponents(shape)}
-        for template, x in ((expr._SOURCE, "x"), (expr._KERNEL, "xi")):
-            _, bind, per_call = expr._source(shape, template, x).split("def ", 2)
+        for source in _emitted(shape):
+            _, bind, per_call = source.split("def ", 2)
             assert not ones.search(bind + per_call), text
             assert ("lit" in kinds) == bool(re.search(r"= lit\d+ - 1\.0;", bind)), text
             assert not re.search(r"lit\d+ - [123]\.0", per_call), text
             assert ("other" in kinds) == bool(re.search(r"w0_\d+ - 1\.0\)", per_call)), text
         counts.update({kind: counts[kind] + 1 for kind in kinds})
-    assert len(texts) == 69 and counts == {"lit": 15, "other": 6}
+    assert len(texts) == 69 and counts == {"lit": 18, "other": 3}

@@ -3,8 +3,8 @@ module globals by name.  A refactor that drops or renames one of them
 breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
 and checks every name it patches.  The second counts one pinned run's
-calls through those names and, for the sweep's kernel that the tracer
-misses, through the counters of its x-side memo."""
+calls through those names and, for the sweep's step that the tracer sees
+only as ``rk_step``, through the slope the run binds into it."""
 
 import importlib
 import runpy
@@ -38,15 +38,17 @@ def _counting(fn, layer, calls):
 # The work of one run is deterministic.  Counting through the names the
 # tracer patches also proves that every evaluation outside the sweep crosses
 # a counted name: an evaluator reached some other way would drop out of
-# these counts.  The sweep's rhs is one emitted kernel per integrand shape,
-# which the tracer's names do not see; it looks up g and g' at x in the
-# spec's memo once per call, so the memo's own counters count it: one call
-# per lookup, one order-1 evaluation per miss, and one jet at xi, inline,
-# per call.  Each of the 899 steps evaluates g and g' once at each of its 9
-# new abscissae (c = 1/6 twice, c = 1 the next step's c = 0), and each
-# sweep's first step once more, at x0.
+# these counts.  The sweep's step is emitted per integrand shape and
+# tableau, its 11 stages inline, each with one jet at xi: the tracer sees it
+# as rk_step alone.  It reads g and g' at x through g's slope function, bound
+# once per run, so a wrapper around that function counts the order-1
+# evaluations.  Each of the 899 steps evaluates g and g' once at each of its
+# 9 new abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0),
+# and each sweep's first step once more, at x0.  The curve takes g''(xi) from
+# stage 0 of the step leaving each node: the 2 nodes that end a sweep are
+# the curve's only jets.
 @pytest.mark.parametrize("residual,expected", [
-    (False, {"expr.eval_jet": 11261, "expr.eval_jet by name": 1372, "expr.eval_slope": 8093,
+    (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "expr.eval_slope": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
     (True, {"expr.eval_value": 9124}),
 ])
@@ -56,10 +58,11 @@ def test_pinned_work_counts(monkeypatch, residual, expected):
     for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
+    jet, value, slope = spec.g._evaluators
+    monkeypatch.setitem(vars(spec.g), "_evaluators",
+                        (jet, value, _counting(slope, "expr.eval_slope", calls)))
     pipeline.run(spec, residual=residual)
-    memo = spec.x_side.cache_info()
     calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
-    calls["xi_ode.xi_rhs"] = memo.hits + memo.misses
-    calls["expr.eval_slope"] = memo.misses
+    calls["xi_ode.xi_rhs"] = spec.tableau.stages * calls["rk.rk_step"]
     calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
     assert {layer: calls[layer] for layer in expected} == expected

@@ -1,17 +1,20 @@
 import io
 import math
 import pickle
+from pathlib import Path
 
 import pytest
 
 from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
-                      emit_csv, emit_xi_csv, eval_jet, integrate, parse,
+                      emit_csv, emit_xi_csv, eval_jet, integrate, load_tableau, parse,
                       pipeline, reference_integral, run, solve_xi0,
                       solve_xi_at, trapezium, xi_ode, xi_rhs)
 from trapcorr.errors import phase
 from trapcorr.pipeline import CSV_HEADER, CurveRow, ErrorCurve, in_interval_xi
 
 from conftest import exotic_spec, sin_spec
+
+DATA = Path(__file__).parent / "data"
 
 
 # ------------------------------------------------------------ validation
@@ -307,21 +310,14 @@ def test_shifted_run_far_from_the_origin():
     assert worst <= 1e-9
 
 
-def test_spec_pickles_and_rebuilds_its_memo():
-    spec = sin_spec(shift=2.0)
-    spec.x_side(5.0)
-    copy = pickle.loads(pickle.dumps(spec))
-    assert copy == spec and copy.g == spec.g and copy.g_at_a == spec.g_at_a
-    assert copy.x_side.cache_info().currsize == 0
-    assert copy.x_side(5.0) == spec.x_side(5.0)
-
-
 def test_set_up_leaves_the_kernel_to_the_first_run():
-    # the xi-ODE kernel compiles per shape on a run's first use, never when a
-    # spec is built; this shape appears in no other test
-    info = expr._kernel_factory.cache_info
+    # the sweep's step compiles per (shape, tableau) on a run's first use, never
+    # when a spec is built; this shape appears in no other test
+    info = expr._xi_factory.cache_info
     before = info()
     spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)
+    rk4_spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05,
+                                     tableau=load_tableau(str(DATA / "rk4.tab")))
     assert info() == before
     run(spec)
     first = info()
@@ -329,13 +325,17 @@ def test_set_up_leaves_the_kernel_to_the_first_run():
     run(spec)
     run(ProblemSpec.from_text("1.5*exp(x/9)-x/4", 1.0, 4.0, x0=2.5, h=0.05))
     assert info().misses == first.misses
+    run(rk4_spec)
+    run(rk4_spec)
+    assert info().misses == first.misses + 1
 
 
 def test_spec_pickles_after_its_tableau_has_stepped():
-    spec = sin_spec()
-    curve = run(spec)  # compiles the tableau's step
+    spec = sin_spec(shift=2.0)
+    curve = run(spec)  # compiles the sweep's step and builds g's evaluators
     copy = pickle.loads(pickle.dumps(spec))
-    assert copy == spec and "step" not in copy.tableau.__dict__
+    assert copy == spec and copy.g == spec.g and copy.g_at_a == spec.g_at_a
+    assert "step" not in copy.tableau.__dict__
     assert run(copy).rows == curve.rows
 
 

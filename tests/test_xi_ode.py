@@ -1,10 +1,12 @@
 import math
+from functools import partial
+from pathlib import Path
 
 import pytest
 
-from trapcorr import (DomainError, ProblemSpec, SingularDenominatorError,
-                      error_term, eval_jet, eval_value, parse,
-                      reference_integral, solve_xi_at, suggest_shift,
+from trapcorr import (FEHLBERG7, DomainError, ProblemSpec, RKTableau, SingularDenominatorError,
+                      error_term, eval_jet, eval_value, load_tableau, parse,
+                      reference_integral, rk_step, solve_xi_at, suggest_shift,
                       run, unshift_error, xi_ode, xi_rhs)
 from trapcorr import pipeline
 
@@ -69,42 +71,49 @@ def test_rhs_reads_only_g_and_its_slope_at_x():
     assert math.isfinite(want) and xi_rhs(p, 0.0, -0.5) == want
 
 
-def _stage_calls(spec):
-    """Every (x, xi, slope) the sweep of ``run(spec)`` evaluates."""
-    calls = []
+RK4 = load_tableau(str(Path(__file__).parent / "data" / "rk4.tab"))
+#: Heun's third-order method: no node c = 1, so no step carries g and g' into the next
+HEUN3 = RKTableau(name="heun3", order=3, a=((), (1 / 3,), (0.0, 2 / 3)),
+                  b=(0.25, 0.0, 0.75), c=(0.0, 1 / 3, 2 / 3))
+
+
+def _sweep_steps(spec):
+    """Every (x, y, h, next y) step of ``run(spec)``'s sweeps, and the g''(xi)
+    the steps recorded."""
+    steps, recorded = [], []
 
     def recording(p):
-        rhs = xi_ode.bind_rhs(p)
+        step, d2 = xi_ode.bind_step(p)
+        recorded.append(d2)
 
-        def recorded(x, xi):
-            calls.append((x, xi, rhs(x, xi)))
-            return calls[-1][2]
-        return recorded
+        def recorded_step(x, y, h):
+            steps.append((x, y, h, step(x, y, h)))
+            return steps[-1][3]
+        return recorded_step, d2
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pipeline, "bind_rhs", recording)
+        mp.setattr(pipeline, "bind_step", recording)
         run(spec)
-    return calls
+    return steps, recorded[0]
 
 
-@pytest.mark.parametrize("spec", [
-    pytest.param(sin_problem(x0=5.0, h=0.01), id="0.0"),
-    pytest.param(sin_problem(x0=5.0, h=0.01, shift=2.0), id="2.0"),
-    # the kernel's power rule (x^2) against the composition of eval_jet
-    pytest.param(exotic_spec(), id="exotic"),
+@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3], ids=lambda t: t.name.split("/")[-1])
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, tableau=t), id="sin"),
+    pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, shift=2.0, tableau=t), id="shifted-sin"),
+    pytest.param(lambda t: exotic_spec(tableau=t), id="exotic"),
 ])
-def test_memo_gives_the_slope_a_cold_evaluation_gives(spec):
-    calls = _stage_calls(spec)
-    assert len(calls) == 9889
-    for x, xi, warm in calls:
-        spec.x_side.cache_clear()
-        cold = xi_rhs(spec, x, xi)
-        # and the full jet at x, as the sweep read it before the memo
-        at_x, at_xi = eval_jet(spec.g, x), eval_jet(spec.g, xi)
-        t = x - spec.a
-        full = (xi_ode.F_COEFFICIENT * at_x.d0 + 6.0 * spec.g_at_a + 6.0 * t * at_x.d1
-                - 3.0 * t * t * at_xi.d2) / (t ** 3 * at_xi.d3)
-        assert warm.hex() == cold.hex() == full.hex(), (x, xi)
+def test_fused_step_equals_rk_step_over_xi_rhs(make, tableau):
+    spec = make(tableau)
+    steps, d2 = _sweep_steps(spec)
+    assert len(steps) == 899
+    rhs = partial(xi_rhs, spec)
+    for x, y, h, fused in steps:
+        assert fused.hex() == rk_step(rhs, x, y, h, tableau).hex(), (x, y, h)
+    # stage 0 of each step evaluates the jet at the node it starts from
+    assert d2.keys() == {x for x, *_ in steps}
+    for x, y, *_ in steps:
+        assert d2[x].hex() == eval_jet(spec.g, y).d2.hex(), (x, y)
 
 
 # ---------------------------------------------------------- error term
