@@ -330,6 +330,16 @@ def test_set_up_leaves_the_kernel_to_the_first_run():
     assert info().misses == first.misses + 1
 
 
+def test_spec_pickles_and_rebuilds_its_memo():
+    # the pickle carries the fields alone: g, g(a) and g's compiled evaluators
+    # are built anew on loading
+    spec = sin_spec(shift=2.0)
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy == spec and copy.g == spec.g and copy.g_at_a == spec.g_at_a
+    assert copy.g is not spec.g and copy.g._evaluators is not spec.g._evaluators
+    assert eval_jet(copy.g, 5.0) == eval_jet(spec.g, 5.0)
+
+
 def test_spec_pickles_after_its_tableau_has_stepped():
     spec = sin_spec(shift=2.0)
     curve = run(spec)  # compiles the sweep's step and builds g's evaluators
