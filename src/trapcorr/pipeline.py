@@ -10,6 +10,7 @@ one line.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from functools import lru_cache
 from operator import attrgetter, is_
@@ -68,6 +69,9 @@ class ProblemSpec(Value):
                 raise ConfigError(f"{name} must be finite, got {v!r}")
         if not self.a < self.b:
             raise ConfigError(f"need a < b, got a={self.a!r}, b={self.b!r}")
+        power = 4 if self.shift else 3  # the un-shift's (x - a)^4, or the error term's cube
+        if not 2.0 * (self.b - self.a) < sys.float_info.max ** (1.0 / power):  # x past b a little
+            raise ConfigError(f"b - a = {self.b - self.a!r}: (x - a)^{power} nears overflow")
         if not (self.a < self.x0 < self.b):
             raise ConfigError(
                 f"x0 must lie strictly inside ({self.a!r}, {self.b!r}), got {self.x0!r}")
@@ -334,7 +338,7 @@ def _write_text(text: str, destination) -> None:
         destination.write(text)
         return
     try:
-        with open(destination, "w", encoding="ascii", newline="") as fh:
+        with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII text, no import
             fh.write(text)
     except OSError as exc:
         raise IoError(f"cannot write {destination!r}: {exc}") from exc

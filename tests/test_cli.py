@@ -246,6 +246,19 @@ def test_invalid_configuration_exit_5(args, capsys):
     assert "[config]" in lines[0]
 
 
+@pytest.mark.parametrize("args", [
+    ["--f", "1", "--a", "0", "--b", "1e200", "--h", "1e198"],
+    ["--f", "x^2", "--a", "0", "--b", "1.5e77", "--h", "1e75", "--shift-D", "1",
+     "--ref-tol", "1e300", "--root-tol", "1e300"],
+], ids=["cube", "shifted"])
+def test_interval_whose_power_overflows_exit_5(args, capsys):
+    code = main(["integrate", *args])
+    assert code == 5
+    lines = stderr_lines(capsys)
+    assert len(lines) == 1
+    assert lines[0].startswith("trapcorr: [config] b - a = ") and "nears overflow" in lines[0]
+
+
 @pytest.mark.parametrize("args,start", [
     (["--f", "ln(x-2)", "--a", "1", "--b", "10", "--x0", "5", "--h", "0.01"],
      "trapcorr: [config] "),

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
+from trapcorr import (FEHLBERG7, ConfigError, DomainError, NoRootError, ProblemSpec, expr,
                       emit_csv, emit_xi_csv, eval_jet, integrate, load_tableau, parse,
                       pipeline, reference_integral, run, solve_xi0,
                       solve_xi_at, trapezium, xi_ode, xi_rhs)
@@ -44,6 +44,17 @@ def test_spec_validation():
             sin_spec(ref_tol=tol)
         with pytest.raises(ConfigError):
             sin_spec(root_tol=tol)
+
+
+def test_spec_rejects_an_interval_whose_power_overflows():
+    # every (x - a)^3 of a run, and with a shift (x - a)^4, must stay finite,
+    # x a little past b by rounding included
+    for a, b, shift in ((0.0, 1e200, 0.0), (0.0, 5e102, 0.0), (-1e308, 1e308, 0.0),
+                        (0.0, 1.5e77, 1.0)):
+        with pytest.raises(ConfigError, match=r": \(x - a\)\^[34] nears overflow"):
+            ProblemSpec.from_text("1", a, b, h=b / 100, shift=shift)
+    ProblemSpec.from_text("1", 0.0, 2e102, h=2e100)
+    ProblemSpec.from_text("1", 0.0, 5e76, h=5e74, shift=1.0)
 
 
 def test_spec_default_x0_is_midpoint():
@@ -310,24 +321,31 @@ def test_shifted_run_far_from_the_origin():
     assert worst <= 1e-9
 
 
-def test_set_up_leaves_the_kernel_to_the_first_run():
-    # the sweep's step compiles per (shape, tableau) on a run's first use, never
-    # when a spec is built; this shape appears in no other test
-    info = expr._xi_factory.cache_info
-    before = info()
-    spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)
+def test_set_up_leaves_the_kernel_to_the_first_run(monkeypatch):
+    # the sweep's steps compile per (shape, tableau), never when a spec is built:
+    # the staged step on a run's first use, the fused one on the first run that
+    # brings the steps served to FUSE_AFTER; this shape appears in no other test
+    compiled, compile_ = [], expr._compiled
+
+    def recording(shape, tableau=None, xi=False, fused=False):
+        compiled.append((tableau is FEHLBERG7, fused))
+        return compile_(shape, tableau, xi, fused)
+
+    monkeypatch.setattr(expr, "_compiled", recording)
+    monkeypatch.setattr(xi_ode, "FUSE_AFTER", 150.0)
+    spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)  # 60 steps
     rk4_spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05,
                                      tableau=load_tableau(str(DATA / "rk4.tab")))
-    assert info() == before
+    assert compiled == []
     run(spec)
-    first = info()
-    assert (first.misses, first.hits) == (before.misses + 1, before.hits)
     run(spec)
+    assert compiled == [(True, False)]  # 120 steps served: below the threshold
     run(ProblemSpec.from_text("1.5*exp(x/9)-x/4", 1.0, 4.0, x0=2.5, h=0.05))
-    assert info().misses == first.misses
+    run(spec)
+    assert compiled == [(True, False), (True, True)]
     run(rk4_spec)
     run(rk4_spec)
-    assert info().misses == first.misses + 1
+    assert compiled == [(True, False), (True, True), (False, False)]
 
 
 def test_spec_pickles_and_rebuilds_its_memo():
@@ -500,6 +518,14 @@ def test_csv_lf_endings_and_trailing_newline(tmp_path, sin_curve):
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
     assert raw.count(b"\n") == len(sin_curve.rows) + 1
+
+
+def test_csv_file_holds_the_bytes_of_the_text(tmp_path, exotic_curve):
+    # every character is ASCII, so the file's UTF-8 bytes are the text's ASCII bytes
+    path, buf = tmp_path / "curve.csv", io.StringIO()
+    emit_csv(exotic_curve, str(path))
+    emit_csv(exotic_curve, buf)
+    assert path.read_bytes() == buf.getvalue().encode("ascii")
 
 
 def test_csv_unwritable_destination(sin_curve):
