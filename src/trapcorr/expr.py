@@ -22,9 +22,8 @@ product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
 alone, the propagation truncated at order 1.  The walk also writes a stage
 of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as a
-function that its rhs calls, and the sweep's step by a tableau: staged, its
-stages after the first calling that function, or fused, every stage inline,
-twice to three times as long to compile and some 7% faster a step.  Literals
+function that its rhs and the sweep's step by a tableau call: the step writes
+its first stage inline and calls the function for every later one.  Literals
 are bound as values, so trees of one shape share their code through bounded
 caches, and a literal exponent's terms are computed once per bind.  The code
 drops a factor 1.0 (u * 1.0 == u for every double) but no term or factor 0.0
@@ -71,10 +70,10 @@ class _Node(Value):
         return _factory(_shape(self, literals))(*literals)
 
     def _xi(self, tableau=None):
-        """``(sweep, literals)``: the :class:`_Sweep` of this tree's shape by ``tableau``,
-        compiled per (shape, tableau), and this tree's literals, its binds' first arguments."""
+        """``bind(a, g_a, slope, F, guard, d2)`` -> the xi-ODE's ``rhs(x, xi)``, or its
+        sweep's ``step(x, y, h)`` by ``tableau``, compiled per (shape, tableau)."""
         literals = []
-        return _sweeps(_shape(self, literals), tableau), literals
+        return partial(_xi_factory(_shape(self, literals), tableau), *literals)
 
 
 class Num(_Node):
@@ -501,12 +500,11 @@ def _emit(shape, x: str) -> dict:
                 bound="; ".join(bound), **dict(zip(_LOCALS, w)))
 
 
-def _source(shape, tableau=None, xi: bool = False, fused: bool = False) -> tuple[str, list]:
+def _source(shape, tableau=None, xi: bool = False) -> tuple[str, list]:
     """One shape's evaluators, or with ``xi`` its xi-ODE rhs or, by a ``tableau``, its
     sweep's step, which reads (g, g') once per node c, carries a node c = 1's into the
     next step's c = 0 at an equal abscissa and records stage 0's g''(xi) in d2.  The
-    rhs and every stage of the step but the first call one stage function; a ``fused``
-    step has every stage inline instead: the same operations, longer to compile."""
+    rhs and every stage of the step but the first call one stage function."""
     fields, names, values = _emit(shape, "xi_s" if xi else "x"), [], []
     stage = partial(_STAGE.format, **fields)
     if not xi:
@@ -521,46 +519,31 @@ def _source(shape, tableau=None, xi: bool = False, fused: bool = False) -> tuple
             read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
                     "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
             x_side = f"g{n}, dg{n} = {read}" if n == i else ""
-            if i and not fused:
+            if i:
                 return f"x_s = x + c{i} * h\n{x_side}\nk{i} = stage(x_s, {yi}, g{n}, dg{n})"
             return (f"x_s = x + c{i} * h\nxi_s = {yi}\n"
                     + stage(x_side=x_side, g=f"g{n}", dg=f"dg{n}", k=f"k{i}")
-                    + (f"\nd2[x] = {fields['w2']}" if i == 0 and c[0] == 0.0 else ""))
+                    + (f"\nd2[x] = {fields['w2']}" if c[0] == 0.0 else ""))
         params, (names, values, body) = "x, y, h", step_source(tableau, step_stage)
-    if xi:  # the stage function, which a fused step does without, and the stages, indented
-        stage_fn = "" if fused else "def stage(x_s, xi_s, g, dg):\n" + stage(
-            x_side="", g="g", dg="dg", k="k") + "\nreturn k"
+    if xi:  # the stage function and the stages, indented
+        stage_fn = "def stage(x_s, xi_s, g, dg):\n" + stage(x_side="", g="g", dg="dg", k="k")
         source = _XI.format(names="".join(name + ", " for name in names), params=params,
-                            stage=stage_fn.replace("\n", "\n" + " " * 8),
+                            stage=(stage_fn + "\nreturn k").replace("\n", "\n" + " " * 8),
                             stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields)
     return reduce(lambda source, fold: source.replace(*fold), _ONES, source), values
 
 
-def _compiled(shape, tableau=None, xi: bool = False, fused: bool = False):
+def _compiled(shape, tableau=None, xi: bool = False):
     """``bind`` of :func:`_source`'s code, the tableau's coefficients bound."""
-    source, values = _source(shape, tableau, xi, fused)
+    source, values = _source(shape, tableau, xi)
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<trapcorr.expr emitted>", "exec"), namespace)
     return partial(namespace["bind"], *values)
 
 
-class _Sweep:
-    """The xi-ODE of one shape by one tableau (None: its rhs) as ``bind(*literals, a, g_a,
-    slope, F, guard, d2)``, ``staged`` compiled at once and ``fused`` on first use, and
-    ``served``, the steps it has served as its callers count them."""
-
-    def __init__(self, shape, tableau):
-        self.shape, self.tableau, self.served = shape, tableau, 0.0
-        self.staged = _compiled(shape, tableau, xi=True)
-
-    @cached_property
-    def fused(self):
-        return _compiled(self.shape, self.tableau, xi=True, fused=True)
-
-
 #: bounded caches of the evaluators per shape, and of the xi-ODE per (shape, tableau)
 _factory = lru_cache(maxsize=256)(_compiled)
-_sweeps = lru_cache(maxsize=256)(_Sweep)
+_xi_factory = lru_cache(maxsize=256)(partial(_compiled, xi=True))
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:

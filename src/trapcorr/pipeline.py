@@ -70,7 +70,10 @@ class ProblemSpec(Value):
         if not self.a < self.b:
             raise ConfigError(f"need a < b, got a={self.a!r}, b={self.b!r}")
         power = 4 if self.shift else 3  # the un-shift's (x - a)^4, or the error term's cube
-        if not 2.0 * (self.b - self.a) < sys.float_info.max ** (1.0 / power):  # x past b a little
+        # a stage's x - a passes b - a by rounding alone: a few ulps of a or b, and the root's
+        ulps = 1e-15 * max(abs(self.a), abs(self.b))
+        reach = (self.b - self.a + ulps) * (1.0 + 1e-12)
+        if not reach < sys.float_info.max ** (1.0 / power):
             raise ConfigError(f"b - a = {self.b - self.a!r}: (x - a)^{power} nears overflow")
         if not (self.a < self.x0 < self.b):
             raise ConfigError(

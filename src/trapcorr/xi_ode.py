@@ -21,9 +21,7 @@ keeps g(a) = f(a).  The cubic's own trapezium error term is the single
 term -D*(x-a)^4/24, so the shift is exactly reversible without
 cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
-which builds g and g(a) once.  A sweep takes the staged step until its
-integrand's shape has served enough steps to repay the fused step's compile
-(:func:`bind_step`).
+which builds g and g(a) once.
 """
 
 from __future__ import annotations
@@ -45,26 +43,16 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
-#: steps a (shape, tableau) serves, this run's (b - a)/h included, before runs take its fused
-#: step: that step's extra compile time over its saving per step (2-core x86-64, CPython 3.11)
-FUSE_AFTER = 2000.0
-
-
-def _bind(p: ProblemSpec, sweep, literals, d2=None, fused=False):  # F, guard as they read now
-    return (sweep.fused if fused else sweep.staged)(
-        *literals, p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT, DEFAULT_DEN_GUARD, d2)
+def _bind(p: ProblemSpec, tableau, d2=None):  # F_COEFFICIENT and the guard as they read now
+    return p.g._xi(tableau)(p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT,
+                            DEFAULT_DEN_GUARD, d2)
 
 
 def bind_step(p: ProblemSpec):
     """``(step, d2)``: the sweep's ``step(x, y, h)``, :func:`xi_rhs` in each stage, and
-    the dict of g''(y) each step records under its x.  Per run: it holds run state.
-    The step is fused, every stage inline, once this (shape, tableau) has served
-    ``FUSE_AFTER`` steps with this run's, and before that staged, its stages after the
-    first calling one stage function; a count lost to racing threads delays the switch."""
-    sweep, literals = p.g._xi(p.tableau)
-    sweep.served = served = min(sweep.served + (p.b - p.a) / p.h, FUSE_AFTER)
+    the dict of g''(y) each step records under its x.  Per run: it holds run state."""
     d2 = {}
-    return _bind(p, sweep, literals, d2, served >= FUSE_AFTER), d2
+    return _bind(p, p.tableau, d2), d2
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -76,7 +64,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     alone, so it is defined where only g'' or g''' is not.
     A :class:`DomainError` of the jet at xi is raised at x, naming xi.
     """
-    return _bind(p, *p.g._xi())(x, xi)
+    return _bind(p, None)(x, xi)
 
 
 def error_term(p: ProblemSpec, x: float, xi: float, d2: float | None = None) -> float:

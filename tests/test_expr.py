@@ -48,28 +48,26 @@ def test_trees_of_one_shape_share_compiled_code():
     assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
-    # and one xi-ODE rhs, and one sweep per tableau, each bound to each tree's literals
-    (rhs_two, literals_two), (rhs_three, literals_three) = two._xi(), three._xi()
-    assert rhs_two is rhs_three and (literals_two, literals_three) == ([2.0], [3.0])
-    (step_two, literals_two) = two._xi(FEHLBERG7)
-    (step_three, literals_three) = three._xi(FEHLBERG7)
-    assert step_two is step_three and step_two is not rhs_two
-    assert step_two.fused is step_three.fused and (literals_two, literals_three) == ([2.0], [3.0])
+    # and one xi-ODE rhs, and one sweep step per tableau, bound to each tree's literals
+    assert two._xi().func is three._xi().func
+    assert (two._xi().args, three._xi().args) == ((2.0,), (3.0,))
+    step_two, step_three = two._xi(FEHLBERG7), three._xi(FEHLBERG7)
+    assert step_two.func is step_three.func and step_two.func is not two._xi().func
+    assert (step_two.args[-1], step_three.args[-1]) == (2.0, 3.0)
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
     assert eval_jet(three, 0.5).d0 == math.sin(1.5)
 
 
 def _emitted(shape):
-    """Every source emitted for one tree shape: evaluators, xi's rhs, a sweep's two steps."""
-    return [expr._source(shape, tableau, xi, fused)[0] for tableau, xi, fused in
-            ((None, False, False), (None, True, False), (FEHLBERG7, True, False),
-             (FEHLBERG7, True, True))]
+    """Every source emitted for one tree shape: evaluators, xi's rhs, a sweep step."""
+    return [expr._source(shape, tableau, xi)[0]
+            for tableau, xi in ((None, False), (None, True), (FEHLBERG7, True))]
 
 
 def test_compiled_code_cache_is_bounded():
     assert isinstance(expr._factory.cache_info().maxsize, int)
-    assert isinstance(expr._sweeps.cache_info().maxsize, int)
+    assert isinstance(expr._xi_factory.cache_info().maxsize, int)
 
 
 def test_literals_are_bound_values_not_source_text():

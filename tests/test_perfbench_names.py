@@ -7,14 +7,13 @@ calls through those names and, for the sweep's step that the tracer sees
 only as ``rk_step``, through the slope the run binds into it."""
 
 import importlib
-import math
 import runpy
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trapcorr import pipeline, xi_ode
+from trapcorr import pipeline
 
 from conftest import sin_spec
 
@@ -40,37 +39,31 @@ def _counting(fn, layer, calls):
 # tracer patches also proves that every evaluation outside the sweep crosses
 # a counted name: an evaluator reached some other way would drop out of
 # these counts.  The sweep's step is emitted per integrand shape and
-# tableau in two versions, its 11 stages inline or all but the first calling
-# one stage function, each stage with one jet at xi: the tracer sees it as
-# rk_step alone, and both versions do the same work.  It reads g and g' at x
-# through g's slope function, bound once per run, so a wrapper around that
-# function counts the order-1 evaluations.  Each of the 899 steps evaluates
-# g and g' once at each of its 9 new abscissae (c = 1/6 twice, c = 1 carried
-# into the next step's c = 0), and each sweep's first step once more, at x0.
-# The curve takes g''(xi) from stage 0 of the step leaving each node: the 2
-# nodes that end a sweep are the curve's only jets.
+# tableau, its first stage inline and each later one a call of one emitted
+# stage function, each stage with one jet at xi: the tracer sees it as
+# rk_step alone.  It reads g and g' at x through g's slope function, bound
+# once per run, so a wrapper around that function counts the order-1
+# evaluations.  Each of the 899 steps evaluates g and g' once at each of its
+# 9 new abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0),
+# and each sweep's first step once more, at x0.  The curve takes g''(xi) from
+# stage 0 of the step leaving each node: the 2 nodes that end a sweep are
+# the curve's only jets.
 @pytest.mark.parametrize("residual,expected", [
     (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "expr.eval_slope": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
     (True, {"expr.eval_value": 9124}),
 ])
-def test_pinned_work_counts(residual, expected):
+def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does
-    patches = runpy.run_path(str(TRACER))["PATCHES"]
+    calls = Counter()
+    for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
+        module = importlib.import_module(module_name)
+        monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
     jet, value, slope = spec.g._evaluators
-    # the staged step (stages after the first call one stage function) and the
-    # fused one (every stage inline), each forced by the threshold between them
-    for fuse_after in (math.inf, 0.0):
-        calls = Counter()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(xi_ode, "FUSE_AFTER", fuse_after)
-            for module_name, attr, layer in patches:
-                module = importlib.import_module(module_name)
-                mp.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
-            mp.setitem(vars(spec.g), "_evaluators",
-                       (jet, value, _counting(slope, "expr.eval_slope", calls)))
-            pipeline.run(spec, residual=residual)
-        calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
-        calls["xi_ode.xi_rhs"] = spec.tableau.stages * calls["rk.rk_step"]
-        calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
-        assert {layer: calls[layer] for layer in expected} == expected, fuse_after
+    monkeypatch.setitem(vars(spec.g), "_evaluators",
+                        (jet, value, _counting(slope, "expr.eval_slope", calls)))
+    pipeline.run(spec, residual=residual)
+    calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
+    calls["xi_ode.xi_rhs"] = spec.tableau.stages * calls["rk.rk_step"]
+    calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
+    assert {layer: calls[layer] for layer in expected} == expected

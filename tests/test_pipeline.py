@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (FEHLBERG7, ConfigError, DomainError, NoRootError, ProblemSpec, expr,
+from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
                       emit_csv, emit_xi_csv, eval_jet, integrate, load_tableau, parse,
                       pipeline, reference_integral, run, solve_xi0,
                       solve_xi_at, trapezium, xi_ode, xi_rhs)
@@ -48,13 +48,19 @@ def test_spec_validation():
 
 def test_spec_rejects_an_interval_whose_power_overflows():
     # every (x - a)^3 of a run, and with a shift (x - a)^4, must stay finite,
-    # x a little past b by rounding included
-    for a, b, shift in ((0.0, 1e200, 0.0), (0.0, 5e102, 0.0), (-1e308, 1e308, 0.0),
-                        (0.0, 1.5e77, 1.0)):
+    # x a little past b by rounding included: the cube root of the largest
+    # double is 5.6438e102, its fourth root 1.1579e77
+    for a, b, shift in ((0.0, 1e200, 0.0), (0.0, 5.65e102, 0.0), (-1e308, 1e308, 0.0),
+                        (-2.83e102, 2.83e102, 0.0), (0.0, 1.16e77, 1.0)):
         with pytest.raises(ConfigError, match=r": \(x - a\)\^[34] nears overflow"):
             ProblemSpec.from_text("1", a, b, h=b / 100, shift=shift)
-    ProblemSpec.from_text("1", 0.0, 2e102, h=2e100)
-    ProblemSpec.from_text("1", 0.0, 5e76, h=5e74, shift=1.0)
+    ProblemSpec.from_text("1", 0.0, 1.15e77, h=1.15e75, shift=1.0)
+    # just inside the limit, a stage abscissa some ulps past b still cubes
+    spec = ProblemSpec.from_text("sin(x)", -2.82e102, 2.82e102, h=1e101)
+    x = spec.b
+    for _ in range(8):
+        x = math.nextafter(x, math.inf)
+        assert math.isfinite(xi_rhs(spec, x, 1.0))
 
 
 def test_spec_default_x0_is_midpoint():
@@ -321,31 +327,24 @@ def test_shifted_run_far_from_the_origin():
     assert worst <= 1e-9
 
 
-def test_set_up_leaves_the_kernel_to_the_first_run(monkeypatch):
-    # the sweep's steps compile per (shape, tableau), never when a spec is built:
-    # the staged step on a run's first use, the fused one on the first run that
-    # brings the steps served to FUSE_AFTER; this shape appears in no other test
-    compiled, compile_ = [], expr._compiled
-
-    def recording(shape, tableau=None, xi=False, fused=False):
-        compiled.append((tableau is FEHLBERG7, fused))
-        return compile_(shape, tableau, xi, fused)
-
-    monkeypatch.setattr(expr, "_compiled", recording)
-    monkeypatch.setattr(xi_ode, "FUSE_AFTER", 150.0)
-    spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)  # 60 steps
+def test_set_up_leaves_the_kernel_to_the_first_run():
+    # the sweep's step compiles per (shape, tableau) on a run's first use, never
+    # when a spec is built; this shape appears in no other test
+    info = expr._xi_factory.cache_info
+    before = info()
+    spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)
     rk4_spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05,
                                      tableau=load_tableau(str(DATA / "rk4.tab")))
-    assert compiled == []
+    assert info() == before
     run(spec)
+    first = info()
+    assert (first.misses, first.hits) == (before.misses + 1, before.hits)
     run(spec)
-    assert compiled == [(True, False)]  # 120 steps served: below the threshold
     run(ProblemSpec.from_text("1.5*exp(x/9)-x/4", 1.0, 4.0, x0=2.5, h=0.05))
-    run(spec)
-    assert compiled == [(True, False), (True, True)]
+    assert info().misses == first.misses
     run(rk4_spec)
     run(rk4_spec)
-    assert compiled == [(True, False), (True, True), (False, False)]
+    assert info().misses == first.misses + 1
 
 
 def test_spec_pickles_and_rebuilds_its_memo():

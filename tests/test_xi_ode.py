@@ -77,20 +77,15 @@ HEUN3 = RKTableau(name="heun3", order=3, a=((), (1 / 3,), (0.0, 2 / 3)),
                   b=(0.25, 0.0, 0.75), c=(0.0, 1 / 3, 2 / 3))
 
 
-#: each step version by the FUSE_AFTER that forces it: staged, whose stages after the
-#: first call one stage function, and fused, every stage inline
-STEP_VERSIONS = (("staged", math.inf), ("fused", 0.0))
-
-
-def _sweep_steps(spec, version):
+def _sweep_steps(spec):
     """Every (x, y, h, next y) step of ``run(spec)``'s sweeps, and the g''(xi)
-    the steps recorded, the step ``version`` forced."""
+    the steps recorded."""
     steps, recorded = [], []
 
     def recording(p):
         step, d2 = xi_ode.bind_step(p)
         recorded.append(d2)
-        assert ("stage" in step.__code__.co_freevars) == (version == "staged")
+        assert "stage" in step.__code__.co_freevars  # stages after the first call it
 
         def recorded_step(x, y, h):
             steps.append((x, y, h, step(x, y, h)))
@@ -99,7 +94,6 @@ def _sweep_steps(spec, version):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "bind_step", recording)
-        mp.setattr(xi_ode, "FUSE_AFTER", dict(STEP_VERSIONS)[version])
         run(spec)
     return steps, recorded[0]
 
@@ -112,16 +106,15 @@ def _sweep_steps(spec, version):
 ])
 def test_fused_step_equals_rk_step_over_xi_rhs(make, tableau):
     spec = make(tableau)
+    steps, d2 = _sweep_steps(spec)
+    assert len(steps) == 899
     rhs = partial(xi_rhs, spec)
-    for version, _ in STEP_VERSIONS:
-        steps, d2 = _sweep_steps(spec, version)
-        assert len(steps) == 899
-        for x, y, h, emitted in steps:
-            assert emitted.hex() == rk_step(rhs, x, y, h, tableau).hex(), (version, x, y, h)
-        # stage 0 of each step evaluates the jet at the node it starts from
-        assert d2.keys() == {x for x, *_ in steps}
-        for x, y, *_ in steps:
-            assert d2[x].hex() == eval_jet(spec.g, y).d2.hex(), (version, x, y)
+    for x, y, h, fused in steps:
+        assert fused.hex() == rk_step(rhs, x, y, h, tableau).hex(), (x, y, h)
+    # stage 0 of each step evaluates the jet at the node it starts from
+    assert d2.keys() == {x for x, *_ in steps}
+    for x, y, *_ in steps:
+        assert d2[x].hex() == eval_jet(spec.g, y).d2.hex(), (x, y)
 
 
 # ---------------------------------------------------------- error term
