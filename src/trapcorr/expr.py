@@ -21,9 +21,9 @@ first three derivatives at a point (a :class:`Jet3`) by the sum,
 product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
 alone, the propagation truncated at order 1.  The walk also writes a stage
-of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as a
-function that its rhs and the sweep's step by a tableau call: the step writes
-its first stage inline and calls the function for every later one.  Literals
+of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as the
+one function that every stage of the sweep's step by a tableau calls, and
+the xi-ODE's rhs too.  Literals
 are bound as values, so trees of one shape share their code through bounded
 caches, and a literal exponent's terms are computed once per bind.  The code
 drops a factor 1.0 (u * 1.0 == u for every double) but no term or factor 0.0
@@ -46,7 +46,7 @@ from .rk import step_source
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
-    "MAX_DEPTH", "parse", "eval_jet", "eval_slope", "eval_value", "contains_var",
+    "MAX_DEPTH", "parse", "eval_jet", "eval_value", "contains_var",
     "shift_by_cubic",
 ]
 
@@ -69,9 +69,10 @@ class _Node(Value):
         literals = []
         return _factory(_shape(self, literals))(*literals)
 
-    def _xi(self, tableau=None):
-        """``bind(a, g_a, slope, F, guard, d2)`` -> the xi-ODE's ``rhs(x, xi)``, or its
-        sweep's ``step(x, y, h)`` by ``tableau``, compiled per (shape, tableau)."""
+    def _xi(self, tableau):
+        """``bind(a, g_a, slope, F, guard, d2)`` -> ``(step, stage)``: the sweep's
+        ``step(x, y, h)`` by ``tableau`` and the xi-ODE's ``stage(x, xi, g, g')`` it
+        calls, compiled per (shape, tableau)."""
         literals = []
         return partial(_xi_factory(_shape(self, literals), tableau), *literals)
 
@@ -389,32 +390,36 @@ def bind({literals}):
     return jet, value, slope
 """
 
-#: xi's slope {k} at (x_s, xi_s) from g, g' at x_s ({x_side}) and the jet at xi_s, whose
-#: try keeps the evaluators' depth and raises its DomainError again at x_s, naming xi_s
+#: xi's slope at (x_s, xi_s) from g, g' at x_s and the jet at xi_s, whose try keeps the
+#: evaluators' depth and raises its DomainError again at x_s, naming xi_s; the one slot
+#: d2_s keeps the last g''(xi_s)
 _STAGE = """\
-if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
-t = x_s - a
-{x_side}
-try:
+def stage(x_s, xi_s, g, dg):
+    nonlocal d2_s
+    if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
+    t = x_s - a
+    try:
 {jet}
-except DomainError as exc:
-    raise at_x(exc.args[0], xi_s, x_s) from exc.__cause__
-if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
-    raise at_x("non-finite jet component", xi_s, x_s)
-den = (t3 := t ** 3) * {w3}
-if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, xi_s, den)
-{k} = (F * {g} + 6.0 * g_a + 6.0 * t * {dg} - 3.0 * t * t * {w2}) / den"""
+    except DomainError as exc:
+        raise at_x(exc.args[0], xi_s, x_s) from exc.__cause__
+    if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
+        raise at_x("non-finite jet component", xi_s, x_s)
+    den = (t3 := t ** 3) * {w3}
+    if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, xi_s, den)
+    d2_s = {w2}
+    return (F * g + 6.0 * g_a + 6.0 * t * dg - 3.0 * t * t * {w2}) / den"""
 
-#: the xi-ODE, bound per run: rhs(x_s, xi_s) or the sweep's step(x, y, h), and their stage
+#: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
+#: which calls the stage for every stage and records stage 0's g''(xi) in d2
 _XI = """\
 def bind({names}{literals}a, g_a, slope, F, guard, d2):
     {bound}
-    carry_x, carry = nan, None
+    carry_x, carry, d2_s = nan, None, nan
     {stage}
-    def xi_ode({params}):
+    def step(x, y, h):
         nonlocal carry_x, carry
 {stages}
-    return xi_ode
+    return step, stage
 """
 
 #: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {x}
@@ -500,17 +505,13 @@ def _emit(shape, x: str) -> dict:
                 bound="; ".join(bound), **dict(zip(_LOCALS, w)))
 
 
-def _source(shape, tableau=None, xi: bool = False) -> tuple[str, list]:
-    """One shape's evaluators, or with ``xi`` its xi-ODE rhs or, by a ``tableau``, its
-    sweep's step, which reads (g, g') once per node c, carries a node c = 1's into the
-    next step's c = 0 at an equal abscissa and records stage 0's g''(xi) in d2.  The
-    rhs and every stage of the step but the first call one stage function."""
-    fields, names, values = _emit(shape, "xi_s" if xi else "x"), [], []
-    stage = partial(_STAGE.format, **fields)
-    if not xi:
-        source = _SOURCE.format(**fields)
-    elif tableau is None:
-        params, body = "x_s, xi_s", "return stage(x_s, xi_s, *slope(x_s))"
+def _source(shape, tableau=None) -> tuple[str, list]:
+    """One shape's evaluators, or by a ``tableau`` its xi-ODE stage and sweep step, which
+    reads (g, g') once per node c, carries a node c = 1's into the next step's c = 0 at
+    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    fields = _emit(shape, "x" if tableau is None else "xi_s")
+    if tableau is None:
+        source, values = _SOURCE.format(**fields), []
     else:
         c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
 
@@ -518,24 +519,19 @@ def _source(shape, tableau=None, xi: bool = False) -> tuple[str, list]:
             n = nodes.index(nodes[i])  # the node's first stage
             read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
                     "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
-            x_side = f"g{n}, dg{n} = {read}" if n == i else ""
-            if i:
-                return f"x_s = x + c{i} * h\n{x_side}\nk{i} = stage(x_s, {yi}, g{n}, dg{n})"
-            return (f"x_s = x + c{i} * h\nxi_s = {yi}\n"
-                    + stage(x_side=x_side, g=f"g{n}", dg=f"dg{n}", k=f"k{i}")
-                    + (f"\nd2[x] = {fields['w2']}" if c[0] == 0.0 else ""))
-        params, (names, values, body) = "x, y, h", step_source(tableau, step_stage)
-    if xi:  # the stage function and the stages, indented
-        stage_fn = "def stage(x_s, xi_s, g, dg):\n" + stage(x_side="", g="g", dg="dg", k="k")
-        source = _XI.format(names="".join(name + ", " for name in names), params=params,
-                            stage=(stage_fn + "\nreturn k").replace("\n", "\n" + " " * 8),
+            x_side = f"g{n}, dg{n} = {read}\n" if n == i else ""
+            return (f"x_s = x + c{i} * h\n{x_side}k{i} = stage(x_s, {yi}, g{n}, dg{n})"
+                    + ("\nd2[x] = d2_s" if i == 0 else ""))
+        names, values, body = step_source(tableau, step_stage)
+        source = _XI.format(names="".join(name + ", " for name in names),
+                            stage=_STAGE.format(**fields).replace("\n", "\n    "),
                             stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields)
     return reduce(lambda source, fold: source.replace(*fold), _ONES, source), values
 
 
-def _compiled(shape, tableau=None, xi: bool = False):
+def _compiled(shape, tableau=None):
     """``bind`` of :func:`_source`'s code, the tableau's coefficients bound."""
-    source, values = _source(shape, tableau, xi)
+    source, values = _source(shape, tableau)
     namespace = dict(_NAMESPACE)
     exec(compile(source, "<trapcorr.expr emitted>", "exec"), namespace)
     return partial(namespace["bind"], *values)
@@ -543,7 +539,7 @@ def _compiled(shape, tableau=None, xi: bool = False):
 
 #: bounded caches of the evaluators per shape, and of the xi-ODE per (shape, tableau)
 _factory = lru_cache(maxsize=256)(_compiled)
-_xi_factory = lru_cache(maxsize=256)(partial(_compiled, xi=True))
+_xi_factory = lru_cache(maxsize=256)(_compiled)
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:
@@ -553,11 +549,6 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
     expression's domain or any component fails to be finite.
     """
     return ast._evaluators[0](x)
-
-
-def eval_slope(ast: ExprAST, x: float) -> tuple[float, float]:
-    """The jet's d0 and d1 at ``x``, defined also where only d2 or d3 is not."""
-    return ast._evaluators[2](x)
 
 
 def eval_value(ast: ExprAST, x: float) -> float:

@@ -43,16 +43,17 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
-def _bind(p: ProblemSpec, tableau, d2=None):  # F_COEFFICIENT and the guard as they read now
-    return p.g._xi(tableau)(p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT,
-                            DEFAULT_DEN_GUARD, d2)
+def _bind(p: ProblemSpec, d2=None):  # F_COEFFICIENT and the guard as they read now
+    return p.g._xi(p.tableau)(p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT,
+                              DEFAULT_DEN_GUARD, d2)
 
 
 def bind_step(p: ProblemSpec):
-    """``(step, d2)``: the sweep's ``step(x, y, h)``, :func:`xi_rhs` in each stage, and
-    the dict of g''(y) each step records under its x.  Per run: it holds run state."""
+    """``(step, d2)``: the sweep's ``step(x, y, h)``, which calls :func:`xi_rhs`'s stage
+    in each of its stages, and the dict of g''(y) each step records under its x.  Per
+    run: it holds run state."""
     d2 = {}
-    return _bind(p, p.tableau, d2), d2
+    return _bind(p, d2)[0], d2
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -63,8 +64,9 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
     alone, so it is defined where only g'' or g''' is not.
     A :class:`DomainError` of the jet at xi is raised at x, naming xi.
+    It is the stage of the sweep's step by ``p.tableau``, bound anew.
     """
-    return _bind(p, None)(x, xi)
+    return _bind(p)[1](x, xi, *p.g._evaluators[2](x))
 
 
 def error_term(p: ProblemSpec, x: float, xi: float, d2: float | None = None) -> float:

@@ -1,9 +1,16 @@
+from pathlib import Path
+
 import pytest
 
-from trapcorr import ProblemSpec, run
+from trapcorr import ProblemSpec, RKTableau, load_tableau, run
 
 SIN_TEXT = "sin(x)"
 EXOTIC_TEXT = "x^2*(sin(x)*ln(2+x)-100*x)"
+
+RK4 = load_tableau(str(Path(__file__).parent / "data" / "rk4.tab"))
+#: Heun's third-order method: no node c = 1, so no step carries g and g' into the next
+HEUN3 = RKTableau(name="heun3", order=3, a=((), (1 / 3,), (0.0, 2 / 3)),
+                  b=(0.25, 0.0, 0.75), c=(0.0, 1 / 3, 2 / 3))
 
 
 def sin_spec(**overrides) -> ProblemSpec:

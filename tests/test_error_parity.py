@@ -1,6 +1,6 @@
 """The sweep's right-hand side is one emitted kernel per integrand shape;
 it fails exactly as the per-stage path it replaced did (``xi_rhs``'s own
-arithmetic over the ``eval_jet`` and ``eval_slope`` wrappers).  Every
+arithmetic over the ``eval_jet`` and slope-function wrappers).  Every
 expectation below was recorded from that path: the exception's type,
 message, abscissa, arguments and phase from ``run()``, and the exit code
 and one diagnostic line from the CLI.  The one departure is by design: an
@@ -13,7 +13,7 @@ import pytest
 
 from trapcorr import DomainError, ProblemSpec, SingularDenominatorError, parse, run, xi_rhs
 from trapcorr.cli import main
-from trapcorr.expr import eval_jet, eval_slope, eval_value
+from trapcorr.expr import eval_jet, eval_value
 
 #: name: (f, a, b, x0, h, ref_tol, root_tol), error type, its args, its .x
 RUNS = {
@@ -98,7 +98,7 @@ EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
      OverflowError),
     (lambda: eval_value(parse("exp(x)"), 710.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
-    (lambda: eval_slope(parse("exp(x)"), 710.0), "overflow: math range error at x=710.0", 710.0,
+    (lambda: parse("exp(x)")._evaluators[2](710.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
     (lambda: eval_value(parse("x^3"), 1e300), "overflow: math range error at x=1e+300", 1e300,
      OverflowError),
@@ -106,7 +106,7 @@ EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
      math.inf, ValueError),
     (lambda: eval_value(parse("cos(x)"), -math.inf), "undefined: math domain error at x=-inf",
      -math.inf, ValueError),
-    (lambda: eval_slope(parse("tan(x)"), math.inf), "undefined: math domain error at x=inf",
+    (lambda: parse("tan(x)")._evaluators[2](math.inf), "undefined: math domain error at x=inf",
      math.inf, ValueError),
 ])
 def test_evaluators_fail_as_before(call, message, x, cause):

@@ -2,17 +2,19 @@ import json
 import math
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trapcorr import (FEHLBERG7, DomainError, Jet3, SyntaxError_, UnknownIdentifierError,
-                      eval_jet, eval_value, parse)
+from trapcorr import (FEHLBERG7, DomainError, Jet3, ProblemSpec, RKTableau, SyntaxError_,
+                      UnknownIdentifierError, eval_jet, eval_value, parse, xi_ode, xi_rhs)
 from trapcorr import expr
-from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_slope
+from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var
 
+from conftest import HEUN3, RK4
 from helpers import FD_DOMAINS, worst_jet_fd_deviation
 
 GOLDEN_JETS = Path(__file__).parent / "data" / "golden_jets.jsonl"
@@ -48,21 +50,32 @@ def test_trees_of_one_shape_share_compiled_code():
     assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
-    # and one xi-ODE rhs, and one sweep step per tableau, bound to each tree's literals
-    assert two._xi().func is three._xi().func
-    assert (two._xi().args, three._xi().args) == ((2.0,), (3.0,))
-    step_two, step_three = two._xi(FEHLBERG7), three._xi(FEHLBERG7)
-    assert step_two.func is step_three.func and step_two.func is not two._xi().func
+    # and one xi-ODE per (shape, tableau), compiled once, bound to each tree's literals:
+    # the sweep's step and its stage, which xi_rhs runs too, with no compile of its own
+    midpoint = RKTableau(name="midpoint", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
+    info, before = expr._xi_factory.cache_info, expr._xi_factory.cache_info()
+    step_two, step_three = two._xi(midpoint), three._xi(midpoint)
+    assert step_two.func is step_three.func
     assert (step_two.args[-1], step_three.args[-1]) == (2.0, 3.0)
+    spec = ProblemSpec.from_text("sin(2*x)", 1.0, 10.0, tableau=midpoint)
+    step, _ = xi_ode.bind_step(spec)
+    stage = step.__closure__[step.__code__.co_freevars.index("stage")].cell_contents
+    ran = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and ran.append(frame.f_code))
+    try:
+        xi_rhs(spec, 5.0, 3.0)
+    finally:
+        sys.setprofile(None)
+    assert stage.__code__ in ran
+    assert (info().misses - before.misses, info().hits - before.hits) == (1, 3)
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
     assert eval_jet(three, 0.5).d0 == math.sin(1.5)
 
 
 def _emitted(shape):
-    """Every source emitted for one tree shape: evaluators, xi's rhs, a sweep step."""
-    return [expr._source(shape, tableau, xi)[0]
-            for tableau, xi in ((None, False), (None, True), (FEHLBERG7, True))]
+    """Every source emitted for one tree shape: its evaluators and a sweep step."""
+    return [expr._source(shape, tableau)[0] for tableau in (None, FEHLBERG7)]
 
 
 def test_compiled_code_cache_is_bounded():
@@ -290,7 +303,7 @@ def test_value_is_the_jet_value_and_errors_are_domain_errors(text, x):
     except DomainError as exc:
         jet, jet_error = None, str(exc)
     try:
-        slope = eval_slope(ast, x)
+        slope = ast._evaluators[2](x)
     except DomainError as exc:
         slope, slope_error = None, str(exc)
     try:
@@ -361,7 +374,7 @@ def test_jets_and_values_match_the_recorded_evaluator():
         # the slope is the jet's (d0, d1) wherever the jet succeeds, and
         # fails as the jet does wherever the value fails
         try:
-            d0, d1 = eval_slope(ast, float(x))
+            d0, d1 = ast._evaluators[2](float(x))
             slope = f"Jet3(d0={d0!r}, d1={d1!r}"
         except DomainError as exc:
             slope = f"DomainError: {exc}"
@@ -390,6 +403,10 @@ def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
     for text in texts:
         shape = expr._shape(parse(text), [])
         kinds = {"lit" if e == "lit" else "other" for e in _exponents(shape)}
+        for tableau in (FEHLBERG7, RK4, HEUN3):  # one stage, which every stage calls
+            step = expr._source(shape, tableau)[0]
+            assert step.count("def stage") == step.count("except DomainError") == 1, text
+            assert len(re.findall(r"^ +k\d+ = stage\(", step, re.M)) == tableau.stages, text
         for source in _emitted(shape):
             _, bind, per_call = source.split("def ", 2)
             assert not ones.search(bind + per_call), text

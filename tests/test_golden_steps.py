@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import ProblemSpec, xi_ode
+from trapcorr import ProblemSpec, TrapcorrError, xi_ode
 
 DATA = Path(__file__).parent / "data"
 GOLDEN_STEPS = DATA / "golden_steps.jsonl"
@@ -30,7 +30,7 @@ def outcome(text: str) -> list:
         spec = ProblemSpec.from_text(text, A, A + 4.0, x0=X, h=H, shift=SHIFT)
         step, d2 = xi_ode.bind_step(spec)
         return [step(X, Y, H).hex(), d2[X].hex()]
-    except Exception as exc:  # noqa: BLE001  the recorded outcome
+    except TrapcorrError as exc:  # the recorded outcome
         return [type(exc).__name__, str(exc)]
 
 

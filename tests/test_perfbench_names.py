@@ -39,15 +39,14 @@ def _counting(fn, layer, calls):
 # tracer patches also proves that every evaluation outside the sweep crosses
 # a counted name: an evaluator reached some other way would drop out of
 # these counts.  The sweep's step is emitted per integrand shape and
-# tableau, its first stage inline and each later one a call of one emitted
-# stage function, each stage with one jet at xi: the tracer sees it as
-# rk_step alone.  It reads g and g' at x through g's slope function, bound
-# once per run, so a wrapper around that function counts the order-1
-# evaluations.  Each of the 899 steps evaluates g and g' once at each of its
-# 9 new abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0),
-# and each sweep's first step once more, at x0.  The curve takes g''(xi) from
-# stage 0 of the step leaving each node: the 2 nodes that end a sweep are
-# the curve's only jets.
+# tableau, each of its stages a call of one emitted stage function with one
+# jet at xi: the tracer sees it as rk_step alone.  It reads g and g' at x
+# through g's slope function, bound once per run, so a wrapper around that
+# function counts the order-1 evaluations.  Each of the 899 steps evaluates
+# g and g' once at each of its 9 new abscissae (c = 1/6 twice, c = 1 carried
+# into the next step's c = 0), and each sweep's first step once more, at x0.
+# The curve takes g''(xi) from stage 0 of the step leaving each node: the 2
+# nodes that end a sweep are the curve's only jets.
 @pytest.mark.parametrize("residual,expected", [
     (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "expr.eval_slope": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),

@@ -1,16 +1,15 @@
 import math
 from functools import partial
-from pathlib import Path
 
 import pytest
 
 from trapcorr import (FEHLBERG7, DomainError, ProblemSpec, RKTableau, SingularDenominatorError,
-                      error_term, eval_jet, eval_value, load_tableau, parse,
+                      error_term, eval_jet, eval_value, parse,
                       reference_integral, rk_step, solve_xi_at, suggest_shift,
                       run, unshift_error, xi_ode, xi_rhs)
 from trapcorr import pipeline
 
-from conftest import exotic_spec
+from conftest import HEUN3, RK4, exotic_spec
 
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
@@ -71,10 +70,11 @@ def test_rhs_reads_only_g_and_its_slope_at_x():
     assert math.isfinite(want) and xi_rhs(p, 0.0, -0.5) == want
 
 
-RK4 = load_tableau(str(Path(__file__).parent / "data" / "rk4.tab"))
-#: Heun's third-order method: no node c = 1, so no step carries g and g' into the next
-HEUN3 = RKTableau(name="heun3", order=3, a=((), (1 / 3,), (0.0, 2 / 3)),
-                  b=(0.25, 0.0, 0.75), c=(0.0, 1 / 3, 2 / 3))
+#: Fehlberg-7 with a first node of 1e-12: valid (row-sum defect 1e-12), and its stage 0
+#: still evaluates the jet at the y its step starts from, as A's first row is empty
+FEHLBERG7_C1 = RKTableau(name="fehlberg7-c1e-12", order=7, a=FEHLBERG7.a, b=FEHLBERG7.b,
+                         c=(1e-12, *FEHLBERG7.c[1:]))
+FEHLBERG7_C1.validate()
 
 
 def _sweep_steps(spec):
@@ -85,7 +85,7 @@ def _sweep_steps(spec):
     def recording(p):
         step, d2 = xi_ode.bind_step(p)
         recorded.append(d2)
-        assert "stage" in step.__code__.co_freevars  # stages after the first call it
+        assert "stage" in step.__code__.co_freevars  # every stage calls it
 
         def recorded_step(x, y, h):
             steps.append((x, y, h, step(x, y, h)))
@@ -98,7 +98,8 @@ def _sweep_steps(spec):
     return steps, recorded[0]
 
 
-@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3], ids=lambda t: t.name.split("/")[-1])
+@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1],
+                         ids=lambda t: t.name.split("/")[-1])
 @pytest.mark.parametrize("make", [
     pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, tableau=t), id="sin"),
     pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, shift=2.0, tableau=t), id="shifted-sin"),
