@@ -51,7 +51,8 @@ def test_trees_of_one_shape_share_compiled_code():
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
     # and one xi-ODE per (shape, tableau), compiled once, bound to each tree's literals:
-    # the sweep's step and its stage, which xi_rhs runs too, with no compile of its own
+    # the sweep's step and its stage, which xi_rhs runs too, with no compile of its own;
+    # no other test steps by this tableau, so its first bind here is the one compile
     midpoint = RKTableau(name="midpoint", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
     info, before = expr._xi_factory.cache_info, expr._xi_factory.cache_info()
     step_two, step_three = two._xi(midpoint), three._xi(midpoint)
