@@ -135,6 +135,13 @@ def test_integrate_help_golden(capsys):
     assert capsys.readouterr().out == (DATA / "help_integrate.txt").read_text()
 
 
+@pytest.mark.parametrize("command", ["xi-curve", "order-test", "tableau-check"])
+def test_subcommand_help_golden(command, capsys):
+    assert main([command, "--help"]) == 0
+    golden = DATA / f"help_{command.replace('-', '_')}.txt"
+    assert capsys.readouterr().out == golden.read_text()
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost start-up time on every command; -S keeps site's imports out
     check = ("import sys, trapcorr.cli; "
