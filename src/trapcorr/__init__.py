@@ -16,8 +16,8 @@ from .pipeline import (CurveRow, ErrorCurve, ProblemSpec, emit_csv,
                        emit_xi_csv, run, solve_xi0, solve_xi_at)
 from .quadrature import (ReferenceResult, composite_trapezium,
                          reference_integral, trapezium)
-from .rk import (FEHLBERG7, RKTableau, Trajectory, empirical_order,
-                 format_tableau, integrate, load_tableau, rk_step)
+from .rk import (FEHLBERG7, RKTableau, empirical_order, format_tableau,
+                 integrate, load_tableau, rk_step)
 from .xi_ode import error_term, suggest_shift, unshift_error, xi_rhs
 
 __version__ = "0.1.0"
@@ -30,8 +30,8 @@ __all__ = [
     "CurveRow", "ErrorCurve", "ProblemSpec", "emit_csv", "emit_xi_csv",
     "run", "solve_xi0", "solve_xi_at",
     "ReferenceResult", "composite_trapezium", "reference_integral", "trapezium",
-    "FEHLBERG7", "RKTableau", "Trajectory", "empirical_order",
-    "format_tableau", "integrate", "load_tableau", "rk_step",
+    "FEHLBERG7", "RKTableau", "empirical_order", "format_tableau",
+    "integrate", "load_tableau", "rk_step",
     "error_term", "suggest_shift", "unshift_error", "xi_rhs",
     "__version__",
 ]

@@ -98,28 +98,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "integrating an ODE for the mean-value point.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_int = sub.add_parser(
-        "integrate", parents=[], help="run the corrected quadrature, write CSV",
-        formatter_class=parser.formatter_class)
+    p_int = sub.add_parser("integrate", help="run the corrected quadrature, write CSV")
     _add_problem_flags(p_int)
     p_int.set_defaults(func=_cmd_integrate)
 
-    p_xi = sub.add_parser(
-        "xi-curve", help="write only the (x, xi) columns",
-        formatter_class=parser.formatter_class)
+    p_xi = sub.add_parser("xi-curve", help="write only the (x, xi) columns")
     _add_problem_flags(p_xi)
     p_xi.set_defaults(func=_cmd_xi_curve)
 
     p_ord = sub.add_parser(
-        "order-test", help="measure the tableau's empirical convergence order",
-        formatter_class=parser.formatter_class)
+        "order-test", help="measure the tableau's empirical convergence order")
     p_ord.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
                        help="RK tableau to measure")
     p_ord.set_defaults(func=_cmd_order_test)
 
-    p_tab = sub.add_parser(
-        "tableau-check", help="validate a tableau file",
-        formatter_class=parser.formatter_class)
+    p_tab = sub.add_parser("tableau-check", help="validate a tableau file")
     p_tab.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
                        help="RK tableau to check")
     p_tab.set_defaults(func=_cmd_tableau_check)
@@ -204,9 +197,6 @@ def _cmd_tableau_check(ns: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
-    if not argv:
-        parser.print_help()
-        return 0
     try:
         ns = parser.parse_args(argv)
     except SystemExit as exc:
@@ -215,7 +205,14 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 0
     try:
-        return ns.func(ns)
+        try:
+            code = ns.func(ns)
+            if sys.stdout is not None:  # None when started with stdout closed
+                sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
+        except OSError as exc:
+            with phase("output"):
+                raise IoError(f"cannot write '<stdout>': {exc}") from exc
+        return code
     except TrapcorrError as exc:
         _diagnose(exc)
         return _exit_code(exc)

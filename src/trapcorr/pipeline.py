@@ -280,14 +280,11 @@ def run(spec: ProblemSpec, reference: bool = False,
     rev_target = spec.a + spec.h
     with phase("ode"):
         try:
-            forward = rk.integrate(step, spec.x0, xi0, spec.b, spec.h,
-                                   None, _keep_in_interval(spec, xi0))
+            nodes = rk.integrate(step, spec.x0, xi0, spec.b, spec.h, _keep_in_interval(spec, xi0))
             if rev_target < spec.x0:
                 reverse = rk.integrate(step, spec.x0, xi0, rev_target, spec.h,
-                                       None, _keep_in_interval(spec, xi0))
-                nodes = list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
-            else:
-                nodes = list(forward.nodes)
+                                       _keep_in_interval(spec, xi0))
+                nodes = reverse[:0:-1] + nodes
         except SingularDenominatorError as exc:
             exc.suggested_shift = suggest_shift(spec.f_ast, spec.a, spec.b)
             raise
@@ -337,14 +334,15 @@ def _template(absent: tuple[bool, ...]) -> str:
 
 
 def _write_text(text: str, destination) -> None:
-    if hasattr(destination, "write"):
-        destination.write(text)
-        return
     try:
-        with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII text, no import
-            fh.write(text)
+        if hasattr(destination, "write"):
+            destination.write(text)
+        else:
+            with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII text, no import
+                fh.write(text)
     except OSError as exc:
-        raise IoError(f"cannot write {destination!r}: {exc}") from exc
+        name = getattr(destination, "name", destination)  # a stream by its name, a path as given
+        raise IoError(f"cannot write {name!r}: {exc}") from exc
 
 
 def _write_csv(curve: ErrorCurve, destination, columns: tuple[str, ...]) -> None:

@@ -70,14 +70,13 @@ def composite_trapezium(f: ExprAST, a: float, b: float, n: int) -> float:
     return h * total
 
 
-def reference_integral(f: ExprAST, a: float, x: float, tol: float,
-                       max_evals: int = DEFAULT_MAX_EVALS) -> ReferenceResult:
+def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceResult:
     """Integral of ``f`` over [a, x] to absolute tolerance ``tol``.
 
     Deterministic for fixed inputs.  Raises :class:`ToleranceError` when
-    ``tol`` is not reached within the evaluation budget, or sooner, when
-    the table stalls at its round-off floor or the integral looks
-    divergent; and :class:`ConfigError` for a non-positive tolerance or
+    ``tol`` is not reached within ``DEFAULT_MAX_EVALS`` evaluations, or
+    sooner, when the table stalls at its round-off floor or the integral
+    looks divergent; and :class:`ConfigError` for a non-positive tolerance or
     reversed limits.
     """
     if tol <= 0.0:
@@ -97,7 +96,7 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float,
     peaks = [max(abs(fa), abs(fx))]  # largest |f| sampled, per level
     stalled = 0
     k = 0
-    while evals + n <= max_evals:  # next refinement adds n midpoints
+    while evals + n <= DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
         k += 1
         n *= 2
         h *= 0.5
@@ -139,5 +138,5 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float,
                         best_estimate=best, achieved=best_est)
         prev_row = row
     raise ToleranceError(
-        f"tolerance {tol!r} not reached within {max_evals} evaluations",
+        f"tolerance {tol!r} not reached within {DEFAULT_MAX_EVALS} evaluations",
         best_estimate=best, achieved=best_est)

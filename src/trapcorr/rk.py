@@ -21,20 +21,21 @@ to p, the trees built on first use (Hairer, Norsett & Wanner I, II.2).
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from operator import mul
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from ._value import Value
 from .errors import ConfigError, IoError
 
 __all__ = [
-    "RKTableau", "Trajectory", "FEHLBERG7",
+    "RKTableau", "FEHLBERG7",
     "rk_step", "integrate", "load_tableau", "format_tableau",
     "order_condition_residuals", "empirical_order",
 ]
 
 Rhs = Callable[[float, float], float]
+Step = Callable[[float, float, float], float]
 
 #: largest row-sum defect and order-condition residual :meth:`RKTableau.validate` accepts
 VALIDATE_TOL = 1e-10
@@ -195,29 +196,18 @@ def _fehlberg7() -> RKTableau:
 FEHLBERG7 = _fehlberg7()
 
 
-class Trajectory(NamedTuple):
-    """Ordered (x, y) nodes of one integration sweep."""
-
-    nodes: tuple[tuple[float, float], ...]
-
-    @property
-    def y_end(self) -> float:
-        return self.nodes[-1][1]
-
-
-def rk_step(rhs: Rhs, x: float, y: float, h: float,
-            tableau: RKTableau | None = FEHLBERG7) -> float:
-    """Advance one explicit RK step of signed size ``h`` from (x, y).  With
-    ``tableau=None``, ``rhs`` is a step fused with its method, ``rhs(x, y, h)``."""
+def rk_step(step: Step, x: float, y: float, h: float) -> float:
+    """Advance ``step(x, y, h)`` by a signed, nonzero ``h`` from (x, y).  A tableau's
+    own method over ``rhs`` is ``partial(tableau.step, rhs)``."""
     if h == 0.0:
         raise ConfigError("step size must be nonzero")
-    return rhs(x, y, h) if tableau is None else tableau.step(rhs, x, y, h)
+    return step(x, y, h)
 
 
-def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
-              tableau: RKTableau | None = FEHLBERG7,
-              on_node: Rhs | None = None) -> Trajectory:
-    """Fixed steps of magnitude ``h_mag`` from (x0, y0) toward ``x_end``.
+def integrate(step: Step, x0: float, y0: float, x_end: float, h_mag: float,
+              on_node: Rhs | None = None) -> tuple[tuple[float, float], ...]:
+    """The (x, y) nodes of fixed steps of magnitude ``h_mag`` by ``step``
+    (see :func:`rk_step`) from (x0, y0) toward ``x_end``.
 
     The step is signed by the direction of travel; the final step is
     clamped to land exactly on ``x_end``.  All nodes including both
@@ -229,7 +219,7 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
     if h_mag <= 0.0:
         raise ConfigError(f"step magnitude must be positive, got {h_mag!r}")
     if x_end == x0:
-        return Trajectory(nodes=((x0, y0),))
+        return ((x0, y0),)
     sign = 1.0 if x_end > x0 else -1.0
     h = sign * h_mag
     nodes = [(x0, y0)]
@@ -241,14 +231,14 @@ def integrate(rhs: Rhs, x0: float, y0: float, x_end: float, h_mag: float,
         last = sign * (x_next - x_end) >= -1e-9 * h_mag
         if last:
             x_next = x_end
-        y = rk_step(rhs, x, y, x_next - x, tableau)
+        y = rk_step(step, x, y, x_next - x)
         if on_node is not None:
             y = on_node(x_next, y)
         nodes.append((x_next, y))
         if last:
             break
         x = x_next
-    return Trajectory(nodes=tuple(nodes))
+    return tuple(nodes)
 
 
 # ------------------------------------------------------------- file format
@@ -319,8 +309,8 @@ def empirical_order(tableau: RKTableau = FEHLBERG7) -> list[tuple[float, float, 
     p = tableau.order
     coarsest = 0.2 * 2.0 ** math.floor(math.log2(1e-3 ** (1.0 / p) / 0.2))
     steps = [h for h in (coarsest / 2 ** k for k in range(5)) if h ** p >= 1e-10]
-    errs = [abs(integrate(lambda x, y: y, 0.0, 1.0, 1.0, h, tableau).y_end - math.e)
-            for h in steps]
+    step = partial(tableau.step, lambda x, y: y)
+    errs = [abs(integrate(step, 0.0, 1.0, 1.0, h)[-1][1] - math.e) for h in steps]
     floor = FLOOR_ULPS * math.ulp(math.e)
     return [(h, err, math.log2(err / finer) if finer > floor else math.nan)
             for h, err, finer in zip(steps, errs, errs[1:] + [0.0])]

@@ -11,6 +11,7 @@ such a node back to its preimage in (a, x); a failure means a node left
 import io
 import math
 import time
+from functools import partial
 
 from trapcorr import (FEHLBERG7, ProblemSpec, emit_csv, empirical_order,
                       integrate, reference_integral, run, solve_xi0, xi_ode)
@@ -105,10 +106,11 @@ def test_criterion_6_rk_order_and_reverse():
     slopes = [s for _, _, s in rows if not math.isnan(s)]
     order_ok = bool(slopes) and all(abs(s - 7.0) <= 0.5 for s in slopes)
 
-    fwd = integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.1)
-    fwd_err = abs(fwd.y_end - math.e)
-    back = integrate(lambda x, y: y, 1.0, fwd.y_end, 0.0, 0.1)
-    round_trip = abs(back.y_end - 1.0)
+    step = partial(FEHLBERG7.step, lambda x, y: y)
+    fwd = integrate(step, 0.0, 1.0, 1.0, 0.1)
+    fwd_err = abs(fwd[-1][1] - math.e)
+    back = integrate(step, 1.0, fwd[-1][1], 0.0, 0.1)
+    round_trip = abs(back[-1][1] - 1.0)
     reverse_ok = round_trip <= 10.0 * fwd_err
     report("6 rk-order-and-reverse", order_ok and reverse_ok,
            f"slopes {['%.2f' % s for s in slopes]} within 7 +- 0.5; round "

@@ -320,6 +320,49 @@ def test_unwritable_output_exit_6(capsys):
     assert "[output]" in lines[0]
 
 
+class _FullStdout(io.StringIO):
+    """A stdout on a full disk: ``write`` fails, or only the ``flush`` of what it buffered."""
+
+    name = "<stdout>"
+
+    def __init__(self, failing):
+        super().__init__()
+        self.failing = failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(28, "No space left on device")
+        return super().write(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["xi-curve", *SIN_ARGS],
+                                  ["tableau-check"], ["order-test"]], ids=lambda a: a[0])
+def test_stdout_write_failure_exit_6(argv, failing, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
+    assert main(argv) == 6
+    lines = stderr_lines(capsys)
+    assert lines == ["trapcorr: [output] cannot write '<stdout>': "
+                     "[Errno 28] No space left on device"]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["tableau-check"]],
+                         ids=["written", "buffered"])
+def test_stdout_on_a_full_device_exit_6(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "trapcorr.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 6
+    assert proc.stderr.splitlines() == ["trapcorr: [output] cannot write '<stdout>': "
+                                        "[Errno 28] No space left on device"]
+
+
 def test_missing_tableau_file_exit_6(capsys):
     code = main(["integrate", *SIN_ARGS, "--tableau", "/nonexistent.tab"])
     assert code == 6

@@ -1,6 +1,7 @@
 import io
 import math
 import pickle
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -397,9 +398,10 @@ def unswitched_nodes(spec):
     def rhs(x, xi):
         return xi_rhs(problem, x, xi)
 
-    forward = integrate(rhs, spec.x0, xi0, spec.b, spec.h)
-    reverse = integrate(rhs, spec.x0, xi0, spec.a + spec.h, spec.h)
-    return list(reversed(reverse.nodes))[:-1] + list(forward.nodes)
+    step = partial(spec.tableau.step, rhs)
+    forward = integrate(step, spec.x0, xi0, spec.b, spec.h)
+    reverse = integrate(step, spec.x0, xi0, spec.a + spec.h, spec.h)
+    return list(reversed(reverse))[:-1] + list(forward)
 
 
 def test_in_interval_xi_reflects_the_sin_tail_node(sin_curve):

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -156,49 +157,65 @@ def test_tableau_nodes_at_the_step_ends_validate():
 
 # ---------------------------------------------------------------- steps
 
+def _f7(rhs):
+    """Fehlberg-7's own step over ``rhs``."""
+    return partial(FEHLBERG7.step, rhs)
+
+
 def test_step_constant_rhs_zero():
-    assert rk_step(lambda x, y: 0.0, 1.0, 4.5, 0.3) == 4.5
+    assert rk_step(_f7(lambda x, y: 0.0), 1.0, 4.5, 0.3) == 4.5
 
 
 def test_step_constant_rhs_one():
-    got = rk_step(lambda x, y: 1.0, 1.0, 4.5, 0.3)
+    got = rk_step(_f7(lambda x, y: 1.0), 1.0, 4.5, 0.3)
     assert got == pytest.approx(4.8, rel=1e-15)
 
 
 def test_step_exponential_single():
-    got = rk_step(lambda x, y: y, 0.0, 1.0, 0.5)
+    got = rk_step(_f7(lambda x, y: y), 0.0, 1.0, 0.5)
     assert got == pytest.approx(math.exp(0.5), abs=1e-8)
 
 
 def test_step_rejects_zero_h():
     with pytest.raises(ConfigError):
-        rk_step(lambda x, y: y, 0.0, 1.0, 0.0)
+        rk_step(_f7(lambda x, y: y), 0.0, 1.0, 0.0)
+
+
+def test_step_is_called_once_with_the_signed_h():
+    calls = []
+
+    def step(x, y, h):
+        calls.append((x, y, h))
+        return y - 1.0
+
+    assert rk_step(step, 2.0, 5.0, -0.25) == 4.0
+    assert calls == [(2.0, 5.0, -0.25)]
 
 
 # ----------------------------------------------------------- trajectories
 
 def test_integrate_exponential_forward():
-    traj = integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.01)
-    assert traj.nodes[0] == (0.0, 1.0)
-    assert traj.nodes[-1][0] == 1.0
-    assert traj.y_end == pytest.approx(math.e, abs=1e-12)
+    nodes = integrate(_f7(lambda x, y: y), 0.0, 1.0, 1.0, 0.01)
+    assert nodes[0] == (0.0, 1.0)
+    assert nodes[-1][0] == 1.0
+    assert nodes[-1][1] == pytest.approx(math.e, abs=1e-12)
 
 
 def test_integrate_exponential_reverse():
-    traj = integrate(lambda x, y: y, 1.0, math.e, 0.0, 0.01)
-    xs = [x for x, _ in traj.nodes]
+    nodes = integrate(_f7(lambda x, y: y), 1.0, math.e, 0.0, 0.01)
+    xs = [x for x, _ in nodes]
     assert all(b < a for a, b in zip(xs, xs[1:]))
-    assert traj.y_end == pytest.approx(1.0, abs=1e-12)
+    assert nodes[-1][1] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_integrate_degenerate_interval():
-    traj = integrate(lambda x, y: y, 2.0, 5.0, 2.0, 0.1)
-    assert traj.nodes == ((2.0, 5.0),)
+    nodes = integrate(_f7(lambda x, y: y), 2.0, 5.0, 2.0, 0.1)
+    assert nodes == ((2.0, 5.0),)
 
 
 def test_final_step_clamps():
-    traj = integrate(lambda x, y: 0.0, 0.0, 0.0, 1.0, 0.3)
-    xs = [x for x, _ in traj.nodes]
+    nodes = integrate(_f7(lambda x, y: 0.0), 0.0, 0.0, 1.0, 0.3)
+    xs = [x for x, _ in nodes]
     assert xs == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
     gaps = [b - a for a, b in zip(xs, xs[1:])]
     assert all(g == pytest.approx(0.3, rel=1e-12) for g in gaps[:-1])
@@ -206,8 +223,8 @@ def test_final_step_clamps():
 
 
 def test_nodes_strictly_monotone():
-    traj = integrate(lambda x, y: math.sin(x) * y, 5.0, 1.0, 1.0, 0.01)
-    xs = [x for x, _ in traj.nodes]
+    nodes = integrate(_f7(lambda x, y: math.sin(x) * y), 5.0, 1.0, 1.0, 0.01)
+    xs = [x for x, _ in nodes]
     assert all(b < a for a, b in zip(xs, xs[1:]))
 
 
@@ -230,10 +247,10 @@ def test_empirical_order_is_seven():
 
 def test_forward_reverse_round_trip():
     for h in (0.1, 0.05):
-        fwd = integrate(lambda x, y: y, 0.0, 1.0, 1.0, h)
-        fwd_err = abs(fwd.y_end - math.e)
-        back = integrate(lambda x, y: y, 1.0, fwd.y_end, 0.0, h)
-        assert abs(back.y_end - 1.0) <= 10.0 * fwd_err
+        fwd = integrate(_f7(lambda x, y: y), 0.0, 1.0, 1.0, h)
+        fwd_err = abs(fwd[-1][1] - math.e)
+        back = integrate(_f7(lambda x, y: y), 1.0, fwd[-1][1], 0.0, h)
+        assert abs(back[-1][1] - 1.0) <= 10.0 * fwd_err
 
 
 def test_rhs_failure_propagates_unwrapped():
@@ -246,7 +263,7 @@ def test_rhs_failure_propagates_unwrapped():
         return y
 
     with pytest.raises(DomainError) as exc:
-        integrate(rhs, 0.0, 1.0, 1.0, 0.1)
+        integrate(_f7(rhs), 0.0, 1.0, 1.0, 0.1)
     assert exc.value is raised[0]
     assert 0.55 < exc.value.x <= 0.6  # a stage of the step from 0.5 to 0.6
     assert exc.value.phase is None
@@ -259,11 +276,11 @@ def test_on_node_replaces_each_node_and_sweep_continues_from_it():
         seen.append(x)
         return 0.5 * y
 
-    traj = integrate(lambda x, y: 0.0, 0.0, 1.0, 0.3, 0.1, on_node=halve)
-    xs = [x for x, _ in traj.nodes]
+    nodes = integrate(_f7(lambda x, y: 0.0), 0.0, 1.0, 0.3, 0.1, on_node=halve)
+    xs = [x for x, _ in nodes]
     assert xs == [0.0, 0.1, 0.2, 0.3]
     assert seen == xs[1:]
-    assert [y for _, y in traj.nodes] == [1.0, 0.5, 0.25, 0.125]
+    assert [y for _, y in nodes] == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_on_node_failure_propagates_unwrapped():
@@ -276,7 +293,7 @@ def test_on_node_failure_propagates_unwrapped():
         return y
 
     with pytest.raises(DomainError) as exc:
-        integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.1, on_node=hook)
+        integrate(_f7(lambda x, y: y), 0.0, 1.0, 1.0, 0.1, on_node=hook)
     assert exc.value is raised[0]
     assert exc.value.x == pytest.approx(0.3)
 
@@ -315,8 +332,8 @@ def test_loaded_tableau_drives_the_kernel(tmp_path):
     path = tmp_path / "heun.tab"
     path.write_text(format_tableau(heun), encoding="ascii")
     loaded = load_tableau(str(path))
-    traj = integrate(lambda x, y: y, 0.0, 1.0, 1.0, 0.001, tableau=loaded)
-    assert traj.y_end == pytest.approx(math.e, abs=1e-5)
+    nodes = integrate(partial(loaded.step, lambda x, y: y), 0.0, 1.0, 1.0, 0.001)
+    assert nodes[-1][1] == pytest.approx(math.e, abs=1e-5)
 
 
 
@@ -354,8 +371,8 @@ def test_spelled_out_zeros_step_bit_identically(tmp_path):
     for h in (0.01, -0.01, 0.3):
         for x, y in ((0.5, 0.3), (-2.0, 1.7), (10.0, -0.25)):
             want = _dense_step(rhs, x, y, h, FEHLBERG7).hex()
-            assert rk_step(rhs, x, y, h, loaded).hex() == want
-            assert rk_step(rhs, x, y, h, FEHLBERG7).hex() == want
+            assert rk_step(partial(loaded.step, rhs), x, y, h).hex() == want
+            assert rk_step(_f7(rhs), x, y, h).hex() == want
 
 
 def _recorded(rhs):
@@ -387,7 +404,8 @@ def test_compiled_step_matches_a_dense_loop_bit_for_bit():
                     want_rhs, want_calls = _recorded(rhs)
                     got_rhs, got_calls = _recorded(rhs)
                     want = _dense_step(want_rhs, x, y, h, t).hex()
-                    assert rk_step(got_rhs, x, y, h, t).hex() == want, (t.name, h, x, y)
+                    got = rk_step(partial(t.step, got_rhs), x, y, h).hex()
+                    assert got == want, (t.name, h, x, y)
                     assert got_calls == want_calls
 
 
@@ -395,7 +413,7 @@ def test_compiled_step_stays_out_of_pickles_hash_and_equality():
     def rhs(x, y):
         return math.cos(x) * y
 
-    want = rk_step(rhs, 0.3, 1.1, -0.02)
+    want = rk_step(_f7(rhs), 0.3, 1.1, -0.02)
     assert "step" in FEHLBERG7.__dict__  # compiled on that first step
     fresh = RKTableau(FEHLBERG7.name, FEHLBERG7.order, FEHLBERG7.a, FEHLBERG7.b, FEHLBERG7.c)
     assert "step" not in fresh.__dict__
@@ -403,5 +421,5 @@ def test_compiled_step_stays_out_of_pickles_hash_and_equality():
     copy = pickle.loads(pickle.dumps(FEHLBERG7))
     assert "step" not in copy.__dict__
     assert copy == FEHLBERG7 and hash(copy) == hash(FEHLBERG7)
-    assert rk_step(rhs, 0.3, 1.1, -0.02, copy).hex() == want.hex()
+    assert rk_step(partial(copy.step, rhs), 0.3, 1.1, -0.02).hex() == want.hex()
     assert copy.step is not FEHLBERG7.step and copy == FEHLBERG7

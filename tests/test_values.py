@@ -5,8 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (FEHLBERG7, CurveRow, ProblemSpec, ReferenceResult, RKTableau,
-                      Trajectory, parse)
+from trapcorr import FEHLBERG7, CurveRow, ProblemSpec, ReferenceResult, RKTableau, parse
 from trapcorr.expr import BinOp, Call, Const, Neg, Num, Var
 
 DATA = Path(__file__).parent / "data"
@@ -20,7 +19,6 @@ def test_reprs_match_the_recorded_dataclass_format():
         FEHLBERG7,
         CurveRow(x=1.0, xi=None, trapezium=0.0, error_term=0.0, corrected=0.0),
         ReferenceResult(value=0.5, est_error=1e-15, panels=129),
-        Trajectory(nodes=((1.0, 2.0), (1.5, 2.25))),
     )
     recorded = (DATA / "value_reprs.txt").read_text().splitlines()
     assert [repr(obj) for obj in objects] == recorded
@@ -73,6 +71,5 @@ def test_records_are_named_tuples():
                            reference=None, residual=None)
     assert tuple(row) == (1.0, None, 0.0, 0.0, 0.0, None, None)
     assert list(ReferenceResult(0.5, 1e-15, 129)) == [0.5, 1e-15, 129]
-    assert Trajectory(((0.0, 1.0), (0.5, 2.0))).y_end == 2.0
     with pytest.raises(AttributeError):
         row.x = 2.0
