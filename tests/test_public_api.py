@@ -18,7 +18,8 @@ def _describe(name: str, obj) -> str:
         signature = ""
     if isinstance(obj, type):
         bases = ", ".join(base.__name__ for base in obj.__bases__)
-        return f"class {name}({bases}): {signature}".rstrip(": ")
+        head = f"class {name}({bases})"
+        return f"{head}: {signature}" if signature else head
     return f"{name}{signature}"
 
 
