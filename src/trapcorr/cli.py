@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 from .errors import (ConfigError, ExpressionError, IoError, NoRootError,
                      SingularDenominatorError, TrapcorrError, phase)
 from .expr import parse
-from .pipeline import ProblemSpec, emit_csv, emit_xi_csv, run
+from .pipeline import ProblemSpec, _write_text, emit_csv, emit_xi_csv, run
 from .rk import FEHLBERG7, RKTableau, empirical_order, load_tableau, \
     order_condition_residuals
 
@@ -148,9 +149,11 @@ def _note(ns: argparse.Namespace, tag: str, message: str) -> None:
         print(f"{PROG}: [{tag}] {message}", file=sys.stderr)
 
 
-def _emit(curve, ns, writer) -> None:
+def _emit(writer, payload, destination=None) -> int:
+    """Write under [output], to stdout by default, or as print does, nowhere if it started closed."""
     with phase("output"):
-        writer(curve, sys.stdout if ns.out is None else ns.out)
+        writer(payload, (sys.stdout or os.devnull) if destination is None else destination)
+    return 0
 
 
 def _cmd_integrate(ns: argparse.Namespace) -> int:
@@ -158,40 +161,36 @@ def _cmd_integrate(ns: argparse.Namespace) -> int:
     curve = run(spec, reference=ns.reference, residual=ns.residual)
     _note(ns, "curve", f"{len(curve.rows)} rows in {curve.wall_time:.3f}s "
                        f"({curve.spec.tableau.name})")
-    _emit(curve, ns, emit_csv)
-    return 0
+    return _emit(emit_csv, curve, ns.out)
 
 
 def _cmd_xi_curve(ns: argparse.Namespace) -> int:
     spec = _build_spec(ns)
     curve = run(spec)
     _note(ns, "curve", f"{len(curve.rows)} rows in {curve.wall_time:.3f}s")
-    _emit(curve, ns, emit_xi_csv)
-    return 0
+    return _emit(emit_xi_csv, curve, ns.out)
 
 
 def _cmd_order_test(ns: argparse.Namespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     rows = empirical_order(tableau)
-    print(f"tableau {tableau.name}: declared order {tableau.order}")
-    print("h           error         slope")
+    lines = [f"tableau {tableau.name}: declared order {tableau.order}",
+             "h           error         slope"]
     for i, (h, err, slope) in enumerate(rows, 1):
         s = ("-" if i == len(rows) else "at rounding floor" if math.isnan(slope)
              else f"{slope:.3f}")
-        print(f"{h:<11g} {err:<13.3e} {s}")
-    return 0
+        lines.append(f"{h:<11g} {err:<13.3e} {s}")
+    return _emit(_write_text, "\n".join(lines) + "\n")
 
 
 def _cmd_tableau_check(ns: argparse.Namespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     tableau.validate()
-    print(f"tableau {tableau.name}: {tableau.stages} stages, declared order {tableau.order}")
-    print(f"row-sum defect:   {tableau.row_sum_defect():.3e}")
-    print("order  trees  worst residual")
-    for order, trees, worst in order_condition_residuals(tableau):
-        print(f"{order:<6} {trees:<6} {worst:.3e}")
-    print("OK")
-    return 0
+    lines = [f"tableau {tableau.name}: {tableau.stages} stages, declared order {tableau.order}",
+             f"row-sum defect:   {tableau.row_sum_defect():.3e}", "order  trees  worst residual"]
+    lines += [f"{order:<6} {trees:<6} {worst:.3e}"
+              for order, trees, worst in order_condition_residuals(tableau)]
+    return _emit(_write_text, "\n".join(lines + ["OK"]) + "\n")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,21 +204,22 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 0
     try:
-        try:
-            code = ns.func(ns)
-            if sys.stdout is not None:  # None when started with stdout closed
-                sys.stdout.flush()  # a buffered write fails here, not at interpreter exit
-        except OSError as exc:
-            with phase("output"):
-                raise IoError(f"cannot write '<stdout>': {exc}") from exc
-        return code
+        return ns.func(ns)
     except TrapcorrError as exc:
         _diagnose(exc)
         return _exit_code(exc)
 
 
 def entry() -> None:
-    raise SystemExit(main())
+    code = main()
+    # bytes that a failed write left in stdout's buffer would fail again in Python's exit
+    # flush, which then prints a second message and exits 120: drop them instead
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -337,6 +337,7 @@ def _write_text(text: str, destination) -> None:
     try:
         if hasattr(destination, "write"):
             destination.write(text)
+            destination.flush()  # a buffered stream fails here, not at some later flush
         else:
             with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII text, no import
                 fh.write(text)

@@ -350,17 +350,34 @@ def test_stdout_write_failure_exit_6(argv, failing, capsys, monkeypatch):
                      "[Errno 28] No space left on device"]
 
 
+SMALL_SIN_ARGS = ["--f", "sin(x)", "--a", "1", "--b", "3", "--x0", "2", "--h", "0.1"]
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["tableau-check"]],
-                         ids=["written", "buffered"])
-def test_stdout_on_a_full_device_exit_6(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+@pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["integrate", *SMALL_SIN_ARGS],
+                                  ["tableau-check"]],
+                         ids=["csv-over-8KiB", "csv-under-8KiB", "report"])
+def test_stdout_on_a_full_device_exit_6(argv, buffering):
+    # buffered, what a write could not flush stays in stdout's buffer until Python exits
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).parents[1] / "src")
+    if buffering == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
     with open("/dev/full", "w") as full:
         proc = subprocess.run([sys.executable, "-m", "trapcorr.cli", *argv], env=env,
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60)
     assert proc.returncode == 6
     assert proc.stderr.splitlines() == ["trapcorr: [output] cannot write '<stdout>': "
                                         "[Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["xi-curve", *SIN_ARGS],
+                                  ["tableau-check"], ["order-test"]], ids=lambda a: a[0])
+def test_closed_stdout_discards_the_output(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", None)  # how Python starts when fd 1 is closed
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_missing_tableau_file_exit_6(capsys):
