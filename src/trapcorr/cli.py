@@ -12,6 +12,12 @@ denominator (the message suggests a shift constant), 4 no root during
 initialization, 5 invalid configuration, 6 I/O error.  Every error path
 prints exactly one diagnostic line naming the failing phase; stack
 traces never appear by default.
+
+There is one way out for each outcome.  CSVs, reports and help pages
+are all written by ``_emit`` under phase ``output``: a failed write to
+stdout exits 6, and a stdout closed at start-up discards the output.
+``main`` parses and runs a command inside one ``try`` and maps a package
+error to its exit code through ``_EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -31,26 +37,16 @@ from .rk import FEHLBERG7, RKTableau, empirical_order, load_tableau, \
 PROG = "trapcorr"
 
 
-def _exit_code(err: TrapcorrError) -> int:
-    if isinstance(err, ExpressionError):
-        return 2
-    if isinstance(err, SingularDenominatorError):
-        return 3
-    if isinstance(err, NoRootError):
-        return 4
-    if isinstance(err, IoError):
-        return 6
-    # ConfigError, DomainError, ToleranceError: the problem as configured
-    # cannot be computed
-    return 5
-
-
-def _diagnose(err: TrapcorrError) -> None:
-    print(f"{PROG}: [{err.phase or 'config'}] {err}", file=sys.stderr)
+#: exit code of a package error, by its first matching class; any other
+#: (ConfigError, DomainError, ToleranceError: the problem as configured
+#: cannot be computed) exits 5
+_EXIT_CODES = ((ExpressionError, 2), (SingularDenominatorError, 3), (NoRootError, 4),
+               (IoError, 6))
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with single-line diagnostics and a stable help width."""
+    """argparse with single-line diagnostics, a stable help width, and help
+    written as any other output is."""
 
     def __init__(self, *args, **kwargs):
         kwargs.setdefault(
@@ -59,12 +55,17 @@ class _Parser(argparse.ArgumentParser):
                 prog, width=88, max_help_position=28))
         super().__init__(*args, **kwargs)
 
+    def print_help(self, file=None):
+        return _emit(_write_text, self.format_help(), file)
+
     def error(self, message):
         print(f"{PROG}: [args] {message}", file=sys.stderr)
         raise SystemExit(2)
 
 
-def _add_problem_flags(p: argparse.ArgumentParser) -> None:
+def _add_run_command(sub, name: str, summary: str, writer) -> None:
+    """A subcommand that runs the problem its flags state and writes the curve with ``writer``."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--f", required=True, metavar="EXPR",
                    help="integrand expression in x, e.g. 'sin(x)'")
     p.add_argument("--a", required=True, type=float, help="lower limit")
@@ -76,11 +77,12 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
                    help="cubic shift constant D; g = f + D*(x-a)^3/6 (default: 0)")
     p.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
                    help="RK tableau to integrate with (default: builtin)")
-    p.add_argument("--reference", action="store_true",
-                   help="attach a reference-integral column (slow; default: off)")
-    p.add_argument("--residual", action="store_true",
-                   help="attach corrected-minus-reference column, implies "
-                        "--reference (default: off)")
+    if name == "integrate":  # xi-curve writes no column that these fill
+        p.add_argument("--reference", action="store_true",
+                       help="attach a reference-integral column (slow; default: off)")
+        p.add_argument("--residual", action="store_true",
+                       help="attach corrected-minus-reference column, implies "
+                            "--reference (default: off)")
     p.add_argument("--ref-tol", type=float, default=1e-13,
                    help="absolute tolerance of reference integrals (default: 1e-13)")
     p.add_argument("--root-tol", type=float, default=1e-12,
@@ -90,6 +92,7 @@ def _add_problem_flags(p: argparse.ArgumentParser) -> None:
                    help="output CSV path (default: stdout)")
     p.add_argument("-v", "--verbose", action="store_true",
                    help="progress notes on stderr")
+    p.set_defaults(func=_cmd_run, writer=writer, reference=False, residual=False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,13 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "integrating an ODE for the mean-value point.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
 
-    p_int = sub.add_parser("integrate", help="run the corrected quadrature, write CSV")
-    _add_problem_flags(p_int)
-    p_int.set_defaults(func=_cmd_integrate)
-
-    p_xi = sub.add_parser("xi-curve", help="write only the (x, xi) columns")
-    _add_problem_flags(p_xi)
-    p_xi.set_defaults(func=_cmd_xi_curve)
+    _add_run_command(sub, "integrate", "run the corrected quadrature, write CSV", emit_csv)
+    _add_run_command(sub, "xi-curve", "write only the (x, xi) columns", emit_xi_csv)
 
     p_ord = sub.add_parser(
         "order-test", help="measure the tableau's empirical convergence order")
@@ -144,11 +142,6 @@ def _build_spec(ns: argparse.Namespace) -> ProblemSpec:
     return spec
 
 
-def _note(ns: argparse.Namespace, tag: str, message: str) -> None:
-    if getattr(ns, "verbose", False):
-        print(f"{PROG}: [{tag}] {message}", file=sys.stderr)
-
-
 def _emit(writer, payload, destination=None) -> int:
     """Write under [output], to stdout by default, or as print does, nowhere if it started closed."""
     with phase("output"):
@@ -156,19 +149,12 @@ def _emit(writer, payload, destination=None) -> int:
     return 0
 
 
-def _cmd_integrate(ns: argparse.Namespace) -> int:
-    spec = _build_spec(ns)
-    curve = run(spec, reference=ns.reference, residual=ns.residual)
-    _note(ns, "curve", f"{len(curve.rows)} rows in {curve.wall_time:.3f}s "
-                       f"({curve.spec.tableau.name})")
-    return _emit(emit_csv, curve, ns.out)
-
-
-def _cmd_xi_curve(ns: argparse.Namespace) -> int:
-    spec = _build_spec(ns)
-    curve = run(spec)
-    _note(ns, "curve", f"{len(curve.rows)} rows in {curve.wall_time:.3f}s")
-    return _emit(emit_xi_csv, curve, ns.out)
+def _cmd_run(ns: argparse.Namespace) -> int:
+    curve = run(_build_spec(ns), reference=ns.reference, residual=ns.residual)
+    if ns.verbose:
+        print(f"{PROG}: [curve] {len(curve.rows)} rows in {curve.wall_time:.3f}s "
+              f"({curve.spec.tableau.name})", file=sys.stderr)
+    return _emit(ns.writer, curve, ns.out)
 
 
 def _cmd_order_test(ns: argparse.Namespace) -> int:
@@ -194,20 +180,15 @@ def _cmd_tableau_check(ns: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
         ns = parser.parse_args(argv)
-    except SystemExit as exc:
+        return ns.func(ns) if ns.command else parser.print_help()
+    except SystemExit as exc:  # argparse, after a help page or a flag error
         return int(exc.code or 0)
-    if not hasattr(ns, "func"):
-        parser.print_help()
-        return 0
-    try:
-        return ns.func(ns)
     except TrapcorrError as exc:
-        _diagnose(exc)
-        return _exit_code(exc)
+        print(f"{PROG}: [{exc.phase or 'config'}] {exc}", file=sys.stderr)
+        return next((code for cls, code in _EXIT_CODES if isinstance(exc, cls)), 5)
 
 
 def entry() -> None:

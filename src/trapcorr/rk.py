@@ -262,6 +262,9 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
             lines = fh.read().splitlines()
     except OSError as exc:
         raise IoError(f"cannot read tableau file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"tableau file {path!r}: non-ASCII byte "
+                          f"{exc.object[exc.start]:#04x}") from exc
     if not lines:
         raise ConfigError(f"tableau file {path!r} is empty")
     head = lines[0].split()

@@ -111,11 +111,11 @@ def test_tableau_check_computes_the_order_conditions_once(capsys, argv):
 
 
 def test_verbose_notes(tmp_path, capsys):
-    out = tmp_path / "c.csv"
-    code = main(["integrate", *SIN_ARGS, "--out", str(out), "-v"])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "[curve]" in err and "rows" in err
+    for command in ["integrate", "xi-curve"]:
+        code = main([command, *SIN_ARGS, "--out", str(tmp_path / "c.csv"), "-v"])
+        assert code == 0
+        err = capsys.readouterr().err
+        assert re.fullmatch(rf"trapcorr: \[curve\] 901 rows in \S+s \({FEHLBERG7.name}\)\n", err)
 
 
 # ------------------------------------------------------------ help text
@@ -177,11 +177,14 @@ def test_expression_syntax_error_exit_2(capsys):
 
 
 def test_unknown_flag_exit_2(capsys):
-    code = main(["integrate", "--frobnicate", "1"])
-    assert code == 2
-    lines = stderr_lines(capsys)
-    assert len(lines) == 1
-    assert "[args]" in lines[0]
+    # xi-curve writes no reference column, so it takes no flag that attaches one
+    for argv in (["integrate", "--frobnicate", "1"], ["xi-curve", *SIN_ARGS, "--reference"],
+                 ["xi-curve", *SIN_ARGS, "--residual"]):
+        code = main(argv)
+        assert code == 2
+        lines = stderr_lines(capsys)
+        assert len(lines) == 1
+        assert "[args]" in lines[0]
 
 
 def test_singular_denominator_exit_3_and_shift_remedy(tmp_path, capsys):
@@ -339,9 +342,21 @@ class _FullStdout(io.StringIO):
             raise OSError(28, "No space left on device")
 
 
+#: every way a command writes to stdout: the two CSVs, the two reports, and
+#: the help pages (bare ``trapcorr`` prints the main one)
+STDOUT_ARGVS = [["integrate", *SIN_ARGS], ["xi-curve", *SIN_ARGS], ["tableau-check"],
+                ["order-test"], [], ["--help"],
+                *([command, "--help"] for command in
+                  ["integrate", "xi-curve", "order-test", "tableau-check"])]
+
+
+def _argv_id(argv):
+    """The command and whether it asks for help: ``xi-curve``, ``xi-curve --help``."""
+    return " ".join(argv[:1] + ["--help"] * ("--help" in argv[1:])) or "bare"
+
+
 @pytest.mark.parametrize("failing", ["write", "flush"])
-@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["xi-curve", *SIN_ARGS],
-                                  ["tableau-check"], ["order-test"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=_argv_id)
 def test_stdout_write_failure_exit_6(argv, failing, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", _FullStdout(failing))
     assert main(argv) == 6
@@ -356,8 +371,8 @@ SMALL_SIN_ARGS = ["--f", "sin(x)", "--a", "1", "--b", "3", "--x0", "2", "--h", "
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["integrate", *SMALL_SIN_ARGS],
-                                  ["tableau-check"]],
-                         ids=["csv-over-8KiB", "csv-under-8KiB", "report"])
+                                  ["tableau-check"], ["--help"]],
+                         ids=["csv-over-8KiB", "csv-under-8KiB", "report", "help"])
 def test_stdout_on_a_full_device_exit_6(argv, buffering):
     # buffered, what a write could not flush stays in stdout's buffer until Python exits
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
@@ -372,8 +387,7 @@ def test_stdout_on_a_full_device_exit_6(argv, buffering):
                                         "[Errno 28] No space left on device"]
 
 
-@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS], ["xi-curve", *SIN_ARGS],
-                                  ["tableau-check"], ["order-test"]], ids=lambda a: a[0])
+@pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=_argv_id)
 def test_closed_stdout_discards_the_output(argv, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", None)  # how Python starts when fd 1 is closed
     assert main(argv) == 0
@@ -386,6 +400,10 @@ def test_missing_tableau_file_exit_6(capsys):
     assert len(stderr_lines(capsys)) == 1
 
 
+#: every subcommand that reads a tableau file
+TABLEAU_COMMANDS = [["tableau-check"], ["order-test"], ["integrate", *SIN_ARGS]]
+
+
 #: tableaux whose NaN or inf entries leave every defect NaN, which no
 #: ``>`` bound catches: a NaN weight, and an inf node matched by an inf
 #: A entry (inf - inf)
@@ -395,11 +413,7 @@ NON_FINITE_TABLEAUX = {
 }
 
 
-@pytest.mark.parametrize("command", [
-    ["tableau-check"],
-    ["order-test"],
-    ["integrate", *SIN_ARGS],
-])
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
 @pytest.mark.parametrize("name", sorted(NON_FINITE_TABLEAUX))
 def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
     path = tmp_path / f"{name}.tab"
@@ -411,6 +425,17 @@ def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
     assert len(lines) == 1
     assert lines[0].startswith("trapcorr: [config] ")
     assert "non-finite entry" in lines[0]
+
+
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+def test_non_ascii_tableau_exit_5(command, tmp_path, capsys):
+    path = tmp_path / "latin-1.tab"
+    path.write_bytes(b"1 1\n\n\xff\n0.0\n")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"trapcorr: [config] tableau file '{path}': "
+                            "non-ASCII byte 0xff\n")
 
 
 #: tableaux that cannot have the order they declare, and the end of the one
@@ -434,11 +459,7 @@ UNREACHED_ORDER_TABLEAUX = {
 }
 
 
-@pytest.mark.parametrize("command", [
-    ["tableau-check"],
-    ["order-test"],
-    ["integrate", *SIN_ARGS],
-])
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
 @pytest.mark.parametrize("name", sorted(UNREACHED_ORDER_TABLEAUX))
 def test_unreached_order_tableau_exit_5(name, command, tmp_path, capsys):
     text, reason = UNREACHED_ORDER_TABLEAUX[name]
