@@ -25,9 +25,12 @@ of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as the
 one function that every stage of the sweep's step by a tableau calls, and
 the xi-ODE's rhs too.  Literals
 are bound as values, so trees of one shape share their code through bounded
-caches, and a literal exponent's terms are computed once per bind.  The code
-drops a factor 1.0 (u * 1.0 == u for every double) but no term or factor 0.0
-(-0.0 + 0.0 is 0.0, inf * 0.0 is NaN).  Where only a derivative is undefined
+caches, and a literal exponent's terms are computed once per bind.  The
+derivative statements are sums of products, assembled without the factors
+1.0 and the products with a factor 0.0 that x's jet (x, 1, 0, 0) and a
+literal's (c, 0, 0, 0) feed them.  Values are bit for bit the unfolded rules',
+and so are derivatives but for the sign of an exact zero; a jet, slope or stage
+is rejected exactly where theirs is.  Where only a derivative is undefined
 (``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
 where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates
 numerically.
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache, partial, reduce
+from functools import cached_property, lru_cache, partial
 from typing import NamedTuple, Union
 
 from ._value import Value
@@ -322,47 +325,46 @@ _FUNCTIONS = {
 }
 
 #: Faa di Bruno through order 3, w = g(u) from g1-g3 at u: d1, then d2 and d3
-_CHAIN = ("{w1} = {g1} * {u1}",
-          "{w2} = {g2} * {u1} * {u1} + {g1} * {u2}; "
-          "{w3} = {g3} * {u1} ** 3 + 3.0 * {g2} * {u1} * {u2} + {g1} * {u3}")
+_CHAIN = ([("w1", "g1 u1")],
+          [("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")])
 #: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
 _POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, {x})"
 _TERMS = ("{m1} = {v0} - 1.0; {m2} = {v0} - 2.0; {m3} = {v0} - 3.0; ",
           "{s2} = {v0} * ({m1}); {s3} = {s2} * ({m2})")
-#: the exact folds, once per emitted source, of x's d1, 1.0, where the rules multiply by it
-_ONES = ((" * 1.0 ** 3", ""), (" * 1.0", ""), ("= 1.0 * ", "= "))
 
-#: per node kind: its d0, its d1 and its d2-d3 statements, over the jets u
-#: (operand or left) and v (right), the result w, scratch g, s and the point x
+#: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u
+#: (operand or left) and v (right), the result w, scratch g and s and the point x.  A
+#: scratch value's statement is a template; a derivative slot's, ("w2", term, ...),
+#: a sum of products, each factor (a slot, a number or a cube u1^3) apart by a space,
+#: or ("w2/v0", term, ...), such a sum over v0
 _RULES = {
-    "neg": ("{w0} = -{u0}", "{w1} = -{u1}", "{w2} = -{u2}; {w3} = -{u3}"),
-    "+": ("{w0} = {u0} + {v0}", "{w1} = {u1} + {v1}", "{w2} = {u2} + {v2}; {w3} = {u3} + {v3}"),
-    "-": ("{w0} = {u0} - {v0}", "{w1} = {u1} - {v1}", "{w2} = {u2} - {v2}; {w3} = {u3} - {v3}"),
-    "*": ("{w0} = {u0} * {v0}", "{w1} = {u1} * {v0} + {u0} * {v1}",  # Leibniz rule
-          "{w2} = {u2} * {v0} + 2.0 * {u1} * {v1} + {u0} * {v2}; "
-          "{w3} = {u3} * {v0} + 3.0 * {u2} * {v1} + 3.0 * {u1} * {v2} + {u0} * {v3}"),
+    "neg": ("{w0} = -{u0}", [("w1", "-1.0 u1")], [("w2", "-1.0 u2"), ("w3", "-1.0 u3")]),
+    "+": ("{w0} = {u0} + {v0}", [("w1", "u1", "v1")], [("w2", "u2", "v2"), ("w3", "u3", "v3")]),
+    "-": ("{w0} = {u0} - {v0}", [("w1", "u1", "-1.0 v1")],
+          [("w2", "u2", "-1.0 v2"), ("w3", "u3", "-1.0 v3")]),
+    "*": ("{w0} = {u0} * {v0}", [("w1", "u1 v0", "u0 v1")],  # Leibniz rule
+          [("w2", "u2 v0", "2.0 u1 v1", "u0 v2"),
+           ("w3", "u3 v0", "3.0 u2 v1", "3.0 u1 v2", "u0 v3")]),
     "/": ("if {v0} == 0.0: raise DomainError('division by zero', {x})\n{w0} = {u0} / {v0}",
-          "{w1} = ({u1} - {w0} * {v1}) / {v0}",
-          "{w2} = ({u2} - {w0} * {v2} - 2.0 * {w1} * {v1}) / {v0}; "
-          "{w3} = ({u3} - {w0} * {v3} - 3.0 * {w1} * {v2} - 3.0 * {w2} * {v1}) / {v0}"),
+          [("w1/v0", "u1", "-1.0 w0 v1")],
+          [("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
+           ("w3/v0", "u3", "-1.0 w0 v3", "-3.0 w1 v2", "-3.0 w2 v1")]),
     # u^r, r free of x; r's _TERMS are bound once for a literal r, else inline per call
     "^r": ("{w0} = 1.0 if {v0} == 0.0 else " + _POW,
-           "{g1} = {v0} * pow({u0}, {m1}); " + _CHAIN[0],
-           "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {m2}); "
-           "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {m3}); " + _CHAIN[1]),
+           ["{g1} = {v0} * pow({u0}, {m1})", *_CHAIN[0]],
+           ["{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {m2})",
+            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {m3})", *_CHAIN[1]]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
-    "^v": ("{w0} = " + _POW,
-           "{s0} = ln({u0}); {s1} = {v1} * {s0}; {w1} = {w0} * {s1}",
-           "{s2} = {v2} * {s0}; {s3} = {v3} * {s0}; " + _CHAIN[1].format(
-               g1="{w0}", g2="{w0}", g3="{w0}", u1="{s1}", u2="{s2}", u3="{s3}",
-               w2="{w2}", w3="{w3}")),
+    "^v": ("{w0} = " + _POW, ["{s0} = ln({u0})", ("s1", "v1 s0"), ("w1", "w0 s1")],
+           [("s2", "v2 s0"), ("s3", "v3 s0"), ("w2", "w0 s1 s1", "w0 s2"),
+            ("w3", "w0 s1^3", "3.0 w0 s1 s2", "w0 s3")]),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
 _DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), {x})\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
-            + f"{{w0}} = {name}({{u0}})", f"{g1}; {_CHAIN[0]}", f"{g23}; {_CHAIN[1]}"))
+            + f"{{w0}} = {name}({{u0}})", [g1, *_CHAIN[0]], [*g23.split("; "), *_CHAIN[1]]))
     for name, (_, g1, g23, lowest, below) in _FUNCTIONS.items())
 
 #: the three evaluators of one tree shape, over its literals lit0, lit1, ...
@@ -440,6 +442,7 @@ _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefin
 
 _LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3", "m1", "m2", "m3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
+_VALUES, _ZEROS = {"u0", "v0", "w0"}, ("0.0", "-0.0")
 
 
 def _shape(node: ExprAST, literals: list, exponent: bool = False):
@@ -461,6 +464,61 @@ def _shape(node: ExprAST, literals: list, exponent: bool = False):
         return node.func, _shape(node.arg, literals)
     kind = node.op if node.op != "^" else "^v" if contains_var(node.right) else "^r"
     return kind, _shape(node.left, literals), _shape(node.right, literals, kind == "^r")
+
+
+def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
+    """Append a derivative statement at the slots ``f`` to ``lines``, or pass its slot on
+    as a name or number.  Each term loses its factors 1.0, multiplies out its leading
+    numbers and takes their signs in front (exact: rounding is symmetric); unless
+    ``keep``, one with a factor 0.0 or -0.0 is dropped.  A sum then gains a + 0.0 for a
+    dropped +0.0 (names taken positive), and a value v (u0, v0, w0) that no kept term
+    of the node reads enters as v - v instead, NaN where v is not finite, as v * 0.0 is."""
+    (target, _, divisor), terms = statement[0].partition("/"), statement[1:]
+    parts, total, plus0, named = [], -0.0, False, False  # -0.0 + t is t for every t
+    for term in terms:
+        lead, names, value = 1.0, [], 1.0  # value: each name read as 1.0
+        factors = [factor.partition("^") for factor in term.split()]
+        for key, _, power in factors:
+            if (slot := f.get(key, key))[0].isalpha():
+                names.append(f"{slot} ** {power}" if power else slot)
+                continue
+            value *= (c := float(slot) ** int(power or 1))
+            if not names:
+                lead *= c
+            elif abs(c) != 1.0:
+                names.append(repr(abs(c)))
+        total += value
+        sign = "-" if math.copysign(1.0, value) < 0.0 else "+"
+        if keep or value != 0.0:
+            named = named or bool(names)
+            carried.update(f[key] for key, _, _ in factors if key in _VALUES)
+            parts.append((sign, " * ".join([repr(abs(lead))] * (abs(lead) != 1.0) + names)
+                          if names else repr(abs(value))))
+            continue
+        for key, _, _ in factors:  # the value, if any, that only this term reads
+            if key in _VALUES and (v := f[key]) not in carried and not v.startswith("lit"):
+                carried.add(v)
+                parts.append((sign, f"({v} - {v})"))
+                named = True
+                break
+        else:
+            plus0 |= sign == "+"
+    if not named:  # numbers alone: their sum, exact
+        if total == 0.0 or not divisor:
+            f[target] = repr(total)
+            return
+        parts, plus0 = [("+", repr(total))], False
+    (sign, text), *rest = parts
+    expr = (("0.0 - " if plus0 else "-") if sign == "-" else "") + text
+    expr += "".join(f" {s} {t}" for s, t in rest)
+    if plus0 and sign == "+" and not any(s + t[0] == "+(" for s, t in rest):
+        expr += " + 0.0"
+    if divisor:
+        expr = f"{expr} / {f[divisor]}" if expr.isidentifier() else f"({expr}) / {f[divisor]}"
+    if expr.isidentifier():
+        f[target] = expr
+    else:
+        lines.append(f"{f[target]} = {expr}")
 
 
 def _emit(shape, x: str) -> dict:
@@ -486,15 +544,26 @@ def _emit(shape, x: str) -> dict:
             bound.append("".join(_TERMS).format(**f))
         elif kind == "^r":
             f.update({f"m{k}": f"{f['v0']} - {k}.0" for k in (1, 2, 3)})
-            d23 = f"{_TERMS[1]}; {d23}"
+            d23 = _TERMS[1].split("; ") + d23
         value.append(d0.format(**f))
-        for lines, body, names in ((slope, d1, "{w1}"),
-                                   (jet, f"{d1}; {d23}", "{w1} = {w2} = {w3}")):
-            if kind[0] == "^" or kind in _FUNCTIONS:  # statements that can raise
+        chained = kind[0] == "^" or kind in _FUNCTIONS  # statements that can raise
+        # over a constant operand, only g1 * 0.0 and the like show g's overflow or error
+        keep = chained and f["v1" if kind == "^v" else "u1"] in _ZEROS
+        carried, parts = set(), ([], [])
+        for lines, part in zip(parts, (d1, d23)):
+            for statement in part:
+                if isinstance(statement, str):
+                    lines.append(statement.format(**f))
+                else:
+                    _fold(statement, f, lines, keep, carried)
+        for lines, body, outs in ((slope, parts[0], "w1"), (jet, parts[0] + parts[1], "w1 w2 w3")):
+            body, names = "; ".join(body), " = ".join(f[out] for out in outs.split())
+            if chained:
                 body = f"try:\n    {body}\nexcept UNDEFINED:\n    {names} = nan"
             if kind == "^r":  # u^0 is the constant 1, whatever u's derivatives
-                body += f"\nif {{v0}} == 0.0: {names} = 0.0"
-            lines.append(body.format(**f))
+                body += f"\nif {f['v0']} == 0.0: {names} = 0.0"
+            if body:
+                lines.append(body)
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)
@@ -526,7 +595,7 @@ def _source(shape, tableau=None) -> tuple[str, list]:
         source = _XI.format(names="".join(name + ", " for name in names),
                             stage=_STAGE.format(**fields).replace("\n", "\n    "),
                             stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields)
-    return reduce(lambda source, fold: source.replace(*fold), _ONES, source), values
+    return source, values
 
 
 def _compiled(shape, tableau=None):

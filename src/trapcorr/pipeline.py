@@ -80,6 +80,11 @@ class ProblemSpec(Value):
                 f"x0 must lie strictly inside ({self.a!r}, {self.b!r}), got {self.x0!r}")
         if self.h <= 0.0:
             raise ConfigError(f"step size must be positive, got {self.h!r}")
+        # the sweep's nodes x0 + k*h round to doubles, which lie up to ulp(max(|a|, |b|))
+        # apart on [a, b]: an h no larger can round two nodes to one double, a zero step
+        if self.h <= (spacing := math.ulp(max(abs(self.a), abs(self.b)))):
+            raise ConfigError(
+                f"step size {self.h!r} is too small to step x on [a, b]: need h > {spacing!r}")
         if self.h > (self.b - self.a) / 10.0:
             raise ConfigError(
                 f"step size {self.h!r} exceeds (b - a)/10 = {(self.b - self.a) / 10.0!r}")

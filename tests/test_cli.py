@@ -247,6 +247,9 @@ def test_exotic_runs_with_scaled_tolerances(tmp_path):
     ["--f", "sin(x)", "--a", "1", "--b", "10", "--x0", "1.05", "--h", "0.01"],
     ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.02", "--root-tol", "nan"],
     ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.02", "--ref-tol", "inf"],
+    # at most ulp(4): two nodes x0 + k*h can round to one double; refused before the bootstrap
+    ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "1e-300"],
+    ["--f", "sin(x)", "--a", "1", "--b", "4", "--h", "4e-16"],
 ])
 def test_invalid_configuration_exit_5(args, capsys):
     code = main(["integrate", *args])

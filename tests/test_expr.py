@@ -1,3 +1,4 @@
+import dis
 import json
 import math
 import pickle
@@ -265,6 +266,13 @@ def test_sqrt_jet_undefined_at_zero_but_value_defined():
     ("x^0.5", 1e-130, math.pow(1e-130, 0.5)),
     ("0^x", 2.0, 0.0),
     ("(-2)^x", 3.0, -8.0),
+    # where only a product with a zero shows the failure, which the folded code stands
+    # in for: an overflowed value's v * 0.0 (as v - v), a function of a constant's
+    # g' * 0.0 (kept)
+    ("1/(x*x*2.5)", 1e300, 0.0),
+    ("2.5/((x*1e150)*1e150)", 1e160, 0.0),
+    ("x+sqrt(0)", 2.0, 2.0),
+    ("x*ln(1e-320)", 2.0, 2.0 * math.log(1e-320)),
 ])
 def test_value_defined_where_only_derivatives_fail(text, x, value):
     with pytest.raises(DomainError):
@@ -394,12 +402,24 @@ def _exponents(shape):
     return own + [e for arg in shape[1:] for e in _exponents(arg)]
 
 
+def _stage_arithmetic(text: str) -> int:
+    """The arithmetic instructions (BINARY_OP and UNARY_NEGATIVE, as CPython 3.11
+    names them) of the compiled xi-ODE stage of ``text``'s shape."""
+    pending = [compile(expr._source(expr._shape(parse(text), []), FEHLBERG7)[0], "<s>", "exec")]
+    while (code := pending.pop()).co_name != "stage":
+        pending += [c for c in code.co_consts if hasattr(c, "co_consts")]
+    return sum(op.opname in ("BINARY_OP", "UNARY_NEGATIVE") for op in dis.get_instructions(code))
+
+
 def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
-    # x * 1.0 == x for every double, so no emitted source multiplies by 1.0;
-    # a literal exponent's r - 1, r - 2, r - 3 are computed once, in bind, a
-    # negated literal's too (x^-1), and any other constant exponent's per call
+    # x's jet is (x, 1.0, 0.0, 0.0) and a literal's (c, 0.0, 0.0, 0.0): x * 1.0 == x
+    # for every double, so no emitted source multiplies by 1.0, nor by 0.0 or -0.0,
+    # whose products the derivative rules drop; a literal exponent's r - 1, r - 2,
+    # r - 3 are computed once, in bind, a negated literal's too (x^-1), and any
+    # other constant exponent's per call
     texts = {json.loads(line)[0] for line in GOLDEN_JETS.read_text().splitlines()}
     ones = re.compile(r"\* 1\.0(?![\w.])|(?<![\w.])1\.0 \*")
+    constants = re.compile(r"\* -?[01]\.0(?![\w.])|(?<![\w.])-?[01]\.0 \*")
     counts = {"lit": 0, "other": 0}
     for text in texts:
         shape = expr._shape(parse(text), [])
@@ -408,11 +428,18 @@ def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
             step = expr._source(shape, tableau)[0]
             assert step.count("def stage") == step.count("except DomainError") == 1, text
             assert len(re.findall(r"^ +k\d+ = stage\(", step, re.M)) == tableau.stages, text
+            # the stage's own jet, up to the template that reads its d2 and d3 as they are
+            jet = step.split("def stage")[1].split("except DomainError")[0]
+            assert not constants.search(jet), (text, tableau.name)
         for source in _emitted(shape):
             _, bind, per_call = source.split("def ", 2)
             assert not ones.search(bind + per_call), text
             assert ("lit" in kinds) == bool(re.search(r"= lit\d+ - 1\.0;", bind)), text
             assert not re.search(r"lit\d+ - [123]\.0", per_call), text
             assert ("other" in kinds) == bool(re.search(r"w0_\d+ - 1\.0\)", per_call)), text
+        assert not constants.search(expr._source(shape)[0].split("def ", 2)[2]), text
         counts.update({kind: counts[kind] + 1 for kind in kinds})
     assert len(texts) == 69 and counts == {"lit": 18, "other": 3}
+    # the folded stage's arithmetic, counted in its bytecode (unfolded: 109 and 47)
+    assert _stage_arithmetic("x^2*(sin(x)*ln(2+x)-100*x)") <= 85
+    assert _stage_arithmetic("sin(0.7*x+0.3)") <= 32
