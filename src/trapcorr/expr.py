@@ -20,17 +20,15 @@ one walk of its shape (source transformation: Griewank & Walther,
 first three derivatives at a point (a :class:`Jet3`) by the sum,
 product, quotient and chain rules; a value function made of the jet's d0
 statements alone; and a slope function made of its d0 and d1 statements
-alone, the propagation truncated at order 1.  The walk also writes a stage
-of the xi-ODE with the jet at xi inline, its errors at xi raised at x, as the
-one function that every stage of the sweep's step by a tableau calls, and
-the xi-ODE's rhs too.  Literals
+alone, the propagation truncated at order 1.  The walk runs once per shape;
+:mod:`trapcorr.xi_ode` writes its jet block into the xi-ODE's stage.  Literals
 are bound as values, so trees of one shape share their code through bounded
 caches, and a literal exponent's terms are computed once per bind.  The
 derivative statements are sums of products, assembled without the factors
 1.0 and the products with a factor 0.0 that x's jet (x, 1, 0, 0) and a
 literal's (c, 0, 0, 0) feed them.  Values are bit for bit the unfolded rules',
-and so are derivatives but for the sign of an exact zero; a jet, slope or stage
-is rejected exactly where theirs is.  Where only a derivative is undefined
+and so are derivatives but for the sign of an exact zero; a jet or slope is
+rejected exactly where theirs is.  Where only a derivative is undefined
 (``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
 where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates
 numerically.
@@ -40,12 +38,11 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Union
 
 from ._value import Value
-from .errors import DomainError, SingularDenominatorError, SyntaxError_, UnknownIdentifierError
-from .rk import step_source
+from .errors import DomainError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
@@ -71,13 +68,6 @@ class _Node(Value):
         through a bounded cache, bound to this tree's literals."""
         literals = []
         return _factory(_shape(self, literals))(*literals)
-
-    def _xi(self, tableau):
-        """``bind(a, g_a, slope, F, guard, d2)`` -> ``(step, stage)``: the sweep's
-        ``step(x, y, h)`` by ``tableau`` and the xi-ODE's ``stage(x, xi, g, g')`` it
-        calls, compiled per (shape, tableau)."""
-        literals = []
-        return partial(_xi_factory(_shape(self, literals), tableau), *literals)
 
 
 class Num(_Node):
@@ -301,11 +291,6 @@ def _undefined(exc: ArithmeticError | ValueError, x: float) -> DomainError:
     return DomainError(f"{kind}: {exc}", x)
 
 
-def _at_x(what: str, xi: float, x: float) -> DomainError:
-    """The error ``what`` of the jet at ``xi``, located at the sweep's ``x`` instead, naming xi."""
-    return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
-
-
 #: per function: g; the statement setting g'(u) at u = {u0} as {g1}, then
 #: those setting g'' and g''' as {g2}, {g3}, given g(u) = {w0}; the least u
 #: in g's domain (ln and log10 need u > 0: the least positive float); and
@@ -328,12 +313,12 @@ _FUNCTIONS = {
 _CHAIN = ([("w1", "g1 u1")],
           [("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")])
 #: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
-_POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, {x})"
+_POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, x)"
 _TERMS = ("{m1} = {v0} - 1.0; {m2} = {v0} - 2.0; {m3} = {v0} - 3.0; ",
           "{s2} = {v0} * ({m1}); {s3} = {s2} * ({m2})")
 
 #: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u
-#: (operand or left) and v (right), the result w, scratch g and s and the point x.  A
+#: (operand or left) and v (right), the result w, scratch g and s and the point, always x.  A
 #: scratch value's statement is a template; a derivative slot's, ("w2", term, ...),
 #: a sum of products, each factor (a slot, a number or a cube u1^3) apart by a space,
 #: or ("w2/v0", term, ...), such a sum over v0
@@ -345,7 +330,7 @@ _RULES = {
     "*": ("{w0} = {u0} * {v0}", [("w1", "u1 v0", "u0 v1")],  # Leibniz rule
           [("w2", "u2 v0", "2.0 u1 v1", "u0 v2"),
            ("w3", "u3 v0", "3.0 u2 v1", "3.0 u1 v2", "u0 v3")]),
-    "/": ("if {v0} == 0.0: raise DomainError('division by zero', {x})\n{w0} = {u0} / {v0}",
+    "/": ("if {v0} == 0.0: raise DomainError('division by zero', x)\n{w0} = {u0} / {v0}",
           [("w1/v0", "u1", "-1.0 w0 v1")],
           [("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
            ("w3/v0", "u3", "-1.0 w0 v3", "-3.0 w1 v2", "-3.0 w2 v1")]),
@@ -361,7 +346,7 @@ _RULES = {
             ("w3", "w0 s1^3", "3.0 w0 s1 s2", "w0 s3")]),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
-_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), {x})\n"
+_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), x)\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
             + f"{{w0}} = {name}({{u0}})", [g1, *_CHAIN[0]], [*g23.split("; "), *_CHAIN[1]]))
@@ -392,53 +377,20 @@ def bind({literals}):
     return jet, value, slope
 """
 
-#: xi's slope at (x_s, xi_s) from g, g' at x_s and the jet at xi_s, whose try keeps the
-#: evaluators' depth and raises its DomainError again at x_s, naming xi_s; the one slot
-#: d2_s keeps the last g''(xi_s)
-_STAGE = """\
-def stage(x_s, xi_s, g, dg):
-    nonlocal d2_s
-    if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
-    t = x_s - a
-    try:
-{jet}
-    except DomainError as exc:
-        raise at_x(exc.args[0], xi_s, x_s) from exc.__cause__
-    if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
-        raise at_x("non-finite jet component", xi_s, x_s)
-    den = (t3 := t ** 3) * {w3}
-    if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, xi_s, den)
-    d2_s = {w2}
-    return (F * g + 6.0 * g_a + 6.0 * t * dg - 3.0 * t * t * {w2}) / den"""
-
-#: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
-#: which calls the stage for every stage and records stage 0's g''(xi) in d2
-_XI = """\
-def bind({names}{literals}a, g_a, slope, F, guard, d2):
-    {bound}
-    carry_x, carry, d2_s = nan, None, nan
-    {stage}
-    def step(x, y, h):
-        nonlocal carry_x, carry
-{stages}
-    return step, stage
-"""
-
-#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {x}
+#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at x
 _GUARDED = """\
         try:
 {body}
         except UNDEFINED as exc:
-            raise undefined(exc, {x}) from exc"""
+            raise undefined(exc, x) from exc"""
 
 #: what emitted code reads besides its locals: math's functions under
 #: their grammar names, math.pow as pow, and tuple.__new__ as new, which
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
 _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefined=_undefined,
-                  at_x=_at_x, LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite,
-                  Jet3=Jet3, DomainError=DomainError,
-                  SingularDenominatorError=SingularDenominatorError, UNDEFINED=_UNDEFINED)
+                  LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite,
+                  Jet3=Jet3, DomainError=DomainError, UNDEFINED=_UNDEFINED)
 
 _LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3", "m1", "m2", "m3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
@@ -521,16 +473,17 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
         lines.append(f"{f[target]} = {expr}")
 
 
-def _emit(shape, x: str) -> dict:
+@lru_cache(maxsize=256)
+def _emit(shape) -> dict:
     """One tree shape's literal names, once-per-bind statements, d0..d3 names and
-    value, slope and jet blocks at ``x``: the d0 statements, then the d1, then all.
+    value, slope and jet blocks at x: the d0 statements, then the d1, then all.
     Derivative statements never raise (an undefined one comes out NaN), so all
-    three fail alike wherever the value does."""
+    three fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
     value, slope, jet, literals, bound = [], [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
         if shape == "x":
-            return x, "1.0", "0.0", "0.0"
+            return "x", "1.0", "0.0", "0.0"
         if shape == "lit":
             literals.append(f"lit{len(literals)}")
             return literals[-1], "0.0", "0.0", "0.0"
@@ -538,7 +491,7 @@ def _emit(shape, x: str) -> dict:
         operands = sum(map(emit, args), ())
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
-        f.update(zip(_OPERANDS, operands), x=x)
+        f.update(zip(_OPERANDS, operands))
         d0, d1, d23 = _RULES[kind]
         if kind == "^r" and args[1] == "lit":
             bound.append("".join(_TERMS).format(**f))
@@ -567,48 +520,24 @@ def _emit(shape, x: str) -> dict:
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)
-    blocks = {key: _GUARDED.format(x=x, body="\n".join(
+    blocks = {key: _GUARDED.format(body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
         for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
     return dict(blocks, literals="".join(name + ", " for name in literals),
                 bound="; ".join(bound), **dict(zip(_LOCALS, w)))
 
 
-def _source(shape, tableau=None) -> tuple[str, list]:
-    """One shape's evaluators, or by a ``tableau`` its xi-ODE stage and sweep step, which
-    reads (g, g') once per node c, carries a node c = 1's into the next step's c = 0 at
-    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
-    fields = _emit(shape, "x" if tableau is None else "xi_s")
-    if tableau is None:
-        source, values = _SOURCE.format(**fields), []
-    else:
-        c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
-
-        def step_stage(i, yi):
-            n = nodes.index(nodes[i])  # the node's first stage
-            read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
-                    "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
-            x_side = f"g{n}, dg{n} = {read}\n" if n == i else ""
-            return (f"x_s = x + c{i} * h\n{x_side}k{i} = stage(x_s, {yi}, g{n}, dg{n})"
-                    + ("\nd2[x] = d2_s" if i == 0 else ""))
-        names, values, body = step_source(tableau, step_stage)
-        source = _XI.format(names="".join(name + ", " for name in names),
-                            stage=_STAGE.format(**fields).replace("\n", "\n    "),
-                            stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields)
-    return source, values
+def _source(shape) -> str:
+    """One shape's evaluators, in a ``bind`` over its literals."""
+    return _SOURCE.format(**_emit(shape))
 
 
-def _compiled(shape, tableau=None):
-    """``bind`` of :func:`_source`'s code, the tableau's coefficients bound."""
-    source, values = _source(shape, tableau)
+@lru_cache(maxsize=256)
+def _factory(shape):
+    """``bind`` of :func:`_source`'s code, compiled once per shape in a bounded cache."""
     namespace = dict(_NAMESPACE)
-    exec(compile(source, "<trapcorr.expr emitted>", "exec"), namespace)
-    return partial(namespace["bind"], *values)
-
-
-#: bounded caches of the evaluators per shape, and of the xi-ODE per (shape, tableau)
-_factory = lru_cache(maxsize=256)(_compiled)
-_xi_factory = lru_cache(maxsize=256)(_compiled)
+    exec(compile(_source(shape), "<trapcorr.expr emitted>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def eval_jet(ast: ExprAST, x: float) -> Jet3:

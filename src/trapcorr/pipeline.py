@@ -62,7 +62,7 @@ class ProblemSpec(Value):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         if self.x0 is None:
-            object.__setattr__(self, "x0", 0.5 * (self.a + self.b))
+            object.__setattr__(self, "x0", 0.5 * self.a + 0.5 * self.b)  # a + b may overflow
         for name in ("a", "b", "x0", "h", "shift", "ref_tol", "root_tol"):
             v = getattr(self, name)
             if not math.isfinite(v):

@@ -10,8 +10,8 @@ falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
 reverse trajectories reuse the same kernel.  Each tableau compiles, once,
 on first use, to one straight-line step function over its nonzero
 entries, in index order, with the coefficients bound as values; the
-function is left out of a pickled tableau.  The xi-ODE's sweep writes its
-stages into the same step (:func:`step_source`).
+function is left out of a pickled tableau.  :func:`step_source` writes it around
+given stage statements, and :mod:`trapcorr.xi_ode`'s sweep step too.
 
 A declared order p, at most the stage count and ``MAX_ORDER``, is checked by
 Butcher's condition b . Phi(t) = 1/gamma(t) for each rooted tree t of order up
@@ -87,7 +87,7 @@ class RKTableau(Value):
     @cached_property
     def step(self) -> Callable[[Rhs, float, float, float], float]:
         """``step(rhs, x, y, h)``: one step of this method, straight-line code."""
-        names, values, body = step_source(self)
+        names, values, body = step_source(self, lambda i, yi: f"k{i} = rhs(x + c{i} * h, {yi})")
         source = (f"def bind({', '.join(names)}):\n    def step(rhs, x, y, h):\n        "
                   + body.replace("\n", "\n        ") + "\n    return step\n")
         namespace: dict = {}
@@ -145,12 +145,12 @@ def order_condition_residuals(t: RKTableau) -> tuple[tuple[int, int, float], ...
                  for n in range(1, t.order + 1))
 
 
-def step_source(t: RKTableau, stage: Callable[[int, str], str] | None = None) -> tuple:
+def step_source(t: RKTableau, stage: Callable[[int, str], str]) -> tuple:
     """(names, values, body) of one step of ``t`` from (x, y) by h: its nonzero
     coefficients and its statements.  Stage i sets k_i at x + c_i h and
-    y + h a_ij k_j + ... by the source ``stage(i, y_i)``, by default k_i = rhs(...),
-    and the step returns y + h (0.0 + b_i k_i + ...), summed left to right over
-    the nonzero entries: the operations, and so the roundings, of a loop over them."""
+    y + h a_ij k_j + ... by the source ``stage(i, y_i)``, and the step returns
+    y + h (0.0 + b_i k_i + ...), summed left to right over the nonzero entries:
+    the operations, and so the roundings, of a loop over them."""
     rows, weights = t.nonzero
     names, values, stages = [], [], []
     for i, (row, ci) in enumerate(zip(rows, t.c)):
@@ -161,7 +161,7 @@ def step_source(t: RKTableau, stage: Callable[[int, str], str] | None = None) ->
             names.append(f"a{i}_{j}")
             values.append(a)
             yi += f" + h * a{i}_{j} * k{j}"
-        stages.append(stage(i, yi) if stage else f"k{i} = rhs(x + c{i} * h, {yi})")
+        stages.append(stage(i, yi))
     acc = "0.0"
     for i, b in weights:
         names.append(f"b{i}")
@@ -216,8 +216,8 @@ def integrate(step: Step, x0: float, y0: float, x_end: float, h_mag: float,
     ``on_node(x, y)``, when given, is called on every new node; its
     return value replaces y there and the sweep continues from it.
     """
-    if h_mag <= 0.0:
-        raise ConfigError(f"step magnitude must be positive, got {h_mag!r}")
+    if not (0.0 < h_mag < math.inf and math.isfinite(x0) and math.isfinite(x_end)):
+        raise ConfigError(f"need finite ends and 0 < h_mag < inf, got {x0!r}, {x_end!r}, {h_mag!r}")
     if x_end == x0:
         return ((x0, y0),)
     sign = 1.0 if x_end > x0 else -1.0

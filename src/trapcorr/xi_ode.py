@@ -22,14 +22,20 @@ term -D*(x-a)^4/24, so the shift is exactly reversible without
 cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
+
+Here the ODE compiles once per (shape of g, tableau) to a stage holding the jet
+at xi inline, the block :mod:`trapcorr.expr` emits once per shape, and a sweep
+step that calls it (:func:`trapcorr.rk.step_source`); :func:`xi_rhs` is the stage.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
-from .errors import DomainError
-from .expr import ExprAST, eval_jet
+from .errors import DomainError, SingularDenominatorError
+from .expr import _NAMESPACE, ExprAST, _emit, _shape, eval_jet
+from .rk import step_source
 
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
@@ -43,15 +49,81 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
+def _at_x(what: str, xi: float, x: float) -> DomainError:
+    """The error ``what`` of the jet at ``xi``, located at the sweep's ``x`` instead, naming xi."""
+    return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
+
+
+#: xi's slope at (x_s, xi) from g, g' at x_s and the evaluators' jet block, which takes xi by
+#: their point's name, x; its DomainError is raised at x_s, naming xi; d2_s gets g''(xi)
+_STAGE = """\
+def stage(x_s, x, g, dg):
+    nonlocal d2_s
+    if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
+    t = x_s - a
+    try:
+{jet}
+    except DomainError as exc:
+        raise at_x(exc.args[0], x, x_s) from exc.__cause__
+    if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
+        raise at_x("non-finite jet component", x, x_s)
+    den = (t3 := t ** 3) * {w3}
+    if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, x, den)
+    d2_s = {w2}
+    return (F * g + 6.0 * g_a + 6.0 * t * dg - 3.0 * t * t * {w2}) / den"""
+
+#: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
+#: which calls the stage for every stage and records stage 0's g''(xi) in d2
+_XI = """\
+def bind({names}{literals}a, g_a, slope, F, guard, d2):
+    {bound}
+    carry_x, carry, d2_s = nan, None, nan
+    {stage}
+    def step(x, y, h):
+        nonlocal carry_x, carry
+{stages}
+    return step, stage
+"""
+
+
+def _source(shape, tableau) -> tuple[str, list]:
+    """One shape's stage and sweep step by ``tableau``, and the tableau's coefficients.  The
+    step reads (g, g') once per node c, carries a node c = 1's into the next step's c = 0 at
+    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
+
+    def step_stage(i, yi):
+        n = nodes.index(nodes[i])  # the node's first stage
+        read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
+                "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
+        x_side = f"g{n}, dg{n} = {read}\n" if n == i else ""
+        return (f"x_s = x + c{i} * h\n{x_side}k{i} = stage(x_s, {yi}, g{n}, dg{n})"
+                + ("\nd2[x] = d2_s" if i == 0 else ""))
+    fields = _emit(shape)
+    names, values, body = step_source(tableau, step_stage)
+    return _XI.format(names="".join(name + ", " for name in names),
+                      stage=_STAGE.format(**fields).replace("\n", "\n    "),
+                      stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields), values
+
+
+@lru_cache(maxsize=256)
+def _factory(shape, tableau):
+    """``bind`` of :func:`_source`'s code and coefficients, per (shape, tableau), bounded."""
+    source, values = _source(shape, tableau)
+    namespace = dict(_NAMESPACE, at_x=_at_x, SingularDenominatorError=SingularDenominatorError)
+    exec(compile(source, "<trapcorr.xi_ode emitted>", "exec"), namespace)
+    return partial(namespace["bind"], *values)
+
+
 def _bind(p: ProblemSpec, d2=None):  # F_COEFFICIENT and the guard as they read now
-    return p.g._xi(p.tableau)(p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT,
-                              DEFAULT_DEN_GUARD, d2)
+    literals = []
+    return _factory(_shape(p.g, literals), p.tableau)(
+        *literals, p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT, DEFAULT_DEN_GUARD, d2)
 
 
 def bind_step(p: ProblemSpec):
-    """``(step, d2)``: the sweep's ``step(x, y, h)``, which calls :func:`xi_rhs`'s stage
-    in each of its stages, and the dict of g''(y) each step records under its x.  Per
-    run: it holds run state."""
+    """``(step, d2)``: the sweep's ``step(x, y, h)``, whose stages call :func:`xi_rhs`'s
+    stage, and the dict of g''(y) each step records under its x.  Per run: it holds state."""
     d2 = {}
     return _bind(p, d2)[0], d2
 
@@ -59,12 +131,10 @@ def bind_step(p: ProblemSpec):
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     """Slope of the mean-value point xi at (x, xi).
 
-    Requires x != a (the defining identity is 0 = 0 there) and a
-    denominator above the guard threshold; raises
-    :class:`SingularDenominatorError` otherwise.  At x it reads g and g'
-    alone, so it is defined where only g'' or g''' is not.
-    A :class:`DomainError` of the jet at xi is raised at x, naming xi.
-    It is the stage of the sweep's step by ``p.tableau``, bound anew.
+    Requires x != a (the defining identity is 0 = 0 there) and a denominator above the
+    guard threshold; raises :class:`SingularDenominatorError` otherwise.  At x it reads g
+    and g' alone, so it is defined where only g'' or g''' is not.  A :class:`DomainError`
+    of the jet at xi is raised at x, naming xi.  It is the sweep step's stage, bound anew.
     """
     return _bind(p)[1](x, xi, *p.g._evaluators[2](x))
 

@@ -263,7 +263,9 @@ def test_invalid_configuration_exit_5(args, capsys):
     ["--f", "1", "--a", "0", "--b", "1e200", "--h", "1e198"],
     ["--f", "x^2", "--a", "0", "--b", "1.5e77", "--h", "1e75", "--shift-D", "1",
      "--ref-tol", "1e300", "--root-tol", "1e300"],
-], ids=["cube", "shifted"])
+    # no x0: the default midpoint must not overflow where a + b does
+    ["--f", "sin(x)", "--a", "1e308", "--b", "1.7e308", "--h", "1e306"],
+], ids=["cube", "shifted", "default-x0"])
 def test_interval_whose_power_overflows_exit_5(args, capsys):
     code = main(["integrate", *args])
     assert code == 5

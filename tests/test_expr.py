@@ -55,10 +55,12 @@ def test_trees_of_one_shape_share_compiled_code():
     # the sweep's step and its stage, which xi_rhs runs too, with no compile of its own;
     # no other test steps by this tableau, so its first bind here is the one compile
     midpoint = RKTableau(name="midpoint", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
-    info, before = expr._xi_factory.cache_info, expr._xi_factory.cache_info()
-    step_two, step_three = two._xi(midpoint), three._xi(midpoint)
-    assert step_two.func is step_three.func
-    assert (step_two.args[-1], step_three.args[-1]) == (2.0, 3.0)
+    info, before = xi_ode._factory.cache_info, xi_ode._factory.cache_info()
+    literals_two, literals_three = [], []
+    bind_two = xi_ode._factory(expr._shape(two, literals_two), midpoint)
+    bind_three = xi_ode._factory(expr._shape(three, literals_three), midpoint)
+    assert bind_two is bind_three
+    assert (literals_two[-1], literals_three[-1]) == (2.0, 3.0)
     spec = ProblemSpec.from_text("sin(2*x)", 1.0, 10.0, tableau=midpoint)
     step, _ = xi_ode.bind_step(spec)
     stage = step.__closure__[step.__code__.co_freevars.index("stage")].cell_contents
@@ -77,12 +79,13 @@ def test_trees_of_one_shape_share_compiled_code():
 
 def _emitted(shape):
     """Every source emitted for one tree shape: its evaluators and a sweep step."""
-    return [expr._source(shape, tableau)[0] for tableau in (None, FEHLBERG7)]
+    return [expr._source(shape), xi_ode._source(shape, FEHLBERG7)[0]]
 
 
 def test_compiled_code_cache_is_bounded():
     assert isinstance(expr._factory.cache_info().maxsize, int)
-    assert isinstance(expr._xi_factory.cache_info().maxsize, int)
+    assert isinstance(expr._emit.cache_info().maxsize, int)
+    assert isinstance(xi_ode._factory.cache_info().maxsize, int)
 
 
 def test_literals_are_bound_values_not_source_text():
@@ -405,7 +408,7 @@ def _exponents(shape):
 def _stage_arithmetic(text: str) -> int:
     """The arithmetic instructions (BINARY_OP and UNARY_NEGATIVE, as CPython 3.11
     names them) of the compiled xi-ODE stage of ``text``'s shape."""
-    pending = [compile(expr._source(expr._shape(parse(text), []), FEHLBERG7)[0], "<s>", "exec")]
+    pending = [compile(xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)[0], "<s>", "exec")]
     while (code := pending.pop()).co_name != "stage":
         pending += [c for c in code.co_consts if hasattr(c, "co_consts")]
     return sum(op.opname in ("BINARY_OP", "UNARY_NEGATIVE") for op in dis.get_instructions(code))
@@ -425,7 +428,7 @@ def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
         shape = expr._shape(parse(text), [])
         kinds = {"lit" if e == "lit" else "other" for e in _exponents(shape)}
         for tableau in (FEHLBERG7, RK4, HEUN3):  # one stage, which every stage calls
-            step = expr._source(shape, tableau)[0]
+            step = xi_ode._source(shape, tableau)[0]
             assert step.count("def stage") == step.count("except DomainError") == 1, text
             assert len(re.findall(r"^ +k\d+ = stage\(", step, re.M)) == tableau.stages, text
             # the stage's own jet, up to the template that reads its d2 and d3 as they are
@@ -437,7 +440,7 @@ def test_emitted_code_folds_ones_and_binds_literal_exponent_terms():
             assert ("lit" in kinds) == bool(re.search(r"= lit\d+ - 1\.0;", bind)), text
             assert not re.search(r"lit\d+ - [123]\.0", per_call), text
             assert ("other" in kinds) == bool(re.search(r"w0_\d+ - 1\.0\)", per_call)), text
-        assert not constants.search(expr._source(shape)[0].split("def ", 2)[2]), text
+        assert not constants.search(expr._source(shape).split("def ", 2)[2]), text
         counts.update({kind: counts[kind] + 1 for kind in kinds})
     assert len(texts) == 69 and counts == {"lit": 18, "other": 3}
     # the folded stage's arithmetic, counted in its bytecode (unfolded: 109 and 47)

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec, expr,
+from trapcorr import (ConfigError, DomainError, NoRootError, ProblemSpec,
                       emit_csv, emit_xi_csv, eval_jet, integrate, load_tableau, parse,
                       pipeline, reference_integral, run, solve_xi0,
                       solve_xi_at, trapezium, xi_ode, xi_rhs)
@@ -331,7 +331,7 @@ def test_shifted_run_far_from_the_origin():
 def test_set_up_leaves_the_kernel_to_the_first_run():
     # the sweep's step compiles per (shape, tableau) on a run's first use, never
     # when a spec is built; this shape appears in no other test
-    info = expr._xi_factory.cache_info
+    info = xi_ode._factory.cache_info
     before = info()
     spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05)
     rk4_spec = ProblemSpec.from_text("2.5*exp(x/7)-x/3", 1.0, 4.0, x0=2.5, h=0.05,

@@ -213,6 +213,18 @@ def test_integrate_degenerate_interval():
     assert nodes == ((2.0, 5.0),)
 
 
+@pytest.mark.parametrize("x0,x_end,h_mag", [
+    (0.0, math.nan, 0.1), (0.0, math.inf, 0.1), (0.0, -math.inf, 0.1), (math.nan, 1.0, 0.1),
+    (-math.inf, 1.0, 0.1), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf),
+])
+def test_integrate_refuses_a_sweep_with_a_non_finite_end_or_step(x0, x_end, h_mag):
+    # such a sweep never reaches x_end: it would append nodes until memory ran out
+    def step(x, y, h):
+        pytest.fail(f"stepped from x={x!r} by h={h!r}")
+    with pytest.raises(ConfigError, match="need finite ends"):
+        integrate(step, x0, 1.0, x_end, h_mag)
+
+
 def test_final_step_clamps():
     nodes = integrate(_f7(lambda x, y: 0.0), 0.0, 0.0, 1.0, 0.3)
     xs = [x for x, _ in nodes]

@@ -1,5 +1,9 @@
+import ast
+import builtins
 import math
+import re
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -7,7 +11,7 @@ from trapcorr import (FEHLBERG7, DomainError, ProblemSpec, RKTableau, SingularDe
                       error_term, eval_jet, eval_value, parse,
                       reference_integral, rk_step, solve_xi_at, suggest_shift,
                       run, unshift_error, xi_ode, xi_rhs)
-from trapcorr import pipeline
+from trapcorr import expr, pipeline
 
 from conftest import HEUN3, RK4, exotic_spec
 
@@ -68,6 +72,40 @@ def test_rhs_reads_only_g_and_its_slope_at_x():
     at_xi = eval_jet(p.g, -0.5)
     want = (6.0 * p.g_at_a - 3.0 * at_xi.d2) / at_xi.d3
     assert math.isfinite(want) and xi_rhs(p, 0.0, -0.5) == want
+
+
+def test_expr_knows_nothing_of_the_ode():
+    # the ODE's stage, step and guard live in xi_ode, which reads expr's emitted jet block
+    source = Path(expr.__file__).read_text(encoding="utf-8")
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not {name for name in imported if re.search(r"\b(rk|xi_ode)$", name)}
+    for name in ("SingularDenominatorError", "_STAGE", "_XI"):
+        assert name not in source
+
+
+def test_a_fresh_shape_is_emitted_once_and_compiled_once_per_tableau(monkeypatch):
+    # one walk of the shape serves the evaluators and the stage; the stage and step compile
+    # once per (shape, tableau), and xi_rhs reuses them.  No other test uses this shape
+    compiled, real_compile = [], builtins.compile
+
+    def counting_compile(source, filename, *args, **kwargs):
+        if filename.endswith(" emitted>"):
+            compiled.append(filename)
+        return real_compile(source, filename, *args, **kwargs)
+    monkeypatch.setattr(builtins, "compile", counting_compile)
+    emits = expr._emit.cache_info().misses
+    spec = ProblemSpec.from_text("sqrt(x)+exp(x/3)*1.25", 1.0, 4.0, x0=2.5, h=0.05)
+    run(spec)
+    xi_rhs(spec, 3.0, 2.0)
+    assert compiled == ["<trapcorr.expr emitted>", "<trapcorr.xi_ode emitted>"]
+    run(ProblemSpec.from_text("sqrt(x)+exp(x/3)*1.25", 1.0, 4.0, x0=2.5, h=0.05, tableau=RK4))
+    assert compiled[2:] == ["<trapcorr.xi_ode emitted>"]
+    assert expr._emit.cache_info().misses == emits + 1
 
 
 #: Fehlberg-7 with a first node of 1e-12: valid (row-sum defect 1e-12), and its stage 0
