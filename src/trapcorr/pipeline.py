@@ -21,7 +21,7 @@ from ._value import Value
 from .errors import (ConfigError, IoError, NoRootError,
                      SingularDenominatorError, phase)
 from .expr import ExprAST, eval_jet, parse, shift_by_cubic
-from .quadrature import reference_integral, trapezium
+from .quadrature import reference_column, reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
 from .xi_ode import bind_step, error_term, suggest_shift, unshift_error
 from .xi_ode import xi_rhs  # noqa: F401  perfbench/tracer.py patches pipeline.xi_rhs by name
@@ -305,29 +305,13 @@ def run(spec: ProblemSpec, reference: bool = False,
             trap = trapezium(spec.f_ast, spec.a, x, f_a)
             err = unshift_error(error_term(spec, x, xi, d2.get(x)), spec.shift, spec.a, x)
             values.append((x, xi, trap, err, trap + err))
-        column = (_reference_column(spec, [v[0] for v in values]) if reference
-                  else [None] * len(values))
+        column = (reference_column(spec.f_ast, [spec.a] + [v[0] for v in values], spec.ref_tol, f_a)
+                  if reference else [None] * len(values))
         rows += [CurveRow(*v, ref, (v[4] - ref) if residual else None)
                  for v, ref in zip(values, column)]
 
     return ErrorCurve(rows=tuple(rows), spec=spec,
                       wall_time=time.perf_counter() - t_start)
-
-
-def _reference_column(spec: ProblemSpec, xs: list[float]) -> list[float]:
-    """Reference integral of f over [a, x] for each of the ascending ``xs``."""
-    # additive panel-by-panel references: sum of panel tolerances equals
-    # ref_tol, so the accumulated estimate honours the requested budget
-    span = xs[-1] - spec.a
-    column = []
-    acc = 0.0
-    prev = spec.a
-    for x in xs:
-        piece_tol = spec.ref_tol * (x - prev) / span
-        acc += reference_integral(spec.f_ast, prev, x, piece_tol).value
-        prev = x
-        column.append(acc)
-    return column
 
 
 # ------------------------------------------------------------------ CSV

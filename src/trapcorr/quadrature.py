@@ -14,9 +14,14 @@ the panels shrink, as at a pole inside the interval.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left
+from contextlib import suppress
+from itertools import accumulate, compress
+from math import inf, ulp
+from operator import not_
 from typing import NamedTuple
 
-from .errors import ConfigError, ToleranceError
+from .errors import ConfigError, ToleranceError, TrapcorrError
 from .expr import ExprAST, eval_value
 
 __all__ = ["ReferenceResult", "trapezium", "composite_trapezium", "reference_integral"]
@@ -33,6 +38,8 @@ ROUNDOFF = 64 * sys.float_info.epsilon
 #: panels before a growing largest sample counts as a pole: a bump about
 #: 1/5000 of the interval wide is resolved by then, a narrower one may not be
 DIVERGENCE_PANELS = 2 ** 14
+#: a column panel's tolerance is at least this many ulp of its trapezium value
+FLOOR_ULPS = 16
 
 #: Richardson divisors 4^j - 1 by column j; level k costs 2^(k-1)
 #: evaluations, so no table reaches column 64
@@ -85,58 +92,121 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
         raise ConfigError(f"reversed limits: a={a!r} > x={x!r}")
     if x == a:
         return ReferenceResult(0.0, 0.0, 0)
+    return ReferenceResult(*romberg(f, [a, x], [eval_value(f, a), eval_value(f, x)], [tol])[0])
 
-    h = x - a
-    fa, fx = eval_value(f, a), eval_value(f, x)
-    prev_row = [0.5 * h * (fa + fx)]
-    evals = 2
-    n = 1
-    best = prev_row[0]
-    best_est = stall_from = float("inf")
-    peaks = [max(abs(fa), abs(fx))]  # largest |f| sampled, per level
-    stalled = 0
-    k = 0
-    while evals + n <= DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
-        k += 1
-        n *= 2
-        h *= 0.5
-        mid_sum = 0.0
-        peak = peaks[-1]
-        for i in range(1, n // 2 + 1):
-            v = eval_value(f, a + (2 * i - 1) * h)
-            mid_sum += v
-            if abs(v) > peak:  # max(peak, abs(v)) without the call
-                peak = abs(v)
-        peaks.append(peak)
-        evals += n // 2
-        row = [0.5 * prev_row[0] + h * mid_sum]
+
+def reference_column(f: ExprAST, nodes: list[float], tol: float, f_a: float) -> list[float]:
+    """Integrals of ``f`` from ``nodes[0]``, where f is ``f_a``, to each later
+    node: running sums of one Romberg integral per panel between adjacent
+    nodes.  A panel gets its width's share of ``tol``, floored at
+    ``FLOOR_ULPS`` ulp of its trapezium value, the round-off of its table;
+    the column is within the sum of those tolerances."""
+    values = [f_a] + [eval_value(f, x) for x in nodes[1:]]
+    span = nodes[-1] - nodes[0]
+    tols = [floor if (floor := FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx)))
+            > (share := tol * (x - p) / span) else share  # max(share, floor), without the call
+            for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]
+    panels = romberg(f, nodes, values, tols)
+    return list(accumulate((value for value, _, _ in panels), initial=0.0))[1:]
+
+
+def romberg(f: ExprAST, nodes: list[float], values: list[float],
+            tols: list[float]) -> list[tuple[float, float, int]]:
+    """The (value, est_error, panels) of :class:`ReferenceResult` for each
+    panel [nodes[i], nodes[i+1]] to tolerance ``tols[i]``, ``nodes`` strictly
+    ascending and ``values[i]`` = f(nodes[i]), as if integrated one after
+    another, errors included.  The tables advance together, level by level,
+    each column one list over the open panels.  No stop rule can fire through
+    level ``PLATEAU_LEVELS`` (after level k at most k - 1 levels have failed
+    to halve the estimate), so only the levels after it check them."""
+    results = [None] * len(tols)
+    at, a = list(range(len(tols))), nodes[:-1]  # the open panels, ascending, and their starts
+    h = [x - p for p, x in zip(nodes, nodes[1:])]
+    row = [[0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]]
+    log = [(at, row[0], [values[:-1], values[1:]])]  # per level: open panels, diagonal, samples
+    failure, k, n, evals = None, 0, 1, 2
+    while at and evals + n <= DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
+        k, n, evals = k + 1, 2 * n, evals + n
+        h = [0.5 * w for w in h]
+        m, odd = n // 2, range(1, n, 2)
+        cut = len(at)  # the open panels before the first to fail
+        vals = None
+        if k <= PLATEAU_LEVELS and m < len(at):  # one flat list, summed column by column
+            with suppress(TrapcorrError):  # a value fails: the loop below finds its panel
+                vals = [eval_value(f, left + j * w) for left, w in zip(a, h) for j in odd]
+        if vals is not None:
+            samples = [vals[i::m] for i in range(m)]  # midpoint i of each panel
+            sums = [0.0] * len(at)
+            for col in samples:
+                sums = [s + v for s, v in zip(sums, col)]
+        else:  # few panels, or a value failed: fold each panel's values as they come
+            sums, tops = [], []
+            try:
+                for left, w in zip(a, h):
+                    s = top = 0.0
+                    for j in odd:
+                        v = eval_value(f, left + j * w)
+                        s += v
+                        if abs(v) > top:  # max(top, abs(v)) without the call
+                            top = abs(v)
+                    sums.append(s)
+                    tops.append(top)
+            except TrapcorrError as exc:
+                failure, cut = exc, len(sums)
+            samples = [tops]  # each panel's largest |f|
+        prev, row = row, [[0.5 * t + w * s for t, w, s in zip(row[0], h, sums)]]
         for j in range(1, k + 1):
-            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / _DIVISORS[j])
-        # first diagonal agreement can be accidental; require two levels
-        if k >= 2:
-            est = abs(row[k] - prev_row[k - 1])
-            if est <= tol:
-                return ReferenceResult(row[k], est, evals)
-            if est < best_est:
-                best, best_est = row[k], est
-            if est <= 0.5 * stall_from:  # progress: the estimate at least halved
-                stall_from, stalled = est, 0
-            else:
-                stalled += 1
-            if stalled >= PLATEAU_LEVELS:
-                if best_est <= ROUNDOFF * max(1.0, abs(best)):
-                    raise ToleranceError(
-                        f"tolerance {tol!r} not reached: the error estimate stalled at "
-                        f"its round-off floor, {best_est:.3g}",
-                        best_estimate=best, achieved=best_est)
-                # a bounded integrand's largest sample levels off once the
-                # panels resolve it; next to a pole it grows as they close in
-                if n >= DIVERGENCE_PANELS and peak >= 2.0 * peaks[k - PLATEAU_LEVELS]:
-                    raise ToleranceError(
-                        f"integral looks divergent: the largest |f| sampled grew to "
-                        f"{peak:.3g} while the error estimate stalled at {best_est:.3g}",
-                        best_estimate=best, achieved=best_est)
-        prev_row = row
-    raise ToleranceError(
-        f"tolerance {tol!r} not reached within {DEFAULT_MAX_EVALS} evaluations",
-        best_estimate=best, achieved=best_est)
+            d = _DIVISORS[j]
+            row.append([r + (r - q) / d for r, q in zip(row[j - 1], prev[j - 1])])
+        log.append((at, row[k], samples))
+        keep = [True] * cut
+        if k >= 2:  # a first diagonal agreement can be accidental
+            keep = [not abs(r - q) <= tols[i] for i, r, q in zip(at, row[k], prev[k - 1])]
+            for i, r, q in compress(zip(at, row[k], prev[k - 1]), map(not_, keep)):
+                results[i] = (r, abs(r - q), evals)
+        for p in range(cut) if k > PLATEAU_LEVELS else ():
+            error = keep[p] and _stop(log, at[p], tols)
+            if error:  # the panels after this one no longer matter
+                failure = error
+                del keep[p:]
+                break
+        if len(keep) < len(at) or not all(keep):
+            at, a, h, *row = ([*compress(c, keep)] for c in (at, a, h, *row))
+    if at:  # out of budget: the first open panel fails first
+        failure = _stop(log, at[0], tols, spent=True)
+    if failure:
+        raise failure
+    return results
+
+
+def _stop(log: list, i: int, tols: list[float], spent: bool = False) -> ToleranceError | None:
+    """The error that ends panel ``i``'s table, or None while it may refine on;
+    ``spent``: the evaluation budget is.  ``log`` is :func:`romberg`'s."""
+    where = [bisect_left(at, i) for at, _, _ in log]  # panel i's place at each level
+    diags = [diag[p] for p, (_, diag, _) in zip(where, log)]
+    best, best_est, stall_from, stalled = diags[0], inf, inf, 0
+    for prev, diag in zip(diags[1:], diags[2:]):
+        est = abs(diag - prev)
+        if est < best_est:
+            best, best_est = diag, est
+        # progress: the estimate at least halved
+        stall_from, stalled = (est, 0) if est <= 0.5 * stall_from else (stall_from, stalled + 1)
+    if spent:
+        why = f"tolerance {tols[i]!r} not reached within {DEFAULT_MAX_EVALS} evaluations"
+    elif stalled < PLATEAU_LEVELS:
+        return None
+    elif best_est <= ROUNDOFF * max(1.0, abs(best)):
+        why = (f"tolerance {tols[i]!r} not reached: the error estimate stalled at "
+               f"its round-off floor, {best_est:.3g}")
+    elif 2 ** (len(diags) - 1) < DIVERGENCE_PANELS:
+        return None
+    else:
+        # a bounded integrand's largest sample levels off once the panels
+        # resolve it; next to a pole it grows as they close in
+        peaks = list(accumulate((max(abs(c[p]) for c in samples)
+                                 for p, (_, _, samples) in zip(where, log)), max))
+        if peaks[-1] < 2.0 * peaks[-1 - PLATEAU_LEVELS]:
+            return None
+        why = (f"integral looks divergent: the largest |f| sampled grew to {peaks[-1]:.3g} "
+               f"while the error estimate stalled at {best_est:.3g}")
+    return ToleranceError(why, best_estimate=best, achieved=best_est)

@@ -5,6 +5,7 @@ useful message."""
 import math
 import random
 
+from trapcorr import ConfigError, ReferenceResult, ToleranceError, quadrature
 from trapcorr import eval_jet, eval_value, parse, reference_integral
 
 # safe evaluation domains per grammar function
@@ -87,3 +88,72 @@ def composite_loglog_slope(errors_by_n) -> float:
     num = sum((px - mx) * (py - my) for px, py in pts)
     den = sum((px - mx) ** 2 for px, py in pts)
     return num / den
+
+
+def scalar_reference_integral(f, a: float, x: float, tol: float) -> ReferenceResult:
+    """One panel's Romberg table advanced by a scalar loop: the reference
+    that ``quadrature.romberg`` must match bit for bit, value, estimate,
+    evaluation count and error alike.  Reads the stop-rule constants from
+    ``quadrature`` when called, so a test's patch of them applies to both."""
+    q = quadrature
+    if tol <= 0.0:
+        raise ConfigError(f"tolerance must be positive, got {tol!r}")
+    if x < a:
+        raise ConfigError(f"reversed limits: a={a!r} > x={x!r}")
+    if x == a:
+        return ReferenceResult(0.0, 0.0, 0)
+
+    h = x - a
+    fa, fx = eval_value(f, a), eval_value(f, x)
+    prev_row = [0.5 * h * (fa + fx)]
+    evals = 2
+    n = 1
+    best = prev_row[0]
+    best_est = stall_from = float("inf")
+    peaks = [max(abs(fa), abs(fx))]  # largest |f| sampled, per level
+    stalled = 0
+    k = 0
+    while evals + n <= q.DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
+        k += 1
+        n *= 2
+        h *= 0.5
+        mid_sum = 0.0
+        peak = peaks[-1]
+        for i in range(1, n // 2 + 1):
+            v = eval_value(f, a + (2 * i - 1) * h)
+            mid_sum += v
+            if abs(v) > peak:  # max(peak, abs(v)) without the call
+                peak = abs(v)
+        peaks.append(peak)
+        evals += n // 2
+        row = [0.5 * prev_row[0] + h * mid_sum]
+        for j in range(1, k + 1):
+            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / q._DIVISORS[j])
+        # first diagonal agreement can be accidental; require two levels
+        if k >= 2:
+            est = abs(row[k] - prev_row[k - 1])
+            if est <= tol:
+                return ReferenceResult(row[k], est, evals)
+            if est < best_est:
+                best, best_est = row[k], est
+            if est <= 0.5 * stall_from:  # progress: the estimate at least halved
+                stall_from, stalled = est, 0
+            else:
+                stalled += 1
+            if stalled >= q.PLATEAU_LEVELS:
+                if best_est <= q.ROUNDOFF * max(1.0, abs(best)):
+                    raise ToleranceError(
+                        f"tolerance {tol!r} not reached: the error estimate stalled at "
+                        f"its round-off floor, {best_est:.3g}",
+                        best_estimate=best, achieved=best_est)
+                # a bounded integrand's largest sample levels off once the
+                # panels resolve it; next to a pole it grows as they close in
+                if n >= q.DIVERGENCE_PANELS and peak >= 2.0 * peaks[k - q.PLATEAU_LEVELS]:
+                    raise ToleranceError(
+                        f"integral looks divergent: the largest |f| sampled grew to "
+                        f"{peak:.3g} while the error estimate stalled at {best_est:.3g}",
+                        best_estimate=best, achieved=best_est)
+        prev_row = row
+    raise ToleranceError(
+        f"tolerance {tol!r} not reached within {q.DEFAULT_MAX_EVALS} evaluations",
+        best_estimate=best, achieved=best_est)

@@ -240,6 +240,21 @@ def test_exotic_runs_with_scaled_tolerances(tmp_path):
     assert code == 0
 
 
+def test_residual_column_panels_stop_at_their_round_off_floor(tmp_path, capsys):
+    # a column panel of 2^x is worth up to about 14, and its share of the default
+    # 1e-13, 2.2e-16, lies below the round-off of its table: the panel's tolerance
+    # is floored at a few ulp of its trapezium value (this exited 5 before)
+    out = tmp_path / "pow.csv"
+    code = main(["integrate", "--f=2^x", "--a=0.5", "--b=9.5", "--h=0.02", "--residual",
+                 "--out", str(out)])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    for line in out.read_text().splitlines()[2:]:  # the rows after x = a
+        x, *_, reference, residual = map(float, line.split(","))
+        assert abs(reference - (2.0 ** x - 2.0 ** 0.5) / math.log(2.0)) < 1e-11
+        assert abs(residual) < 1e-11
+
+
 @pytest.mark.parametrize("args", [
     ["--f", "sin(x)", "--a", "10", "--b", "1", "--x0", "5", "--h", "0.01"],
     ["--f", "sin(x)", "--a", "1", "--b", "10", "--x0", "11", "--h", "0.01"],

@@ -1,12 +1,14 @@
 import math
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from trapcorr import (ConfigError, ToleranceError, composite_trapezium,
+from trapcorr import (ConfigError, ToleranceError, TrapcorrError, composite_trapezium,
                       parse, quadrature, reference_integral, trapezium)
 from trapcorr.expr import eval_value
 
-from helpers import composite_loglog_slope, worst_additivity_defect
+from helpers import composite_loglog_slope, scalar_reference_integral, worst_additivity_defect
 
 SIN = parse("sin(x)")
 
@@ -159,3 +161,60 @@ def test_reference_additivity(text, lo, hi):
     tol = 1e-12
     worst, where = worst_additivity_defect(text, lo, hi, tol=tol)
     assert worst <= 2.0 * tol, f"additivity defect {worst:.3e} at {where}"
+
+
+# ------------------------------------------- batched Romberg vs the scalar loop
+
+# the integrands of the tests above, and one undefined on (-0.1, 0.1), whose
+# panels across that gap fail on a midpoint at some level
+FAMILIES = ["sin(x)", "sin(3*x)", "sin(20*x)", "1/(1+10000*x^2)", "1/x", "x^-2",
+            "exp(x/3)*cos(x)", "x^2*(sin(x)*ln(2+x)-100*x)/1000", "sqrt(x*x-0.01)"]
+
+
+def _bits(results):
+    return [(value.hex(), est.hex(), panels) for value, est, panels in results]
+
+
+def _outcome(call):
+    """(results as bits, None) or (None, the error's type, message and fields)."""
+    try:
+        return _bits(call()), None
+    except TrapcorrError as exc:
+        fields = (getattr(exc, "best_estimate", 0.0).hex(), getattr(exc, "achieved", 0.0).hex())
+        return None, (type(exc), str(exc), fields)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=80)
+@given(text=st.sampled_from(FAMILIES),
+       nodes=st.lists(st.floats(-1.0, 10.0), min_size=2, max_size=6, unique=True).map(sorted),
+       tols=st.lists(st.sampled_from([1e-30, 1e-15, 1e-13, 1e-10, 1e-6, 1e-3]),
+                     min_size=5, max_size=5),
+       budget=st.sampled_from([2 ** 17, 2 ** 6, 2 ** 10]))
+# each stop rule, each in the second of two panels, so that the first panel's
+# result must survive it: the round-off stall, the divergence, the budget
+@example(text="sin(x)", nodes=[-2.0, -1.0, -0.5], tols=[1e-13, 1e-30] * 2 + [1e-13], budget=2 ** 17)
+@example(text="1/x", nodes=[-2.0, -1.0, 1.3], tols=[1e-13] * 5, budget=2 ** 17)
+@example(text="sin(20*x)", nodes=[1.0, 1.5, 10.0], tols=[1e-13] * 5, budget=2 ** 10)
+# the second or third panel fails on a midpoint while the first is still
+# open, and later fails itself: the first panel's error is the one raised,
+# after a level summed per panel, and after a flat level of four panels
+@example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, 0.5, 2.0], tols=[1e-30] + [1e-13] * 4,
+         budget=2 ** 17)
+@example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, -0.5, 0.4, 2.0], tols=[1e-30] + [1e-13] * 4,
+         budget=2 ** 17)
+def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget):
+    """Panel by panel, bit for bit: value, estimate and evaluation count,
+    and on failure the first failing panel's error, with the panels integrated
+    one after another by the scalar reference loop."""
+    f = parse(text)
+    try:
+        values = [eval_value(f, x) for x in nodes]
+    except TrapcorrError:
+        assume(False)
+    tols = tols[:len(nodes) - 1]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(quadrature, "DEFAULT_MAX_EVALS", budget)
+        want = _outcome(lambda: [scalar_reference_integral(f, a, x, tol)
+                                 for a, x, tol in zip(nodes, nodes[1:], tols)])
+        got = _outcome(lambda: quadrature.romberg(f, nodes, values, tols))
+    assert got == want
