@@ -14,9 +14,8 @@ the panels shrink, as at a pole inside the interval.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from contextlib import suppress
-from itertools import accumulate, compress
+from itertools import accumulate, compress, count
 from math import inf, ulp
 from operator import not_
 from typing import NamedTuple
@@ -40,10 +39,6 @@ ROUNDOFF = 64 * sys.float_info.epsilon
 DIVERGENCE_PANELS = 2 ** 14
 #: a column panel's tolerance is at least this many ulp of its trapezium value
 FLOOR_ULPS = 16
-
-#: Richardson divisors 4^j - 1 by column j; level k costs 2^(k-1)
-#: evaluations, so no table reaches column 64
-_DIVISORS = tuple(4.0 ** j - 1.0 for j in range(64))
 
 
 class ReferenceResult(NamedTuple):
@@ -96,51 +91,45 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
 
 
 def reference_column(f: ExprAST, nodes: list[float], tol: float, f_a: float) -> list[float]:
-    """Integrals of ``f`` from ``nodes[0]``, where f is ``f_a``, to each later
-    node: running sums of one Romberg integral per panel between adjacent
-    nodes.  A panel gets its width's share of ``tol``, floored at
-    ``FLOOR_ULPS`` ulp of its trapezium value, the round-off of its table;
-    the column is within the sum of those tolerances."""
-    values = [f_a] + [eval_value(f, x) for x in nodes[1:]]
-    span = nodes[-1] - nodes[0]
-    tols = [floor if (floor := FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx)))
-            > (share := tol * (x - p) / span) else share  # max(share, floor), without the call
+    """Integrals of ``f`` from ``nodes[0]``, where f is ``f_a``, to each later node:
+    running sums of one Romberg integral per panel between adjacent nodes, each to
+    its width's share of ``tol`` or, if more, ``FLOOR_ULPS`` ulp of its trapezium
+    value, its table's round-off.  The column is within the sum of those."""
+    values, span = [f_a] + [eval_value(f, x) for x in nodes[1:]], nodes[-1] - nodes[0]
+    tols = [max(tol * (x - p) / span, FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx)))
             for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]
-    panels = romberg(f, nodes, values, tols)
-    return list(accumulate((value for value, _, _ in panels), initial=0.0))[1:]
+    return list(accumulate((r[0] for r in romberg(f, nodes, values, tols)), initial=0.0))[1:]
 
 
 def romberg(f: ExprAST, nodes: list[float], values: list[float],
             tols: list[float]) -> list[tuple[float, float, int]]:
-    """The (value, est_error, panels) of :class:`ReferenceResult` for each
-    panel [nodes[i], nodes[i+1]] to tolerance ``tols[i]``, ``nodes`` strictly
-    ascending and ``values[i]`` = f(nodes[i]), as if integrated one after
-    another, errors included.  The tables advance together, level by level,
-    each column one list over the open panels.  No stop rule can fire through
-    level ``PLATEAU_LEVELS`` (after level k at most k - 1 levels have failed
-    to halve the estimate), so only the levels after it check them."""
-    results = [None] * len(tols)
-    at, a = list(range(len(tols))), nodes[:-1]  # the open panels, ascending, and their starts
-    h = [x - p for p, x in zip(nodes, nodes[1:])]
+    """The (value, est_error, panels) of :class:`ReferenceResult` for each panel
+    [nodes[i], nodes[i+1]] to tolerance ``tols[i]`` (``nodes`` strictly ascending, ``values[i]``
+    = f(nodes[i])), as if integrated one after another, errors included.  The tables advance
+    together, level by level, each column and stop state one list over the open panels.  Most
+    end in the head, the first ``PLATEAU_LEVELS`` levels, where no stop rule can fire (after
+    level k at most k - 1 levels have failed to halve the estimate): its levels join the stop
+    state after it, and the midpoints of each of its levels are one flat list."""
+    # the open panels, ascending, their starts and their widths
+    at, a, h = list(range(len(tols))), nodes[:-1], [x - p for p, x in zip(nodes, nodes[1:])]
     row = [[0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]]
-    log = [(at, row[0], [values[:-1], values[1:]])]  # per level: open panels, diagonal, samples
-    failure, k, n, evals = None, 0, 1, 2
+    # the stop state: (estimate, value) at the least estimate, (estimate, levels since) at the
+    # last halving, and the largest |f| sampled through the last PLATEAU_LEVELS + 1 levels
+    best, stall, peaks = [*zip([inf] * len(h), row[0])], [(inf, 0)] * len(h), []
+    diags, seen = [], [[values[:-1], values[1:]]]  # of the levels not yet in the stop state
+    results, failure, k, n, evals = [None] * len(tols), None, 0, 1, 2
     while at and evals + n <= DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
         k, n, evals = k + 1, 2 * n, evals + n
         h = [0.5 * w for w in h]
-        m, odd = n // 2, range(1, n, 2)
-        cut = len(at)  # the open panels before the first to fail
-        vals = None
-        if k <= PLATEAU_LEVELS and m < len(at):  # one flat list, summed column by column
+        m, odd, sums = n // 2, range(1, n, 2), None
+        if k <= PLATEAU_LEVELS and m < len(at):  # in the head, with more panels than midpoints
             with suppress(TrapcorrError):  # a value fails: the loop below finds its panel
                 vals = [eval_value(f, left + j * w) for left, w in zip(a, h) for j in odd]
-        if vals is not None:
-            samples = [vals[i::m] for i in range(m)]  # midpoint i of each panel
-            sums = [0.0] * len(at)
-            for col in samples:
-                sums = [s + v for s, v in zip(sums, col)]
-        else:  # few panels, or a value failed: fold each panel's values as they come
-            sums, tops = [], []
+                cols, sums = [vals[i::m] for i in range(m)], [0.0] * len(at)  # midpoint i of each
+                for col in cols:
+                    sums = [s + v for s, v in zip(sums, col)]
+        if sums is None:  # fold each panel's values as they come, and keep its largest |f|
+            sums, cols = [], [[]]
             try:
                 for left, w in zip(a, h):
                     s = top = 0.0
@@ -150,63 +139,50 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float],
                         if abs(v) > top:  # max(top, abs(v)) without the call
                             top = abs(v)
                     sums.append(s)
-                    tops.append(top)
+                    cols[0].append(top)
             except TrapcorrError as exc:
-                failure, cut = exc, len(sums)
-            samples = [tops]  # each panel's largest |f|
+                failure = exc  # the panels after this one no longer matter
         prev, row = row, [[0.5 * t + w * s for t, w, s in zip(row[0], h, sums)]]
-        for j in range(1, k + 1):
-            d = _DIVISORS[j]
+        for j, d in ((j, 4.0 ** j - 1.0) for j in range(1, k + 1)):  # Richardson's divisors
             row.append([r + (r - q) / d for r, q in zip(row[j - 1], prev[j - 1])])
-        log.append((at, row[k], samples))
-        keep = [True] * cut
-        if k >= 2:  # a first diagonal agreement can be accidental
-            keep = [not abs(r - q) <= tols[i] for i, r, q in zip(at, row[k], prev[k - 1])]
-            for i, r, q in compress(zip(at, row[k], prev[k - 1]), map(not_, keep)):
-                results[i] = (r, abs(r - q), evals)
-        for p in range(cut) if k > PLATEAU_LEVELS else ():
-            error = keep[p] and _stop(log, at[p], tols)
-            if error:  # the panels after this one no longer matter
-                failure = error
-                del keep[p:]
+        diags.append(row[k])
+        seen.append(cols)
+        # a first diagonal agreement can be accidental
+        keep = [k < 2 or not abs(r - q) <= tols[i] for i, r, q in zip(at, row[k], prev[k - 1])]
+        for i, r, q in compress(zip(at, row[k], prev[k - 1]), map(not_, keep)):
+            results[i] = (r, abs(r - q), evals)
+        if k > PLATEAU_LEVELS or evals + n > DEFAULT_MAX_EVALS:  # or at the last level
+            for q, r in zip(diags, diags[1:]):
+                est = [abs(x - y) for x, y in zip(r, q)]
+                best = [(e, x) if e < b[0] else b for x, e, b in zip(r, est, best)]
+                stall = [(e, 0) if e <= 0.5 * s else (s, c + 1) for e, (s, c) in zip(est, stall)]
+            for level in seen:
+                top = [max(map(abs, v)) for v in zip(*peaks[-1:], *level)]
+                peaks = peaks[-PLATEAU_LEVELS:] + [top]
+            diags, seen = diags[-1:], []
+            stalled = [ok and s[1] >= PLATEAU_LEVELS for ok, s in zip(keep, stall)]
+            for p in compress(count(), stalled):
+                (best_est, value), peak = best[p], peaks[-1][p]
+                if best_est <= ROUNDOFF * max(1.0, abs(value)):
+                    why = (f"tolerance {tols[at[p]]!r} not reached: the error estimate stalled "
+                           f"at its round-off floor, {best_est:.3g}")
+                elif n >= DIVERGENCE_PANELS and peak >= 2.0 * peaks[0][p]:
+                    why = (f"integral looks divergent: the largest |f| sampled grew to "
+                           f"{peak:.3g} while the error estimate stalled at {best_est:.3g}")
+                else:
+                    continue
+                failure = ToleranceError(why, best_estimate=value, achieved=best_est)
+                del keep[p:]  # the panels after this one no longer matter
                 break
-        if len(keep) < len(at) or not all(keep):
-            at, a, h, *row = ([*compress(c, keep)] for c in (at, a, h, *row))
+        if not any(keep):
+            at = []
+        elif len(keep) < len(at) or not all(keep):
+            at, a, h, best, stall = ([*compress(c, keep)] for c in (at, a, h, best, stall))
+            row, diags, peaks = ([[*compress(c, keep)] for c in t] for t in (row, diags, peaks))
+            seen = [[[*compress(c, keep)] for c in level] for level in seen]
     if at:  # out of budget: the first open panel fails first
-        failure = _stop(log, at[0], tols, spent=True)
+        failure = ToleranceError(f"tolerance {tols[at[0]]!r} not reached within "
+                                 f"{DEFAULT_MAX_EVALS} evaluations", best[0][1], best[0][0])
     if failure:
         raise failure
     return results
-
-
-def _stop(log: list, i: int, tols: list[float], spent: bool = False) -> ToleranceError | None:
-    """The error that ends panel ``i``'s table, or None while it may refine on;
-    ``spent``: the evaluation budget is.  ``log`` is :func:`romberg`'s."""
-    where = [bisect_left(at, i) for at, _, _ in log]  # panel i's place at each level
-    diags = [diag[p] for p, (_, diag, _) in zip(where, log)]
-    best, best_est, stall_from, stalled = diags[0], inf, inf, 0
-    for prev, diag in zip(diags[1:], diags[2:]):
-        est = abs(diag - prev)
-        if est < best_est:
-            best, best_est = diag, est
-        # progress: the estimate at least halved
-        stall_from, stalled = (est, 0) if est <= 0.5 * stall_from else (stall_from, stalled + 1)
-    if spent:
-        why = f"tolerance {tols[i]!r} not reached within {DEFAULT_MAX_EVALS} evaluations"
-    elif stalled < PLATEAU_LEVELS:
-        return None
-    elif best_est <= ROUNDOFF * max(1.0, abs(best)):
-        why = (f"tolerance {tols[i]!r} not reached: the error estimate stalled at "
-               f"its round-off floor, {best_est:.3g}")
-    elif 2 ** (len(diags) - 1) < DIVERGENCE_PANELS:
-        return None
-    else:
-        # a bounded integrand's largest sample levels off once the panels
-        # resolve it; next to a pole it grows as they close in
-        peaks = list(accumulate((max(abs(c[p]) for c in samples)
-                                 for p, (_, _, samples) in zip(where, log)), max))
-        if peaks[-1] < 2.0 * peaks[-1 - PLATEAU_LEVELS]:
-            return None
-        why = (f"integral looks divergent: the largest |f| sampled grew to {peaks[-1]:.3g} "
-               f"while the error estimate stalled at {best_est:.3g}")
-    return ToleranceError(why, best_estimate=best, achieved=best_est)

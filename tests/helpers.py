@@ -128,7 +128,7 @@ def scalar_reference_integral(f, a: float, x: float, tol: float) -> ReferenceRes
         evals += n // 2
         row = [0.5 * prev_row[0] + h * mid_sum]
         for j in range(1, k + 1):
-            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / q._DIVISORS[j])
+            row.append(row[j - 1] + (row[j - 1] - prev_row[j - 1]) / (4.0 ** j - 1.0))
         # first diagonal agreement can be accidental; require two levels
         if k >= 2:
             est = abs(row[k] - prev_row[k - 1])

@@ -171,6 +171,10 @@ FAMILIES = ["sin(x)", "sin(3*x)", "sin(20*x)", "1/(1+10000*x^2)", "1/x", "x^-2",
             "exp(x/3)*cos(x)", "x^2*(sin(x)*ln(2+x)-100*x)/1000", "sqrt(x*x-0.01)"]
 
 
+#: the module's (PLATEAU_LEVELS, DIVERGENCE_PANELS)
+STOP_RULES = (quadrature.PLATEAU_LEVELS, quadrature.DIVERGENCE_PANELS)
+
+
 def _bits(results):
     return [(value.hex(), est.hex(), panels) for value, est, panels in results]
 
@@ -189,20 +193,29 @@ def _outcome(call):
        nodes=st.lists(st.floats(-1.0, 10.0), min_size=2, max_size=6, unique=True).map(sorted),
        tols=st.lists(st.sampled_from([1e-30, 1e-15, 1e-13, 1e-10, 1e-6, 1e-3]),
                      min_size=5, max_size=5),
-       budget=st.sampled_from([2 ** 17, 2 ** 6, 2 ** 10]))
+       budget=st.sampled_from([2 ** 17, 2 ** 6, 2 ** 10, 3, 9]),
+       # (PLATEAU_LEVELS, DIVERGENCE_PANELS): the module's, and shorter ones
+       # whose stop rules fire in and right after the head
+       constants=st.sampled_from([STOP_RULES, (2, 2 ** 4), (1, 2 ** 2)]))
 # each stop rule, each in the second of two panels, so that the first panel's
 # result must survive it: the round-off stall, the divergence, the budget
-@example(text="sin(x)", nodes=[-2.0, -1.0, -0.5], tols=[1e-13, 1e-30] * 2 + [1e-13], budget=2 ** 17)
-@example(text="1/x", nodes=[-2.0, -1.0, 1.3], tols=[1e-13] * 5, budget=2 ** 17)
-@example(text="sin(20*x)", nodes=[1.0, 1.5, 10.0], tols=[1e-13] * 5, budget=2 ** 10)
+@example(text="sin(x)", nodes=[-2.0, -1.0, -0.5], tols=[1e-13, 1e-30] * 2 + [1e-13], budget=2 ** 17,
+         constants=STOP_RULES)
+@example(text="1/x", nodes=[-2.0, -1.0, 1.3], tols=[1e-13] * 5, budget=2 ** 17,
+         constants=STOP_RULES)
+@example(text="sin(20*x)", nodes=[1.0, 1.5, 10.0], tols=[1e-13] * 5, budget=2 ** 10,
+         constants=STOP_RULES)
 # the second or third panel fails on a midpoint while the first is still
 # open, and later fails itself: the first panel's error is the one raised,
 # after a level summed per panel, and after a flat level of four panels
 @example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, 0.5, 2.0], tols=[1e-30] + [1e-13] * 4,
-         budget=2 ** 17)
+         budget=2 ** 17, constants=STOP_RULES)
 @example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, -0.5, 0.4, 2.0], tols=[1e-30] + [1e-13] * 4,
-         budget=2 ** 17)
-def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget):
+         budget=2 ** 17, constants=STOP_RULES)
+# with short stop rules, a divergence read against a largest |f| from inside
+# the head, whose levels join the stop state together
+@example(text="1/x", nodes=[-2.0, -0.4, 2.4], tols=[1e-13] * 5, budget=2 ** 10, constants=(2, 2 ** 4))
+def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget, constants):
     """Panel by panel, bit for bit: value, estimate and evaluation count,
     and on failure the first failing panel's error, with the panels integrated
     one after another by the scalar reference loop."""
@@ -214,6 +227,8 @@ def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget):
     tols = tols[:len(nodes) - 1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(quadrature, "DEFAULT_MAX_EVALS", budget)
+        patch.setattr(quadrature, "PLATEAU_LEVELS", constants[0])
+        patch.setattr(quadrature, "DIVERGENCE_PANELS", constants[1])
         want = _outcome(lambda: [scalar_reference_integral(f, a, x, tol)
                                  for a, x, tol in zip(nodes, nodes[1:], tols)])
         got = _outcome(lambda: quadrature.romberg(f, nodes, values, tols))

@@ -5,10 +5,10 @@ of a parent commit and of this checkout, with per-metric quartiles and wins.
         --workload audit-sin --workload sweep-exotic --trace audit-sin \\
         --out BENCH_21.json --description "what changed"
 
-The parent runs from a ``git worktree`` of ``--parent`` that the script adds
-and removes again, or from ``--parent-dir``, an existing checkout of it.
-Both sides run the same command, ``python3 perfbench/run.py --workload W
---seed S --seconds T --trace 0``, each from its own checkout root; each
+The parent runs from a ``git archive`` export of ``--parent`` into a temporary
+directory, which leaves nothing behind in the repository.  Both sides run the same command, ``python3
+perfbench/run.py --workload W --seed S --seconds T --trace 0``, each from its
+own checkout root, with T the ``run_seconds`` of ``BENCHMARK.json``; each
 run's JSON summary line is kept as it is.  Pair i runs the parent first
 when i is even and this checkout first when it is odd.  Then each
 ``--trace`` workload gets one ``--trace 1`` run per side.
@@ -23,14 +23,17 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -72,59 +75,51 @@ def summary(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="the parent commit (any git revision)")
-    ap.add_argument("--parent-dir", type=Path,
-                    help="an existing checkout of --parent, used instead of a new worktree")
     ap.add_argument("--workload", action="append", required=True, help="repeat for each")
     ap.add_argument("--trace", action="append", default=[],
                     help="a workload to run once traced per side; repeat for each")
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=int,
-                    default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     ap.add_argument("--description", default="")
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    seconds = BENCHMARK["run_seconds"]
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as scratch:
-        parent_dir = args.parent_dir
-        if parent_dir is None:
-            parent_dir = Path(scratch) / "parent"
-            subprocess.run(["git", "worktree", "add", "--detach", str(parent_dir), args.parent],
-                           cwd=ROOT, check=True, capture_output=True)
-        try:
-            sides = {"parent": parent_dir, "change": ROOT}
-            result = {
-                "description": args.description,
-                "command": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
-                            f"--seconds {args.seconds} --trace 0|1"),
-                "seed": args.seed,
-                "parent": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, text=True,
-                                         capture_output=True).stdout.strip() or args.parent,
-                "machine": "",
-                "workloads": {},
-            }
-            for workload in args.workload:
-                runs = {"parent": [], "change": []}
-                for i in range(args.pairs):
-                    for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                        run = perfbench(sides[side], workload, args.seed, args.seconds, 0)
-                        result["machine"] = result["machine"] or run["machine"]
-                        runs[side].append(run["final_line"])
-                        print(f"{workload} pair {i} {side}: op_ms_p50 = "
-                              f"{run['final_line']['metrics']['op_ms_p50']['value']:.3f}",
-                              file=sys.stderr)
-                result["workloads"][workload] = {
-                    "summary": summary(runs["parent"], runs["change"], metrics), "runs": runs}
-            for workload in args.trace:
-                result["trace_" + workload.replace("-", "_")] = {
-                    side: {"final_line": perfbench(path, workload, args.seed, args.seconds,
-                                                   1)["final_line"]}
-                    for side, path in sides.items()}
-        finally:
-            if args.parent_dir is None:
-                subprocess.run(["git", "worktree", "remove", "--force", str(parent_dir)],
-                               cwd=ROOT, check=True, capture_output=True)
+        parent_dir = Path(scratch) / "parent"
+        archive = subprocess.run(["git", "archive", "--format=tar", args.parent], cwd=ROOT,
+                                 check=True, capture_output=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(parent_dir, filter="data")
+        sides = {"parent": parent_dir, "change": ROOT}
+        result = {
+            "description": args.description,
+            "command": (f"python3 perfbench/run.py --workload W --seed {args.seed} "
+                        f"--seconds {seconds} --trace 0|1"),
+            "seed": args.seed,
+            "parent": subprocess.run(["git", "rev-parse", args.parent], cwd=ROOT, text=True,
+                                     capture_output=True).stdout.strip() or args.parent,
+            "machine": "",
+            "workloads": {},
+        }
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for i in range(args.pairs):
+                for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    run = perfbench(sides[side], workload, args.seed, seconds, 0)
+                    result["machine"] = result["machine"] or run["machine"]
+                    runs[side].append(run["final_line"])
+                    print(f"{workload} pair {i} {side}: op_ms_p50 = "
+                          f"{run['final_line']['metrics']['op_ms_p50']['value']:.3f}",
+                          file=sys.stderr)
+            result["workloads"][workload] = {
+                "summary": summary(runs["parent"], runs["change"], BENCHMARK["end_to_end"]),
+                "runs": runs}
+        for workload in args.trace:
+            result["trace_" + workload.replace("-", "_")] = {
+                side: {"final_line": perfbench(path, workload, args.seed, seconds,
+                                               1)["final_line"]}
+                for side, path in sides.items()}
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
