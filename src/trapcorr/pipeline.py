@@ -281,31 +281,32 @@ def run(spec: ProblemSpec, reference: bool = False,
     t_start = time.perf_counter()
     reference = reference or residual
     xi0 = solve_xi0(spec)
-    step, d2 = bind_step(spec)
-    rev_target = spec.a + spec.h
+    step, records = bind_step(spec)
+
+    def sweep(x_end):  # its (x, xi, g''(xi)) nodes: the last has no step, so no g''(xi)
+        start = len(records)
+        nodes = rk.integrate(step, spec.x0, xi0, x_end, spec.h, _keep_in_interval(spec, xi0))
+        return [(x, xi, d2) for (x, xi), d2 in zip(nodes, records[start:] + [None])]
     with phase("ode"):
         try:
-            nodes = rk.integrate(step, spec.x0, xi0, spec.b, spec.h, _keep_in_interval(spec, xi0))
-            if rev_target < spec.x0:
-                reverse = rk.integrate(step, spec.x0, xi0, rev_target, spec.h,
-                                       _keep_in_interval(spec, xi0))
-                nodes = reverse[:0:-1] + nodes
+            nodes = sweep(spec.b)
+            if spec.a + spec.h < spec.x0:
+                nodes = sweep(spec.a + spec.h)[:0:-1] + nodes
         except SingularDenominatorError as exc:
             exc.suggested_shift = suggest_shift(spec.f_ast, spec.a, spec.b)
             raise
 
     with phase("curve"):
-        rows = [CurveRow(x=spec.a, xi=None, trapezium=0.0, error_term=0.0,
-                         corrected=0.0,
+        rows = [CurveRow(x=spec.a, xi=None, trapezium=0.0, error_term=0.0, corrected=0.0,
                          reference=0.0 if reference else None,
                          residual=0.0 if residual else None)]
-        values = []
-        f_a = quadrature.eval_value(spec.f_ast, spec.a)  # once per run, by the traced name
-        for x, xi in nodes:
-            trap = trapezium(spec.f_ast, spec.a, x, f_a)
-            err = unshift_error(error_term(spec, x, xi, d2.get(x)), spec.shift, spec.a, x)
+        values, fx = [], [quadrature.eval_value(spec.f_ast, spec.a)]  # by the traced name
+        for x, xi, d2 in nodes:
+            fx.append(quadrature.eval_value(spec.f_ast, x))  # once per node, for both columns
+            trap = 0.5 * (x - spec.a) * (fx[0] + fx[-1])  # trapezium(f, a, x), bit for bit
+            err = unshift_error(error_term(spec, x, xi, d2), spec.shift, spec.a, x)
             values.append((x, xi, trap, err, trap + err))
-        column = (reference_column(spec.f_ast, [spec.a] + [v[0] for v in values], spec.ref_tol, f_a)
+        column = (reference_column(spec.f_ast, [spec.a] + [v[0] for v in values], fx, spec.ref_tol)
                   if reference else [None] * len(values))
         rows += [CurveRow(*v, ref, (v[4] - ref) if residual else None)
                  for v, ref in zip(values, column)]

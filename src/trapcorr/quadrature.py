@@ -52,9 +52,9 @@ class ReferenceResult(NamedTuple):
     panels: int
 
 
-def trapezium(f: ExprAST, a: float, x: float, f_a: float | None = None) -> float:
-    """One-panel trapezium value (x-a)/2 * (f(a) + f(x)); ``f_a``, if given, is f(a)."""
-    return 0.5 * (x - a) * ((eval_value(f, a) if f_a is None else f_a) + eval_value(f, x))
+def trapezium(f: ExprAST, a: float, x: float) -> float:
+    """One-panel trapezium value (x-a)/2 * (f(a) + f(x))."""
+    return 0.5 * (x - a) * (eval_value(f, a) + eval_value(f, x))
 
 
 def composite_trapezium(f: ExprAST, a: float, b: float, n: int) -> float:
@@ -90,12 +90,12 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
     return ReferenceResult(*romberg(f, [a, x], [eval_value(f, a), eval_value(f, x)], [tol])[0])
 
 
-def reference_column(f: ExprAST, nodes: list[float], tol: float, f_a: float) -> list[float]:
-    """Integrals of ``f`` from ``nodes[0]``, where f is ``f_a``, to each later node:
-    running sums of one Romberg integral per panel between adjacent nodes, each to
-    its width's share of ``tol`` or, if more, ``FLOOR_ULPS`` ulp of its trapezium
+def reference_column(f: ExprAST, nodes: list[float], values: list[float], tol: float) -> list:
+    """Integrals of ``f`` from ``nodes[0]`` to each later node, given ``values[i]`` =
+    f(nodes[i]): running sums of one Romberg integral per panel between adjacent nodes,
+    each to its width's share of ``tol`` or, if more, ``FLOOR_ULPS`` ulp of its trapezium
     value, its table's round-off.  The column is within the sum of those."""
-    values, span = [f_a] + [eval_value(f, x) for x in nodes[1:]], nodes[-1] - nodes[0]
+    span = nodes[-1] - nodes[0]
     tols = [max(tol * (x - p) / span, FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx)))
             for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]
     return list(accumulate((r[0] for r in romberg(f, nodes, values, tols)), initial=0.0))[1:]

@@ -23,9 +23,9 @@ cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
-Here the ODE compiles once per (shape of g, tableau) to a stage holding the jet
-at xi inline, the block :mod:`trapcorr.expr` emits once per shape, and a sweep
-step that calls it (:func:`trapcorr.rk.step_source`); :func:`xi_rhs` is the stage.
+The ODE compiles once per (shape of g, tableau) to a stage holding the jet at xi
+inline, the block :mod:`trapcorr.expr` emits per shape, and a sweep step that calls it
+(:func:`trapcorr.rk.step_source`) and records once per step; :func:`xi_rhs` is the stage.
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ def stage(x_s, x, g, dg):
     return (F * g + 6.0 * g_a + 6.0 * t * dg - 3.0 * t * t * {w2}) / den"""
 
 #: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
-#: which calls the stage for every stage and records stage 0's g''(xi) in d2
+#: which calls the stage for every stage and passes stage 0's g''(xi) to record
 _XI = """\
-def bind({names}{literals}a, g_a, slope, F, guard, d2):
+def bind({names}{literals}a, g_a, slope, F, guard, record):
     {bound}
     carry_x, carry, d2_s = nan, None, nan
     {stage}
@@ -98,7 +98,7 @@ def _source(shape, tableau) -> tuple[str, list]:
                 "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
         x_side = f"g{n}, dg{n} = {read}\n" if n == i else ""
         return (f"x_s = x + c{i} * h\n{x_side}k{i} = stage(x_s, {yi}, g{n}, dg{n})"
-                + ("\nd2[x] = d2_s" if i == 0 else ""))
+                + ("\nrecord(d2_s)" if i == 0 else ""))
     fields = _emit(shape)
     names, values, body = step_source(tableau, step_stage)
     return _XI.format(names="".join(name + ", " for name in names),
@@ -115,17 +115,17 @@ def _factory(shape, tableau):
     return partial(namespace["bind"], *values)
 
 
-def _bind(p: ProblemSpec, d2=None):  # F_COEFFICIENT and the guard as they read now
+def _bind(p: ProblemSpec, record=None):  # F_COEFFICIENT and the guard as they read now
     literals = []
     return _factory(_shape(p.g, literals), p.tableau)(
-        *literals, p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT, DEFAULT_DEN_GUARD, d2)
+        *literals, p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT, DEFAULT_DEN_GUARD, record)
 
 
 def bind_step(p: ProblemSpec):
-    """``(step, d2)``: the sweep's ``step(x, y, h)``, whose stages call :func:`xi_rhs`'s
-    stage, and the dict of g''(y) each step records under its x.  Per run: it holds state."""
-    d2 = {}
-    return _bind(p, d2)[0], d2
+    """``(step, records)``: the sweep's ``step(x, y, h)``, whose stages call :func:`xi_rhs`'s
+    stage, and the list to which the i-th step taken appends g''(y).  Per run: it holds state."""
+    records = []
+    return _bind(p, records.append)[0], records
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -134,9 +134,11 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     Requires x != a (the defining identity is 0 = 0 there) and a denominator above the
     guard threshold; raises :class:`SingularDenominatorError` otherwise.  At x it reads g
     and g' alone, so it is defined where only g'' or g''' is not.  A :class:`DomainError`
-    of the jet at xi is raised at x, naming xi.  It is the sweep step's stage, bound anew.
+    of the jet at xi is raised at x, naming xi.  It is the sweep step's stage, kept on the spec.
     """
-    return _bind(p)[1](x, xi, *p.g._evaluators[2](x))
+    if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):
+        object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[1]))
+    return p._xi_rhs[1](x, xi, *p.g._evaluators[2](x))
 
 
 def error_term(p: ProblemSpec, x: float, xi: float, d2: float | None = None) -> float:

@@ -28,8 +28,10 @@ def outcome(text: str) -> list:
     """[new y hex, g''(Y) hex], or [exception type, text]."""
     try:
         spec = ProblemSpec.from_text(text, A, A + 4.0, x0=X, h=H, shift=SHIFT)
-        step, d2 = xi_ode.bind_step(spec)
-        return [step(X, Y, H).hex(), d2[X].hex()]
+        step, records = xi_ode.bind_step(spec)
+        y = step(X, Y, H)
+        (d2,) = records  # the step's one record
+        return [y.hex(), d2.hex()]
     except TrapcorrError as exc:  # the recorded outcome
         return [type(exc).__name__, str(exc)]
 

@@ -46,15 +46,14 @@ def _counting(fn, layer, calls):
 # g and g' once at each of its 9 new abscissae (c = 1/6 twice, c = 1 carried
 # into the next step's c = 0), and each sweep's first step once more, at x0.
 # The curve takes g''(xi) from stage 0 of the step leaving each node: the 2
-# nodes that end a sweep are the curve's only jets.  The reference column adds
-# the 7,192 values of its 900 panels: each panel's midpoints, 2^k - 1 for a
-# table ended at level k, and f once at each of the 900 nodes after a, whose
-# f(a) the run has already evaluated.  (Panels that evaluated both of their
-# ends counted 9,124 here, 900 more.)
+# nodes that end a sweep are the curve's only jets.  It evaluates f once at a
+# and once at each of the 900 nodes after it, and both columns read those
+# values.  The reference column adds only its 900 panels' midpoints, 2^k - 1
+# for a table ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
 @pytest.mark.parametrize("residual,expected", [
     (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "expr.eval_slope": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
-    (True, {"expr.eval_value": 8224}),
+    (True, {"expr.eval_value": 7324}),
 ])
 def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does

@@ -58,10 +58,26 @@ def test_rhs_rejects_lower_limit():
 
 
 def test_rhs_alternate_numerator_coefficient_changes_value(monkeypatch):
-    good = xi_rhs(sin_problem(), 5.0, XI0_SIN)
+    p = sin_problem()
+    good = xi_rhs(p, 5.0, XI0_SIN)
     monkeypatch.setattr(xi_ode, "F_COEFFICIENT", -18.0)
     bad = xi_rhs(sin_problem(), 5.0, XI0_SIN)
     assert abs(good - bad) > 0.1
+    assert xi_rhs(p, 5.0, XI0_SIN) == bad  # the stage a spec keeps sees the patch too
+    monkeypatch.undo()
+    assert xi_rhs(p, 5.0, XI0_SIN) == good
+
+
+def test_rhs_binds_once_per_spec(monkeypatch):
+    factory, calls = xi_ode._factory, []
+
+    def counted(*args):
+        calls.append(args)
+        return factory(*args)
+    monkeypatch.setattr(xi_ode, "_factory", counted)
+    p = sin_problem()
+    slopes = {xi_rhs(p, 5.0, XI0_SIN) for _ in range(1000)}
+    assert len(calls) == 1 and len(slopes) == 1
 
 
 def test_rhs_reads_only_g_and_its_slope_at_x():
@@ -117,18 +133,19 @@ FEHLBERG7_C1.validate()
 
 def _sweep_steps(spec):
     """Every (x, y, h, next y) step of ``run(spec)``'s sweeps, and the g''(xi)
-    the steps recorded."""
+    the steps recorded; each step records once, when it is taken."""
     steps, recorded = [], []
 
     def recording(p):
-        step, d2 = xi_ode.bind_step(p)
-        recorded.append(d2)
+        step, records = xi_ode.bind_step(p)
+        recorded.append(records)
         assert "stage" in step.__code__.co_freevars  # every stage calls it
 
         def recorded_step(x, y, h):
             steps.append((x, y, h, step(x, y, h)))
+            assert len(records) == len(steps)
             return steps[-1][3]
-        return recorded_step, d2
+        return recorded_step, records
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(pipeline, "bind_step", recording)
@@ -151,9 +168,9 @@ def test_fused_step_equals_rk_step_over_xi_rhs(make, tableau):
     for x, y, h, fused in steps:
         assert fused.hex() == rk_step(partial(tableau.step, rhs), x, y, h).hex(), (x, y, h)
     # stage 0 of each step evaluates the jet at the node it starts from
-    assert d2.keys() == {x for x, *_ in steps}
-    for x, y, *_ in steps:
-        assert d2[x].hex() == eval_jet(spec.g, y).d2.hex(), (x, y)
+    assert len(d2) == len(steps)
+    for (x, y, *_), d2_y in zip(steps, d2):
+        assert d2_y.hex() == eval_jet(spec.g, y).d2.hex(), (x, y)
 
 
 # ---------------------------------------------------------- error term
