@@ -23,15 +23,15 @@ statements alone; and a slope function made of its d0 and d1 statements
 alone, the propagation truncated at order 1.  The walk runs once per shape;
 :mod:`trapcorr.xi_ode` writes its jet block into the xi-ODE's stage.  Literals
 are bound as values, so trees of one shape share their code through bounded
-caches, and a literal exponent's terms are computed once per bind.  The
-derivative statements are sums of products, assembled without the factors
-1.0 and the products with a factor 0.0 that x's jet (x, 1, 0, 0) and a
-literal's (c, 0, 0, 0) feed them.  Values are bit for bit the unfolded rules',
-and so are derivatives but for the sign of an exact zero; a jet or slope is
-rejected exactly where theirs is.  Where only a derivative is undefined
-(``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
-where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates
-numerically.
+caches; a literal exponent r alone is part of the shape, so that its r - 1, r (r - 1),
+..., u^1 = u and u^0 = 1 are folded where the code is emitted.  The derivative
+statements are sums of products, assembled without the factors 1.0 and the products
+with a factor 0.0 that x's jet (x, 1, 0, 0), a literal's (c, 0, 0, 0) and those folded
+powers feed them.  Values are bit for bit the unfolded rules', and so are derivatives
+but for the sign of an exact zero; a jet or slope is rejected exactly where theirs
+is.  Where only a derivative is undefined (``sqrt`` at 0), the value stands and the
+jet is rejected; the slope stands where only d2 or d3 is.  Jets are exact to
+rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
@@ -314,8 +314,6 @@ _CHAIN = ([("w1", "g1 u1")],
           [("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")])
 #: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
 _POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, x)"
-_TERMS = ("{m1} = {v0} - 1.0; {m2} = {v0} - 2.0; {m3} = {v0} - 3.0; ",
-          "{s2} = {v0} * ({m1}); {s3} = {s2} * ({m2})")
 
 #: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u
 #: (operand or left) and v (right), the result w, scratch g and s and the point, always x.  A
@@ -334,11 +332,12 @@ _RULES = {
           [("w1/v0", "u1", "-1.0 w0 v1")],
           [("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
            ("w3/v0", "u3", "-1.0 w0 v3", "-3.0 w1 v2", "-3.0 w2 v1")]),
-    # u^r, r free of x; r's _TERMS are bound once for a literal r, else inline per call
+    # u^r, r free of x, per call; _power folds it at a literal r
     "^r": ("{w0} = 1.0 if {v0} == 0.0 else " + _POW,
-           ["{g1} = {v0} * pow({u0}, {m1})", *_CHAIN[0]],
-           ["{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {m2})",
-            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {m3})", *_CHAIN[1]]),
+           ["{g1} = {v0} * pow({u0}, {v0} - 1.0)", *_CHAIN[0]],
+           ["{s2} = {v0} * ({v0} - 1.0)", "{s3} = {s2} * ({v0} - 2.0)",
+            "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0)",
+            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0)", *_CHAIN[1]]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
     "^v": ("{w0} = " + _POW, ["{s0} = ln({u0})", ("s1", "v1 s0"), ("w1", "w0 s1")],
@@ -355,7 +354,6 @@ _RULES.update(
 #: the three evaluators of one tree shape, over its literals lit0, lit1, ...
 _SOURCE = """\
 def bind({literals}):
-    {bound}
     def jet(x):
 {jet}
         if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
@@ -389,33 +387,52 @@ _GUARDED = """\
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
 _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefined=_undefined,
-                  LN10=math.log(10.0), nan=math.nan, isfinite=math.isfinite,
+                  LN10=math.log(10.0), nan=math.nan, inf=math.inf, isfinite=math.isfinite,
                   Jet3=Jet3, DomainError=DomainError, UNDEFINED=_UNDEFINED)
 
-_LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3", "m1", "m2", "m3")
+_LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
 _VALUES, _ZEROS = {"u0", "v0", "w0"}, ("0.0", "-0.0")
 
 
-def _shape(node: ExprAST, literals: list, exponent: bool = False):
-    """``node`` as nested tuples of node kinds, with each literal replaced
-    by "lit" and its value appended to ``literals``: all that its emitted
-    source depends on."""
+def _shape(node: ExprAST, literals: list):
+    """``node`` as nested tuples of node kinds, with each literal replaced by "lit" and
+    its value appended to ``literals``, a literal exponent (negated or not) by its
+    value: all that its emitted source depends on."""
     if isinstance(node, Var):
         return "x"
     if isinstance(node, (Num, Const)):
         literals.append(node.value if isinstance(node, Num) else CONSTANTS[node.name])
         return "lit"
-    if isinstance(node, Neg):
-        arg = _shape(node.arg, literals)
-        if exponent and arg == "lit":  # as a literal: ^r reads no d1 (elsewhere -0.0, not 0.0)
-            literals[-1] = -literals[-1]
-            return arg
-        return "neg", arg
-    if isinstance(node, Call):
-        return node.func, _shape(node.arg, literals)
+    if isinstance(node, (Neg, Call)):
+        return "neg" if isinstance(node, Neg) else node.func, _shape(node.arg, literals)
     kind = node.op if node.op != "^" else "^v" if contains_var(node.right) else "^r"
-    return kind, _shape(node.left, literals), _shape(node.right, literals, kind == "^r")
+    shapes = _shape(node.left, literals), _shape(node.right, exponent := [])
+    if kind == "^r" and shapes[1] in ("lit", ("neg", "lit")):
+        return kind, shapes[0], exponent[0] if shapes[1] == "lit" else -exponent[0]
+    literals += exponent
+    return (kind, *shapes)
+
+
+def _power(r: float, f: dict):
+    """u^r's rule at a literal r, folded: u^0 = 1 whatever u's jet; g_k = c_k u^(r-k), c_k =
+    r (r-1) .. (r-k+1), is c_k at r = k, c_k u at r = k + 1, 0 where c_k is, save a zero g3
+    while u1 is a name (g3 u1^3 raises where the cube overflows); pow_value passes whole r > 0."""
+    if r == 0.0:
+        f.update(w1="0.0", w2="0.0", w3="0.0")
+        return "{w0} = 1.0", [], []
+    c, lines = 1.0, ([], [])  # g1's, then g2's and g3's
+    for k in (1, 2, 3):
+        c, m, g = c * (r - (k - 1)), r - k, f"{{g{k}}} = "
+        if c == 0.0 and k == 3 and f["u1"][0].isalpha():
+            lines[1].append(g + "0.0")
+        elif c == 0.0 or m == 0.0:
+            f[f"g{k}"] = repr(c + 0.0)  # -0.0 + 0.0 is 0.0
+        else:
+            factor = "" if c == 1.0 else "-" if c == -1.0 else f"{c!r} * "
+            lines[k > 1].append(g + factor + ("{u0}" if m == 1.0 else f"pow({{u0}}, {m!r})"))
+    value = "{u0}" if r == 1.0 else "pow({u0}, {v0})" if r > 0.0 and r.is_integer() else _POW
+    return "{w0} = " + value, lines[0] + _CHAIN[0], lines[1] + _CHAIN[1]
 
 
 def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
@@ -475,15 +492,17 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
 
 @lru_cache(maxsize=256)
 def _emit(shape) -> dict:
-    """One tree shape's literal names, once-per-bind statements, d0..d3 names and
-    value, slope and jet blocks at x: the d0 statements, then the d1, then all.
-    Derivative statements never raise (an undefined one comes out NaN), so all
-    three fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
-    value, slope, jet, literals, bound = [], [], [], [], []
+    """One tree shape's literal names, d0..d3 names and value, slope and jet
+    blocks at x: the d0 statements, then the d1, then all.  Derivative
+    statements never raise (an undefined one comes out NaN), so all three
+    fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
+    value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
         if shape == "x":
             return "x", "1.0", "0.0", "0.0"
+        if isinstance(shape, float):  # a literal exponent
+            return repr(shape), "0.0", "0.0", "0.0"
         if shape == "lit":
             literals.append(f"lit{len(literals)}")
             return literals[-1], "0.0", "0.0", "0.0"
@@ -492,12 +511,8 @@ def _emit(shape) -> dict:
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
         f.update(zip(_OPERANDS, operands))
-        d0, d1, d23 = _RULES[kind]
-        if kind == "^r" and args[1] == "lit":
-            bound.append("".join(_TERMS).format(**f))
-        elif kind == "^r":
-            f.update({f"m{k}": f"{f['v0']} - {k}.0" for k in (1, 2, 3)})
-            d23 = _TERMS[1].split("; ") + d23
+        literal = kind == "^r" and isinstance(args[1], float)
+        d0, d1, d23 = _power(args[1], f) if literal else _RULES[kind]
         value.append(d0.format(**f))
         chained = kind[0] == "^" or kind in _FUNCTIONS  # statements that can raise
         # over a constant operand, only g1 * 0.0 and the like show g's overflow or error
@@ -510,10 +525,11 @@ def _emit(shape) -> dict:
                 else:
                     _fold(statement, f, lines, keep, carried)
         for lines, body, outs in ((slope, parts[0], "w1"), (jet, parts[0] + parts[1], "w1 w2 w3")):
-            body, names = "; ".join(body), " = ".join(f[out] for out in outs.split())
-            if chained:
+            body = "; ".join(body)
+            names = " = ".join(filter(str.isidentifier, map(f.get, outs.split())))
+            if chained and body:
                 body = f"try:\n    {body}\nexcept UNDEFINED:\n    {names} = nan"
-            if kind == "^r":  # u^0 is the constant 1, whatever u's derivatives
+            if kind == "^r" and not literal:  # u^0 is the constant 1, whatever u's derivatives
                 body += f"\nif {f['v0']} == 0.0: {names} = 0.0"
             if body:
                 lines.append(body)
@@ -523,8 +539,7 @@ def _emit(shape) -> dict:
     blocks = {key: _GUARDED.format(body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
         for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
-    return dict(blocks, literals="".join(name + ", " for name in literals),
-                bound="; ".join(bound), **dict(zip(_LOCALS, w)))
+    return dict(blocks, literals="".join(name + ", " for name in literals), **dict(zip(_LOCALS, w)))
 
 
 def _source(shape) -> str:

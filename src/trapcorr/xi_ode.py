@@ -76,7 +76,6 @@ def stage(x_s, x, g, dg):
 #: which calls the stage for every stage and passes stage 0's g''(xi) to record
 _XI = """\
 def bind({names}{literals}a, g_a, slope, F, guard, record):
-    {bound}
     carry_x, carry, d2_s = nan, None, nan
     {stage}
     def step(x, y, h):

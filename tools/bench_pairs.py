@@ -11,7 +11,11 @@ perfbench/run.py --workload W --seed S --seconds T --trace 0``, each from its
 own checkout root, with T the ``run_seconds`` of ``BENCHMARK.json``; each
 run's JSON summary line is kept as it is.  Pair i runs the parent first
 when i is even and this checkout first when it is odd.  Then each
-``--trace`` workload gets one ``--trace 1`` run per side.
+``--trace`` workload gets one ``--trace 1`` run per side.  Just before each
+``cli`` run, the median wall time of 9 bare ``python3 -c pass`` runs is taken
+and stored, in ms, under the workload's ``python_start_ms``, index for index
+with its runs: the interpreter start that every cli op pays, as the machine
+gave it at that moment.
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's quartiles (inclusive method), the parent's quartile distance, the
@@ -30,10 +34,13 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+#: bare interpreters timed before each cli run
+START_REPEATS = 9
 
 
 def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
@@ -47,6 +54,16 @@ def perfbench(checkout: Path, workload: str, seed: int, seconds: int, trace: int
                          f"{done.returncode}: {done.stderr.strip()}")
     machine = next((ln for ln in lines if ln.startswith("machine:")), "")
     return {"machine": machine, "final_line": json.loads(lines[-1])}
+
+
+def python_start_ms() -> float:
+    """The median wall time, in ms, of ``START_REPEATS`` bare ``python3 -c pass`` runs."""
+    times = []
+    for _ in range(START_REPEATS):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "pass"], check=True)
+        times.append(time.perf_counter() - start)
+    return statistics.median(times) * 1e3
 
 
 def summary(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
@@ -103,9 +120,11 @@ def main(argv: list[str] | None = None) -> int:
             "workloads": {},
         }
         for workload in args.workload:
-            runs = {"parent": [], "change": []}
+            runs, starts = {"parent": [], "change": []}, {"parent": [], "change": []}
             for i in range(args.pairs):
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+                    if workload == "cli":
+                        starts[side].append(python_start_ms())
                     run = perfbench(sides[side], workload, args.seed, seconds, 0)
                     result["machine"] = result["machine"] or run["machine"]
                     runs[side].append(run["final_line"])
@@ -114,7 +133,7 @@ def main(argv: list[str] | None = None) -> int:
                           file=sys.stderr)
             result["workloads"][workload] = {
                 "summary": summary(runs["parent"], runs["change"], BENCHMARK["end_to_end"]),
-                "runs": runs}
+                "runs": runs, **({"python_start_ms": starts} if workload == "cli" else {})}
         for workload in args.trace:
             result["trace_" + workload.replace("-", "_")] = {
                 side: {"final_line": perfbench(path, workload, args.seed, seconds,
