@@ -19,9 +19,9 @@ one walk of its shape (source transformation: Griewank & Walther,
 *Evaluating Derivatives*, ch. 13): a jet function, giving the value and
 first three derivatives at a point (a :class:`Jet3`) by the sum,
 product, quotient and chain rules; a value function made of the jet's d0
-statements alone; and a slope function made of its d0 and d1 statements
-alone, the propagation truncated at order 1.  The walk runs once per shape;
-:mod:`trapcorr.xi_ode` writes its jet block into the xi-ODE's stage.  Literals
+statements alone; and a values function running them per point of a list.  The
+walk runs once per shape; :mod:`trapcorr.xi_ode` writes its jet block and its slope
+block, the d0 and d1 statements alone, into the xi-ODE's stage.  Literals
 are bound as values, so trees of one shape share their code through bounded
 caches; a literal exponent r alone is part of the shape, so that its r - 1, r (r - 1),
 ..., u^1 = u and u^0 = 1 are folded where the code is emitted.  The derivative
@@ -46,7 +46,7 @@ from .errors import DomainError, SyntaxError_, UnknownIdentifierError
 
 __all__ = [
     "Jet3", "Num", "Var", "Const", "Neg", "BinOp", "Call", "ExprAST",
-    "MAX_DEPTH", "parse", "eval_jet", "eval_value", "contains_var",
+    "MAX_DEPTH", "parse", "eval_jet", "eval_value", "eval_values", "contains_var",
     "shift_by_cubic",
 ]
 
@@ -64,7 +64,7 @@ class _Node(Value):
 
     @cached_property
     def _evaluators(self):
-        """``(jet, value, slope)``: the code compiled for this tree's shape, shared
+        """``(jet, value, values)``: the code compiled for this tree's shape, shared
         through a bounded cache, bound to this tree's literals."""
         literals = []
         return _factory(_shape(self, literals))(*literals)
@@ -356,23 +356,23 @@ _SOURCE = """\
 def bind({literals}):
     def jet(x):
 {jet}
-        if isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3}):
-            return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
-        raise DomainError("non-finite jet component", x)
+        if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise DomainError("non-finite jet component", x)
+        return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
 
     def value(x):
 {value}
-        if isfinite({w0}):
-            return {w0}
-        raise DomainError("non-finite value", x)
+        if {w0} - {w0} != 0.0: raise DomainError("non-finite value", x)
+        return {w0}
 
-    def slope(x):
-{slope}
-        if isfinite({w0}) and isfinite({w1}):
-            return {w0}, {w1}
-        raise DomainError("non-finite jet component", x)
+    def values(xs):
+      out = []
+      for x in xs:  # the value block, indented by 8, is the loop's body
+{value}
+        if {w0} - {w0} != 0.0: raise DomainError("non-finite value", x)
+        out.append({w0})
+      return out
 
-    return jet, value, slope
+    return jet, value, values
 """
 
 #: an evaluator's statements: an overflow or undefined operation in them is a DomainError at x
@@ -387,8 +387,8 @@ _GUARDED = """\
 #: builds a Jet3 without the NamedTuple's Python-level __new__
 _NAMESPACE = {name: entry[0] for name, entry in _FUNCTIONS.items()}
 _NAMESPACE.update(new=tuple.__new__, pow=math.pow, pow_value=_pow_value, undefined=_undefined,
-                  LN10=math.log(10.0), nan=math.nan, inf=math.inf, isfinite=math.isfinite,
-                  Jet3=Jet3, DomainError=DomainError, UNDEFINED=_UNDEFINED)
+                  LN10=math.log(10.0), nan=math.nan, inf=math.inf, Jet3=Jet3,
+                  DomainError=DomainError, UNDEFINED=_UNDEFINED)
 
 _LOCALS = ("w0", "w1", "w2", "w3", "g1", "g2", "g3", "s0", "s1", "s2", "s3")
 _OPERANDS = ("u0", "u1", "u2", "u3", "v0", "v1", "v2", "v3")
@@ -492,10 +492,10 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
 
 @lru_cache(maxsize=256)
 def _emit(shape) -> dict:
-    """One tree shape's literal names, d0..d3 names and value, slope and jet
-    blocks at x: the d0 statements, then the d1, then all.  Derivative
-    statements never raise (an undefined one comes out NaN), so all three
-    fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
+    """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: the
+    d0 statements, then the d1, then all; and the factors of its finiteness tests, 0.0 times
+    each slot, +-0.0 or NaN.  Derivative statements never raise (an undefined one comes out
+    NaN), so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -507,11 +507,13 @@ def _emit(shape) -> dict:
             literals.append(f"lit{len(literals)}")
             return literals[-1], "0.0", "0.0", "0.0"
         kind, *args = shape
+        literal, marks = kind == "^r" and isinstance(args[1], float), (len(slope), len(jet))
         operands = sum(map(emit, args), ())
+        if literal and args[1] == 0.0:  # u^0 reads none of u's derivatives
+            del slope[marks[0]:], jet[marks[1]:]
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
         f.update(zip(_OPERANDS, operands))
-        literal = kind == "^r" and isinstance(args[1], float)
         d0, d1, d23 = _power(args[1], f) if literal else _RULES[kind]
         value.append(d0.format(**f))
         chained = kind[0] == "^" or kind in _FUNCTIONS  # statements that can raise
@@ -539,6 +541,8 @@ def _emit(shape) -> dict:
     blocks = {key: _GUARDED.format(body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
         for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
+    blocks.update((f"fin{k}", f" * {v}" if v.isidentifier() or not math.isfinite(float(v)) else "")
+                  for k, v in enumerate(w))  # a finite number needs no factor: 0.0 * it is 0.0
     return dict(blocks, literals="".join(name + ", " for name in literals), **dict(zip(_LOCALS, w)))
 
 
@@ -568,3 +572,8 @@ def eval_value(ast: ExprAST, x: float) -> float:
     """Evaluate just the value of ``ast`` at ``x``: the jet's d0, defined
     also where a derivative is not (``sqrt`` at 0)."""
     return ast._evaluators[1](x)
+
+
+def eval_values(ast: ExprAST, xs: list[float]) -> list[float]:
+    """``[eval_value(ast, x) for x in xs]`` in one call: the first failing x raises."""
+    return ast._evaluators[2](xs)

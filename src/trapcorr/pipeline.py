@@ -16,11 +16,11 @@ from functools import lru_cache
 from operator import attrgetter, is_
 from typing import NamedTuple
 
-from . import quadrature, rk
+from . import rk
 from ._value import Value
 from .errors import (ConfigError, IoError, NoRootError,
                      SingularDenominatorError, phase)
-from .expr import ExprAST, eval_jet, parse, shift_by_cubic
+from .expr import ExprAST, eval_jet, eval_values, parse, shift_by_cubic
 from .quadrature import reference_column, reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
 from .xi_ode import bind_step, error_term, suggest_shift, unshift_error
@@ -298,18 +298,16 @@ def run(spec: ProblemSpec, reference: bool = False,
 
     with phase("curve"):
         rows = [CurveRow(x=spec.a, xi=None, trapezium=0.0, error_term=0.0, corrected=0.0,
-                         reference=0.0 if reference else None,
-                         residual=0.0 if residual else None)]
-        values, fx = [], [quadrature.eval_value(spec.f_ast, spec.a)]  # by the traced name
-        for x, xi, d2 in nodes:
-            fx.append(quadrature.eval_value(spec.f_ast, x))  # once per node, for both columns
-            trap = 0.5 * (x - spec.a) * (fx[0] + fx[-1])  # trapezium(f, a, x), bit for bit
+                         reference=0.0 if reference else None, residual=0.0 if residual else None)]
+        values, fx = [], eval_values(spec.f_ast, [spec.a] + [x for x, _, _ in nodes])
+        for (x, xi, d2), f_x in zip(nodes, fx[1:]):
+            trap = 0.5 * (x - spec.a) * (fx[0] + f_x)  # trapezium(f, a, x), bit for bit
             err = unshift_error(error_term(spec, x, xi, d2), spec.shift, spec.a, x)
             values.append((x, xi, trap, err, trap + err))
         column = (reference_column(spec.f_ast, [spec.a] + [v[0] for v in values], fx, spec.ref_tol)
                   if reference else [None] * len(values))
-        rows += [CurveRow(*v, ref, (v[4] - ref) if residual else None)
-                 for v, ref in zip(values, column)]
+        rows += [tuple.__new__(CurveRow, (*v, ref, (v[4] - ref) if residual else None))
+                 for v, ref in zip(values, column)]  # skips the NamedTuple's Python-level __new__
 
     return ErrorCurve(rows=tuple(rows), spec=spec,
                       wall_time=time.perf_counter() - t_start)

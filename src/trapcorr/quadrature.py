@@ -21,7 +21,7 @@ from operator import not_
 from typing import NamedTuple
 
 from .errors import ConfigError, ToleranceError, TrapcorrError
-from .expr import ExprAST, eval_value
+from .expr import ExprAST, eval_value, eval_values
 
 __all__ = ["ReferenceResult", "trapezium", "composite_trapezium", "reference_integral"]
 
@@ -124,7 +124,7 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float],
         m, odd, sums = n // 2, range(1, n, 2), None
         if k <= PLATEAU_LEVELS and m < len(at):  # in the head, with more panels than midpoints
             with suppress(TrapcorrError):  # a value fails: the loop below finds its panel
-                vals = [eval_value(f, left + j * w) for left, w in zip(a, h) for j in odd]
+                vals = eval_values(f, [left + j * w for left, w in zip(a, h) for j in odd])
                 cols, sums = [vals[i::m] for i in range(m)], [0.0] * len(at)  # midpoint i of each
                 for col in cols:
                     sums = [s + v for s, v in zip(sums, col)]

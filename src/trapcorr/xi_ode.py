@@ -23,9 +23,9 @@ cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
-The ODE compiles once per (shape of g, tableau) to a stage holding the jet at xi
-inline, the block :mod:`trapcorr.expr` emits per shape, and a sweep step that calls it
-(:func:`trapcorr.rk.step_source`) and records once per step; :func:`xi_rhs` is the stage.
+The ODE compiles once per (shape of g, tableau) to a stage holding g and g' at x and the
+jet at xi inline, the blocks :mod:`trapcorr.expr` emits per shape, and a sweep step that
+calls it (:func:`trapcorr.rk.step_source`); :func:`xi_rhs` is the stage.
 """
 
 from __future__ import annotations
@@ -54,19 +54,22 @@ def _at_x(what: str, xi: float, x: float) -> DomainError:
     return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
 
 
-#: xi's slope at (x_s, xi) from g, g' at x_s and the evaluators' jet block, which takes xi by
-#: their point's name, x; its DomainError is raised at x_s, naming xi; d2_s gets g''(xi)
+#: xi's slope at (x, xi) from g, g' at x, read by the evaluators' slope block if g is None and
+#: left in g_s, dg_s, and their jet block at xi by its name there, x; d2_s gets g''(xi)
 _STAGE = """\
-def stage(x_s, x, g, dg):
-    nonlocal d2_s
-    if x_s == a: raise ValueError("xi_rhs is undefined at x == a")
-    t = x_s - a
+def stage(x, xi, g=None, dg=None):
+    nonlocal g_s, dg_s, d2_s
+    if g is None:
+{slope}
+        if not 0.0{fin0}{fin1} == 0.0: raise DomainError("non-finite jet component", x)
+        g_s = g = {w0}; dg_s = dg = {w1}
+    if x == a: raise ValueError("xi_rhs is undefined at x == a")
+    x_s, x, t = x, xi, x - a  # the jet block's point is xi; its DomainError is raised at x_s
     try:
 {jet}
     except DomainError as exc:
         raise at_x(exc.args[0], x, x_s) from exc.__cause__
-    if not (isfinite({w0}) and isfinite({w1}) and isfinite({w2}) and isfinite({w3})):
-        raise at_x("non-finite jet component", x, x_s)
+    if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise at_x("non-finite jet component", x, x_s)
     den = (t3 := t ** 3) * {w3}
     if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, x, den)
     d2_s = {w2}
@@ -75,11 +78,11 @@ def stage(x_s, x, g, dg):
 #: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
 #: which calls the stage for every stage and passes stage 0's g''(xi) to record
 _XI = """\
-def bind({names}{literals}a, g_a, slope, F, guard, record):
-    carry_x, carry, d2_s = nan, None, nan
+def bind({names}{literals}a, g_a, F, guard, record):
+    carry_x = carry_g = carry_dg = g_s = dg_s = d2_s = nan
     {stage}
     def step(x, y, h):
-        nonlocal carry_x, carry
+        nonlocal carry_x, carry_g, carry_dg
 {stages}
     return step, stage
 """
@@ -87,17 +90,17 @@ def bind({names}{literals}a, g_a, slope, F, guard, record):
 
 def _source(shape, tableau) -> tuple[str, list]:
     """One shape's stage and sweep step by ``tableau``, and the tableau's coefficients.  The
-    step reads (g, g') once per node c, carries a node c = 1's into the next step's c = 0 at
-    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    step has (g, g') read once per node c, carries a node c = 1's into the next step's c = 0
+    at an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
 
-    def step_stage(i, yi):
-        n = nodes.index(nodes[i])  # the node's first stage
-        read = ("carry if x_s == carry_x else slope(x_s)" if c[i] == 0.0 else
-                "carry = slope(x_s); carry_x = x_s" if c[i] == 1.0 else "slope(x_s)")
-        x_side = f"g{n}, dg{n} = {read}\n" if n == i else ""
-        return (f"x_s = x + c{i} * h\n{x_side}k{i} = stage(x_s, {yi}, g{n}, dg{n})"
-                + ("\nrecord(d2_s)" if i == 0 else ""))
+    def step_stage(i, yi):  # a node's first stage reads (g, g') or takes the carry; kept to recur
+        n, recurs = nodes.index(nodes[i]), nodes.count(nodes[i]) > 1  # a recurring c = 0 reads
+        passed = (f", g{n}, dg{n}" if n < i else "" if recurs or c[i] != 0.0
+                  else ", carry_g if x_s == carry_x else None, carry_dg")
+        return (f"x_s = x + c{i} * h\nk{i} = stage(x_s, {yi}{passed})"
+                + f"\ng{i}, dg{i} = g_s, dg_s" * (recurs and n == i) + "\nrecord(d2_s)" * (i == 0)
+                + "\ncarry_x, carry_g, carry_dg = x_s, g_s, dg_s" * (n == i and c[i] == 1.0))
     fields = _emit(shape)
     names, values, body = step_source(tableau, step_stage)
     return _XI.format(names="".join(name + ", " for name in names),
@@ -117,7 +120,7 @@ def _factory(shape, tableau):
 def _bind(p: ProblemSpec, record=None):  # F_COEFFICIENT and the guard as they read now
     literals = []
     return _factory(_shape(p.g, literals), p.tableau)(
-        *literals, p.a, p.g_at_a, p.g._evaluators[2], F_COEFFICIENT, DEFAULT_DEN_GUARD, record)
+        *literals, p.a, p.g_at_a, F_COEFFICIENT, DEFAULT_DEN_GUARD, record)
 
 
 def bind_step(p: ProblemSpec):
@@ -137,7 +140,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     """
     if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):
         object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[1]))
-    return p._xi_rhs[1](x, xi, *p.g._evaluators[2](x))
+    return p._xi_rhs[1](x, xi)
 
 
 def error_term(p: ProblemSpec, x: float, xi: float, d2: float | None = None) -> float:

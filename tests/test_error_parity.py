@@ -83,6 +83,7 @@ def test_cli_fails_as_before(name, capsys):
 SQRT = ProblemSpec.from_text("sqrt(x)", 1.0, 4.0)
 SIN = ProblemSpec.from_text("sin(x)", 1.0, 10.0)
 EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
+TAN = ProblemSpec.from_text("tan(x)", 0.0, 1.0)
 
 
 @pytest.mark.parametrize("call,message,x,cause", [
@@ -98,7 +99,8 @@ EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
      OverflowError),
     (lambda: eval_value(parse("exp(x)"), 710.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
-    (lambda: parse("exp(x)")._evaluators[2](710.0), "overflow: math range error at x=710.0", 710.0,
+    # the stage reads g and g' at x first: an error there is x's, whatever xi's would be
+    (lambda: xi_rhs(EXP, 710.0, 800.0), "overflow: math range error at x=710.0", 710.0,
      OverflowError),
     (lambda: eval_value(parse("x^3"), 1e300), "overflow: math range error at x=1e+300", 1e300,
      OverflowError),
@@ -106,8 +108,8 @@ EXP = ProblemSpec.from_text("exp(x)", 1.0, 800.0)
      math.inf, ValueError),
     (lambda: eval_value(parse("cos(x)"), -math.inf), "undefined: math domain error at x=-inf",
      -math.inf, ValueError),
-    (lambda: parse("tan(x)")._evaluators[2](math.inf), "undefined: math domain error at x=inf",
-     math.inf, ValueError),
+    (lambda: xi_rhs(TAN, math.inf, 0.5), "undefined: math domain error at x=inf", math.inf,
+     ValueError),
 ])
 def test_evaluators_fail_as_before(call, message, x, cause):
     # at x and at xi inside the kernel, and at x in each emitted evaluator

@@ -6,6 +6,7 @@ import random
 import re
 import struct
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from trapcorr import (FEHLBERG7, DomainError, Jet3, ProblemSpec, RKTableau, SyntaxError_,
                       UnknownIdentifierError, eval_jet, eval_value, parse, xi_ode, xi_rhs)
 from trapcorr import expr
-from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var
+from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_values
 
 from conftest import HEUN3, RK4
 from helpers import FD_DOMAINS, worst_jet_fd_deviation
@@ -51,7 +52,7 @@ def test_parse_is_deterministic():
 
 def test_trees_of_one_shape_share_compiled_code():
     two, three = parse("sin(2*x)"), parse("sin(3*x)")
-    assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, slope
+    assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, values
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
     # and one xi-ODE per (shape, tableau), compiled once, bound to each tree's literals:
@@ -312,16 +313,34 @@ _POINTS = st.one_of(
 )
 
 
+#: one stage at c = 0: the least step around the stage
+_EULER = RKTableau(name="euler", order=1, a=((),), b=(1.0,), c=(0.0,))
+
+
+def _x_side(ast, x: float) -> tuple[float, float]:
+    """g and g' at ``x`` as xi_rhs's stage reads them where it is passed none, which leaves
+    them in its g_s and dg_s: bound with a = x, the stage stops at its x == a check next
+    (x = nan passes it, and a g finite at nan is a constant, whose jet at nan is too)."""
+    literals = []
+    bind = xi_ode._factory(expr._shape(ast, literals), _EULER)
+    _, stage = bind(*literals, x, 0.0, xi_ode.F_COEFFICIENT, xi_ode.DEFAULT_DEN_GUARD, None)
+    with suppress(ValueError):
+        stage(x, x)
+    cells = dict(zip(stage.__code__.co_freevars, stage.__closure__))
+    return cells["g_s"].cell_contents, cells["dg_s"].cell_contents
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(text=st.recursive(_LEAVES, _compound, max_leaves=10), x=_POINTS)
 def test_value_is_the_jet_value_and_errors_are_domain_errors(text, x):
+    # and the stage's x-side read is the jet's (d0, d1) where the jet is defined
     ast = parse(text)
     try:
         jet = eval_jet(ast, x)
     except DomainError as exc:
         jet, jet_error = None, str(exc)
     try:
-        slope = ast._evaluators[2](x)
+        slope = _x_side(ast, x)
     except DomainError as exc:
         slope, slope_error = None, str(exc)
     try:
@@ -337,16 +356,31 @@ def test_value_is_the_jet_value_and_errors_are_domain_errors(text, x):
         assert _same_floats(slope[:1], (value,))
 
 
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(text=st.recursive(_LEAVES, _compound, max_leaves=10), xs=st.lists(_POINTS, max_size=6))
+def test_values_is_the_value_at_each_point_and_fails_at_the_first(text, xs):
+    ast, want = parse(text), []
+    try:
+        for x in xs:
+            want.append(eval_value(ast, x).hex())
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            eval_values(ast, xs)
+        assert (str(got.value), type(got.value.__cause__)) == (str(exc), type(exc.__cause__))
+        return
+    assert [v.hex() for v in eval_values(ast, xs)] == want
+
+
 def _unsigned_zeros(values) -> list:
     """``values``' hex, an exact zero's sign apart (-0.0 + 0.0 is 0.0, any other v + 0.0 is v)."""
     return [(v + 0.0).hex() for v in values]
 
 
 def _power_outcomes(text: str, x: float) -> list:
-    """The jet, value and slope of ``text`` at ``x`` and one Fehlberg-7 step of its
+    """The jet, value and x-side read of ``text`` at ``x`` and one Fehlberg-7 step of its
     xi-ODE, each as hex with zero signs apart, or as the DomainError's or failure's text."""
-    out = []
-    for evaluate in parse(text)._evaluators:
+    out, ast = [], parse(text)
+    for evaluate in (*ast._evaluators[:2], lambda x: _x_side(ast, x)):
         try:
             got = evaluate(x)
             out.append(_unsigned_zeros(got if isinstance(got, tuple) else (got,)))
@@ -373,6 +407,20 @@ def test_folded_literal_exponent_matches_the_per_call_power(base, r, x):
     # exponent as (r)*1 takes the per-call rule, which this fold leaves as it was
     literal, per_call = f"({base})^{r!r}", f"({base})^(({r!r})*1)"
     assert _power_outcomes(literal, x) == _power_outcomes(per_call, x), (literal, x)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=60)
+@given(x=_POINTS)
+@example(x=0.0)
+@example(x=-1.0)
+def test_a_zeroth_power_matches_the_per_call_power(x):
+    assert _power_outcomes("ln(x)^0", x) == _power_outcomes("ln(x)^((0)*1)", x), x
+
+
+def test_a_zeroth_power_emits_none_of_its_bases_derivatives():
+    # u^0's derivatives are 0.0 whatever u's, so only u's d0 statements, which can raise, stay
+    for source in _emitted(expr._shape(parse("ln(x)^0"), [])):
+        assert "ln(x)" in source and "1.0 / x" not in source
 
 
 def test_the_folded_powers_are_exact_for_every_double():
@@ -426,7 +474,7 @@ def test_jets_and_values_match_the_recorded_evaluator():
     """Bit-identity guard: every (expression, point) pair in the golden
     file gives the same jet and value reprs, or the same DomainError
     message, as the tree-walking evaluator that recorded them, and the
-    slope gives the recorded jet's d0 and d1.  The pairs
+    stage's x-side read gives the recorded jet's d0 and d1.  The pairs
     cover every node kind and function, domain edges, derivative-only
     failures, c^v, u^0 and fractional and negative exponents.  The
     expected values come from this platform's math library (glibc);
@@ -439,10 +487,10 @@ def test_jets_and_values_match_the_recorded_evaluator():
         got = (_outcome(eval_jet, ast, float(x)), _outcome(eval_value, ast, float(x)))
         if got != (jet, value):
             mismatches.append((text, x, got, (jet, value)))
-        # the slope is the jet's (d0, d1) wherever the jet succeeds, and
+        # the x-side read is the jet's (d0, d1) wherever the jet succeeds, and
         # fails as the jet does wherever the value fails
         try:
-            d0, d1 = ast._evaluators[2](float(x))
+            d0, d1 = _x_side(ast, float(x))
             slope = f"Jet3(d0={d0!r}, d1={d1!r}"
         except DomainError as exc:
             slope = f"DomainError: {exc}"
@@ -461,13 +509,24 @@ def _exponents(shape):
     return own + [e for arg in shape[1:] for e in _exponents(arg)]
 
 
+#: a finiteness test: 0.0 times each slot, +-0.0 where all are finite
+_FINITE = re.compile(r"\b0\.0(?: \* -?\w+)+ == 0\.0")
+
+
 def _stage_arithmetic(text: str) -> int:
     """The arithmetic instructions (BINARY_OP and UNARY_NEGATIVE, as CPython 3.11
-    names them) of the compiled xi-ODE stage of ``text``'s shape."""
-    pending = [compile(xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)[0], "<s>", "exec")]
+    names them) of the compiled xi-ODE stage of ``text``'s shape where its step passes
+    g and g': past its x-side read, and apart from its finiteness tests."""
+    source = xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)[0]
+    lines = source.splitlines()
+    start, end = (next(i for i, line in enumerate(lines, 1) if key in line)
+                  for key in ("if g is None:", "if x == a:"))
+    skip = set(range(start, end)) | {i for i, line in enumerate(lines, 1) if _FINITE.search(line)}
+    pending = [compile(source, "<s>", "exec")]
     while (code := pending.pop()).co_name != "stage":
         pending += [c for c in code.co_consts if hasattr(c, "co_consts")]
-    return sum(op.opname in ("BINARY_OP", "UNARY_NEGATIVE") for op in dis.get_instructions(code))
+    return sum(op.opname in ("BINARY_OP", "UNARY_NEGATIVE") and op.positions.lineno not in skip
+               for op in dis.get_instructions(code))
 
 
 def test_emitted_code_folds_ones_and_literal_exponent_terms():
@@ -488,8 +547,9 @@ def test_emitted_code_folds_ones_and_literal_exponent_terms():
             step = xi_ode._source(shape, tableau)[0]
             assert step.count("def stage") == step.count("except DomainError") == 1, text
             assert len(re.findall(r"^ +k\d+ = stage\(", step, re.M)) == tableau.stages, text
-            # the stage's own jet, up to the template that reads its d2 and d3 as they are
-            jet = step.split("def stage")[1].split("except DomainError")[0]
+            # the stage's own x-side read and jet, up to the template that reads its d2 and
+            # d3 as they are, but for the finiteness tests' factors 0.0
+            jet = _FINITE.sub("", step.split("def stage")[1].split("except DomainError")[0])
             assert not constants.search(jet), (text, tableau.name)
         for source in _emitted(shape):
             _, bind, per_call = source.split("def ", 2)
@@ -497,7 +557,7 @@ def test_emitted_code_folds_ones_and_literal_exponent_terms():
             assert not re.search(r"lit\d+ - [123]\.0", source), text
             assert not re.search(r"pow(_value)?\([^,()]+, (-?0|1)\.0[,)]", source), text
             assert ("other" in kinds) == bool(re.search(r"w0_\d+ - 1\.0\)", per_call)), text
-        assert not constants.search(expr._source(shape).split("def ", 2)[2]), text
+        assert not constants.search(_FINITE.sub("", expr._source(shape).split("def ", 2)[2])), text
         counts.update({kind: counts[kind] + 1 for kind in kinds})
     assert len(texts) == 69 and counts == {"lit": 18, "other": 3}
     # the folded stage's arithmetic, counted in its bytecode (unfolded: 109, 47; with

@@ -4,7 +4,7 @@ breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
 and checks every name it patches.  The second counts one pinned run's
 calls through those names and, for the sweep's step that the tracer sees
-only as ``rk_step``, through the slope the run binds into it."""
+only as ``rk_step``, through the stage the run binds into it."""
 
 import importlib
 import runpy
@@ -37,21 +37,22 @@ def _counting(fn, layer, calls):
 
 # The work of one run is deterministic.  Counting through the names the
 # tracer patches also proves that every evaluation outside the sweep crosses
-# a counted name: an evaluator reached some other way would drop out of
-# these counts.  The sweep's step is emitted per integrand shape and
-# tableau, each of its stages a call of one emitted stage function with one
-# jet at xi: the tracer sees it as rk_step alone.  It reads g and g' at x
-# through g's slope function, bound once per run, so a wrapper around that
-# function counts the order-1 evaluations.  Each of the 899 steps evaluates
-# g and g' once at each of its 9 new abscissae (c = 1/6 twice, c = 1 carried
-# into the next step's c = 0), and each sweep's first step once more, at x0.
-# The curve takes g''(xi) from stage 0 of the step leaving each node: the 2
-# nodes that end a sweep are the curve's only jets.  It evaluates f once at a
-# and once at each of the 900 nodes after it, and both columns read those
-# values.  The reference column adds only its 900 panels' midpoints, 2^k - 1
-# for a table ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
+# a counted name or the list evaluator of f: an evaluator reached some other
+# way would drop out of these counts.  The sweep's step is emitted per
+# integrand shape and tableau, each of its stages a call of one emitted stage
+# function with one jet at xi: the tracer sees it as rk_step alone.  A wrapper
+# in the step's closure cell for the stage counts its calls, and among them
+# the x-side reads, the calls whose g is None, where the stage reads g and g'
+# at x itself.  Each of the 899 steps reads once at each of its 9 new
+# abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0), and
+# each sweep's first step once more, at x0.  The curve takes g''(xi) from
+# stage 0 of the step leaving each node: the 2 nodes that end a sweep are the
+# curve's only jets.  It evaluates f at a and at the 900 nodes after it in one
+# list, and both columns read those values; a list counts as its points.  The
+# reference column adds only its 900 panels' midpoints, 2^k - 1 for a table
+# ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
 @pytest.mark.parametrize("residual,expected", [
-    (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "expr.eval_slope": 8093,
+    (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "x-side reads": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
     (True, {"expr.eval_value": 7324}),
 ])
@@ -61,11 +62,28 @@ def test_pinned_work_counts(monkeypatch, residual, expected):
     for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
-    jet, value, slope = spec.g._evaluators
-    monkeypatch.setitem(vars(spec.g), "_evaluators",
-                        (jet, value, _counting(slope, "expr.eval_slope", calls)))
+    jet, value, values = spec.f_ast._evaluators
+
+    def counted_values(xs):
+        calls["expr.eval_value"] += len(xs)
+        return values(xs)
+    monkeypatch.setitem(vars(spec.f_ast), "_evaluators", (jet, value, counted_values))
+    bind_step = pipeline.bind_step
+
+    def counting_bind_step(p):
+        step, records = bind_step(p)
+        cell = step.__closure__[step.__code__.co_freevars.index("stage")]
+        stage = cell.cell_contents
+
+        def counted_stage(x_s, x, g=None, dg=None):
+            calls["xi_ode.xi_rhs"] += 1
+            calls["x-side reads"] += g is None
+            return stage(x_s, x, g, dg)
+        cell.cell_contents = counted_stage
+        return step, records
+    monkeypatch.setattr(pipeline, "bind_step", counting_bind_step)
     pipeline.run(spec, residual=residual)
     calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
-    calls["xi_ode.xi_rhs"] = spec.tableau.stages * calls["rk.rk_step"]
     calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
+    assert calls["xi_ode.xi_rhs"] == spec.tableau.stages * calls["rk.rk_step"]
     assert {layer: calls[layer] for layer in expected} == expected

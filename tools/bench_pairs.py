@@ -19,8 +19,11 @@ gave it at that moment.
 
 For every end-to-end metric of ``BENCHMARK.json`` the summary gives each
 side's quartiles (inclusive method), the parent's quartile distance, the
-change of the median relative to the parent's, and the pairs the change
-won in the metric's better direction (a tie wins for neither side).
+change of the median relative to the parent's, the pairs the change
+won in the metric's better direction (a tie wins for neither side), and
+whether a gain may be claimed (``claim_met``): the change won at least nine
+tenths of the pairs, and its median is better than the parent's by more
+than the parent's quartile distance.
 Standard library only.
 """
 
@@ -76,6 +79,7 @@ def summary(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
         pq = statistics.quantiles(p, n=4, method="inclusive")
         cq = statistics.quantiles(c, n=4, method="inclusive")
         wins = sum((y < x) if lower else (y > x) for x, y in zip(p, c))
+        moved = (pq[1] - cq[1]) if lower else (cq[1] - pq[1])  # the median's gain
         out[name] = {
             "unit": metric["unit"],
             "better": metric["better"],
@@ -85,6 +89,9 @@ def summary(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict
             "median_change": (cq[1] - pq[1]) / pq[1] if pq[1] else 0.0,
             "change_better_pairs": wins,
             "pairs": len(p),
+            # a gain may be claimed: nine tenths of the pairs won, ties for neither side,
+            # and the median moved past the parent's own quartile distance
+            "claim_met": 10 * wins >= 9 * len(p) and moved > pq[2] - pq[0],
         }
     return out
 
