@@ -23,8 +23,8 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, eval_values, parse, shift_by_cubic
 from .quadrature import reference_column, reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import bind_step, error_term, suggest_shift, unshift_error
-from .xi_ode import xi_rhs  # noqa: F401  perfbench/tracer.py patches pipeline.xi_rhs by name
+from .xi_ode import bind_step, suggest_shift
+from .xi_ode import error_term, unshift_error, xi_rhs  # noqa: F401  perfbench traces these
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -299,13 +299,18 @@ def run(spec: ProblemSpec, reference: bool = False,
     with phase("curve"):
         rows = [CurveRow(x=spec.a, xi=None, trapezium=0.0, error_term=0.0, corrected=0.0,
                          reference=0.0 if reference else None, residual=0.0 if residual else None)]
-        values, fx = [], eval_values(spec.f_ast, [spec.a] + [x for x, _, _ in nodes])
-        for (x, xi, d2), f_x in zip(nodes, fx[1:]):
-            trap = 0.5 * (x - spec.a) * (fx[0] + f_x)  # trapezium(f, a, x), bit for bit
-            err = unshift_error(error_term(spec, x, xi, d2), spec.shift, spec.a, x)
+        a, shift, values, xs = spec.a, spec.shift, [], [spec.a] + [x for x, _, _ in nodes]
+        fx = eval_values(spec.f_ast, xs)
+        for (x, xi, d2), f_x in zip(nodes, fx[1:]):  # x > a: no node sits at a
+            if d2 is None:  # a sweep's last node
+                d2 = eval_jet(spec.g, xi).d2
+            err = -((x - a) ** 3) / 12.0 * d2  # error_term, then unshift_error
+            if shift:
+                err += shift * (x - a) ** 4 / 24.0
+            trap = 0.5 * (x - a) * (fx[0] + f_x)  # trapezium(f, a, x), bit for bit
             values.append((x, xi, trap, err, trap + err))
-        column = (reference_column(spec.f_ast, [spec.a] + [v[0] for v in values], fx, spec.ref_tol)
-                  if reference else [None] * len(values))
+        column = (reference_column(spec.f_ast, xs, fx, spec.ref_tol) if reference
+                  else [None] * len(values))
         rows += [tuple.__new__(CurveRow, (*v, ref, (v[4] - ref) if residual else None))
                  for v, ref in zip(values, column)]  # skips the NamedTuple's Python-level __new__
 
@@ -337,13 +342,13 @@ def _write_text(text: str, destination) -> None:
 def _write_csv(curve: ErrorCurve, destination, columns: tuple[str, ...]) -> None:
     if not curve.rows:
         raise ConfigError("cannot emit an empty curve")
-    row_fields = attrgetter(*columns)
     nones = (None,) * len(columns)
     full = _template((False,) * len(columns))
     lines = [",".join(columns)]
     lines += [full % values if None not in values
               else _template(tuple(map(is_, values, nones))) % values
-              for values in map(row_fields, curve.rows)]
+              for values in (curve.rows if columns == CurveRow._fields  # a row is its fields
+                             else map(attrgetter(*columns), curve.rows))]
     _write_text("\n".join(lines) + "\n", destination)
 
 

@@ -14,10 +14,11 @@ the panels shrink, as at a pole inside the interval.
 from __future__ import annotations
 
 import sys
-from contextlib import suppress
-from itertools import accumulate, compress, count
+from bisect import bisect_left
+from functools import reduce
+from itertools import accumulate, compress
 from math import inf, ulp
-from operator import not_
+from operator import add, itemgetter, not_
 from typing import NamedTuple
 
 from .errors import ConfigError, ToleranceError, TrapcorrError
@@ -96,93 +97,87 @@ def reference_column(f: ExprAST, nodes: list[float], values: list[float], tol: f
     each to its width's share of ``tol`` or, if more, ``FLOOR_ULPS`` ulp of its trapezium
     value, its table's round-off.  The column is within the sum of those."""
     span = nodes[-1] - nodes[0]
-    tols = [max(tol * (x - p) / span, FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx)))
-            for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]
-    return list(accumulate((r[0] for r in romberg(f, nodes, values, tols)), initial=0.0))[1:]
+    tols = [u if (u := FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx))) > (s := tol * (x - p) / span)
+            else s for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]  # max(s, u)
+    return [*accumulate(map(itemgetter(0), romberg(f, nodes, values, tols)), initial=0.0)][1:]
 
 
 def romberg(f: ExprAST, nodes: list[float], values: list[float],
             tols: list[float]) -> list[tuple[float, float, int]]:
     """The (value, est_error, panels) of :class:`ReferenceResult` for each panel
     [nodes[i], nodes[i+1]] to tolerance ``tols[i]`` (``nodes`` strictly ascending, ``values[i]``
-    = f(nodes[i])), as if integrated one after another, errors included.  The tables advance
-    together, level by level, each column and stop state one list over the open panels.  Most
-    end in the head, the first ``PLATEAU_LEVELS`` levels, where no stop rule can fire (after
-    level k at most k - 1 levels have failed to halve the estimate): its levels join the stop
-    state after it, and the midpoints of each of its levels are one flat list."""
-    # the open panels, ascending, their starts and their widths
-    at, a, h = list(range(len(tols))), nodes[:-1], [x - p for p, x in zip(nodes, nodes[1:])]
+    = f(nodes[i])), as if integrated one after another, errors included.  Most tables end in
+    the head, the first ``PLATEAU_LEVELS`` levels, where only agreement can stop them (after
+    level k at most k - 1 levels have failed to halve the estimate).  There, while the open
+    panels outnumber a level's midpoints per panel, a level's midpoints are one list and each
+    table column one list over the panels.  The rest run the scalar loop, one after another."""
+    plateau, budget, results = PLATEAU_LEVELS, DEFAULT_MAX_EVALS, [None] * len(tols)
+    # the open panels, ascending: their indices, starts, widths, tolerances and last rows
+    at, a, h, tol = [*range(len(tols))], nodes[:-1], [x - p for p, x in zip(nodes, nodes[1:])], tols
     row = [[0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]]
-    # the stop state: (estimate, value) at the least estimate, (estimate, levels since) at the
-    # last halving, and the largest |f| sampled through the last PLATEAU_LEVELS + 1 levels
-    best, stall, peaks = [*zip([inf] * len(h), row[0])], [(inf, 0)] * len(h), []
-    diags, seen = [], [[values[:-1], values[1:]]]  # of the levels not yet in the stop state
-    results, failure, k, n, evals = [None] * len(tols), None, 0, 1, 2
-    while at and evals + n <= DEFAULT_MAX_EVALS:  # next refinement adds n midpoints
-        k, n, evals = k + 1, 2 * n, evals + n
-        h = [0.5 * w for w in h]
-        m, odd, sums = n // 2, range(1, n, 2), None
-        if k <= PLATEAU_LEVELS and m < len(at):  # in the head, with more panels than midpoints
-            with suppress(TrapcorrError):  # a value fails: the loop below finds its panel
-                vals = eval_values(f, [left + j * w for left, w in zip(a, h) for j in odd])
-                cols, sums = [vals[i::m] for i in range(m)], [0.0] * len(at)  # midpoint i of each
-                for col in cols:
-                    sums = [s + v for s, v in zip(sums, col)]
-        if sums is None:  # fold each panel's values as they come, and keep its largest |f|
-            sums, cols = [], [[]]
-            try:
-                for left, w in zip(a, h):
-                    s = top = 0.0
-                    for j in odd:
-                        v = eval_value(f, left + j * w)
-                        s += v
-                        if abs(v) > top:  # max(top, abs(v)) without the call
-                            top = abs(v)
-                    sums.append(s)
-                    cols[0].append(top)
-            except TrapcorrError as exc:
-                failure = exc  # the panels after this one no longer matter
-        prev, row = row, [[0.5 * t + w * s for t, w, s in zip(row[0], h, sums)]]
-        for j, d in ((j, 4.0 ** j - 1.0) for j in range(1, k + 1)):  # Richardson's divisors
+    head, n, evals = [], 1, 2  # head[k - 1]: the panels open at level k, and its midpoints
+    while len(head) < plateau and n < len(at) and evals + n <= budget:  # next level adds n each
+        k, n, evals = len(head) + 1, 2 * n, evals + n
+        h, odd = [0.5 * w for w in h], range(1, n, 2)
+        try:  # midpoint j of every panel, then midpoint j + 2
+            vals = eval_values(f, [p + j * w for j in odd for p, w in zip(a, h)])
+        except TrapcorrError:  # the open panels go on one at a time, and the first to fail raises
+            break
+        head.append((at, vals))
+        sums = vals[:len(at)]  # summed from 0.0 below, as the scalar loop sums
+        for s in range(len(at), len(vals), len(at)):
+            sums = [*map(add, sums, vals[s:s + len(at)])]
+        prev, row = row, [[0.5 * t + w * (0.0 + s) for t, w, s in zip(row[0], h, sums)]]
+        for j in range(1, k + 1):  # Richardson's divisors, 4^j - 1
+            d = 4.0 ** j - 1.0
             row.append([r + (r - q) / d for r, q in zip(row[j - 1], prev[j - 1])])
-        diags.append(row[k])
-        seen.append(cols)
         # a first diagonal agreement can be accidental
-        keep = [k < 2 or not abs(r - q) <= tols[i] for i, r, q in zip(at, row[k], prev[k - 1])]
-        for i, r, q in compress(zip(at, row[k], prev[k - 1]), map(not_, keep)):
-            results[i] = (r, abs(r - q), evals)
-        if k > PLATEAU_LEVELS or evals + n > DEFAULT_MAX_EVALS:  # or at the last level
-            for q, r in zip(diags, diags[1:]):
-                est = [abs(x - y) for x, y in zip(r, q)]
-                best = [(e, x) if e < b[0] else b for x, e, b in zip(r, est, best)]
-                stall = [(e, 0) if e <= 0.5 * s else (s, c + 1) for e, (s, c) in zip(est, stall)]
-            for level in seen:
-                top = [max(map(abs, v)) for v in zip(*peaks[-1:], *level)]
-                peaks = peaks[-PLATEAU_LEVELS:] + [top]
-            diags, seen = diags[-1:], []
-            stalled = [ok and s[1] >= PLATEAU_LEVELS for ok, s in zip(keep, stall)]
-            for p in compress(count(), stalled):
-                (best_est, value), peak = best[p], peaks[-1][p]
-                if best_est <= ROUNDOFF * max(1.0, abs(value)):
-                    why = (f"tolerance {tols[at[p]]!r} not reached: the error estimate stalled "
-                           f"at its round-off floor, {best_est:.3g}")
-                elif n >= DIVERGENCE_PANELS and peak >= 2.0 * peaks[0][p]:
-                    why = (f"integral looks divergent: the largest |f| sampled grew to "
-                           f"{peak:.3g} while the error estimate stalled at {best_est:.3g}")
-                else:
-                    continue
-                failure = ToleranceError(why, best_estimate=value, achieved=best_est)
-                del keep[p:]  # the panels after this one no longer matter
+        done = [abs(r - q) <= t for r, q, t in zip(row[k], prev[k - 1], tol)] if k > 1 else []
+        if any(done):
+            for i, r, q in compress(zip(at, row[k], prev[k - 1]), done):
+                results[i] = (r, abs(r - q), evals)
+            keep = [*map(not_, done)]
+            at, a, h, tol = ([*compress(c, keep)] for c in (at, a, h, tol))
+            row = [[*compress(c, keep)] for c in row]
+    for i in at:  # one after another, from level 1: the scalar loop
+        p, w, fa, fx = nodes[i], nodes[i + 1] - nodes[i], values[i], values[i + 1]
+        prev, peaks, k, n, evals = [0.5 * w * (fa + fx)], [max(abs(fa), abs(fx))], 0, 1, 2
+        best, best_est, stall_from, stalled = prev[0], inf, inf, 0
+        while evals + n <= budget:  # next level adds n midpoints
+            k, n, evals, w = k + 1, 2 * n, evals + n, 0.5 * w
+            if k <= len(head):
+                level_at, level_vals = head[k - 1]
+                mids = level_vals[bisect_left(level_at, i)::len(level_at)]
+            else:
+                mids = eval_values(f, [p + j * w for j in range(1, n, 2)])
+            peaks.append(max(peaks[-1], *map(abs, mids)))  # the largest |f| through level k
+            row = [0.5 * prev[0] + w * reduce(add, mids, 0.0)]
+            for j in range(1, k + 1):
+                row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (4.0 ** j - 1.0))
+            est, prev = abs(row[k] - prev[k - 1]), row
+            if k < 2:  # a first diagonal agreement can be accidental
+                continue
+            if est <= tols[i]:
+                results[i] = (row[k], est, evals)
                 break
-        if not any(keep):
-            at = []
-        elif len(keep) < len(at) or not all(keep):
-            at, a, h, best, stall = ([*compress(c, keep)] for c in (at, a, h, best, stall))
-            row, diags, peaks = ([[*compress(c, keep)] for c in t] for t in (row, diags, peaks))
-            seen = [[[*compress(c, keep)] for c in level] for level in seen]
-    if at:  # out of budget: the first open panel fails first
-        failure = ToleranceError(f"tolerance {tols[at[0]]!r} not reached within "
-                                 f"{DEFAULT_MAX_EVALS} evaluations", best[0][1], best[0][0])
-    if failure:
-        raise failure
+            if est < best_est:
+                best, best_est = row[k], est
+            # progress: the estimate at least halved
+            stall_from, stalled = (est, 0) if est <= 0.5 * stall_from else (stall_from, stalled + 1)
+            if stalled < plateau:
+                continue
+            if best_est <= ROUNDOFF * max(1.0, abs(best)):
+                why = (f"tolerance {tols[i]!r} not reached: the error estimate stalled at its "
+                       f"round-off floor, {best_est:.3g}")
+            # a bounded integrand's largest sample levels off once the panels resolve it;
+            # next to a pole it grows as they close in
+            elif n >= DIVERGENCE_PANELS and peaks[k] >= 2.0 * peaks[k - plateau]:
+                why = (f"integral looks divergent: the largest |f| sampled grew to "
+                       f"{peaks[k]:.3g} while the error estimate stalled at {best_est:.3g}")
+            else:
+                continue
+            raise ToleranceError(why, best_estimate=best, achieved=best_est)
+        else:
+            raise ToleranceError(f"tolerance {tols[i]!r} not reached within {budget} evaluations",
+                                 best_estimate=best, achieved=best_est)
     return results

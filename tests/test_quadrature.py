@@ -1,11 +1,12 @@
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from trapcorr import (ConfigError, ToleranceError, TrapcorrError, composite_trapezium,
-                      parse, quadrature, reference_integral, trapezium)
+from trapcorr import (ConfigError, ProblemSpec, ToleranceError, TrapcorrError,
+                      composite_trapezium, parse, quadrature, reference_integral, run, trapezium)
 from trapcorr.expr import eval_value
 
 from helpers import composite_loglog_slope, scalar_reference_integral, worst_additivity_defect
@@ -233,3 +234,45 @@ def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget, cons
                                  for a, x, tol in zip(nodes, nodes[1:], tols)])
         got = _outcome(lambda: quadrature.romberg(f, nodes, values, tols))
     assert got == want
+
+
+# the grids of the golden sin-residual and exotic-residual runs, and of a sin
+# with a clearing shift whose tolerances scale with |D| b^4 / 24, as the README
+# directs for large integrands: 900 panels each
+@pytest.mark.parametrize("curve", [
+    "sin_curve", "exotic_curve",
+    lambda: run(ProblemSpec.from_text("sin(1.3*x+0.7)", a=0.5, b=9.5, x0=4.0, h=0.01, shift=5.0,
+                                      ref_tol=1e-14 * 5.0 * 9.5 ** 4 / 24.0,
+                                      root_tol=1e-13 * 5.0 * 9.5 ** 4 / 24.0)),
+], ids=["sin", "exotic", "sin-shifted"])
+def test_reference_column_matches_the_scalar_loop_at_scale(request, monkeypatch, curve):
+    """Each panel of a run's grid, to the tolerance the column gives it, bit for
+    bit as the scalar loop integrates it alone; and the column is their running sum."""
+    curve = request.getfixturevalue(curve) if isinstance(curve, str) else curve()
+    f, tol = curve.spec.f_ast, curve.spec.ref_tol
+    nodes = [row.x for row in curve.rows]
+    values = [eval_value(f, x) for x in nodes]
+    romberg, calls = quadrature.romberg, []
+    monkeypatch.setattr(quadrature, "romberg", lambda *args: calls.append(args) or romberg(*args))
+    column = quadrature.reference_column(f, nodes, values, tol)
+    (_, _, _, tols), = calls
+    assert len(tols) == 900
+    want = [scalar_reference_integral(f, a, x, t) for a, x, t in zip(nodes, nodes[1:], tols)]
+    assert _bits(romberg(f, nodes, values, tols)) == _bits(want)
+    running = list(accumulate((r.value for r in want), initial=0.0))[1:]
+    assert [v.hex() for v in column] == [v.hex() for v in running]
+    if curve.rows[1].reference is not None:  # the run's own column, from f read a list at a time
+        assert [row.reference.hex() for row in curve.rows[1:]] == [v.hex() for v in running]
+
+
+def test_panels_past_the_head_match_the_scalar_loop():
+    """Panels that outlive the head, read its midpoints back and go on alone:
+    widths alternating 0.3 and 0.01 under a fast oscillation end at levels 3
+    to 8, each bit for bit as the scalar loop integrates it alone."""
+    f = parse("sin(20*x)*exp(x/4)")
+    nodes = [1.0 + 0.155 * i - 0.145 * (i % 2) for i in range(61)]
+    values = [eval_value(f, x) for x in nodes]
+    tols = [1e-13] * 60
+    want = [scalar_reference_integral(f, a, x, t) for a, x, t in zip(nodes, nodes[1:], tols)]
+    assert {r.panels for r in want} == {9, 17, 129, 257}
+    assert _bits(quadrature.romberg(f, nodes, values, tols)) == _bits(want)
