@@ -78,12 +78,12 @@ class ToleranceError(TrapcorrError):
 class SingularDenominatorError(TrapcorrError):
     """The ODE denominator dropped below the guard threshold.
 
-    Carries the location and, once the pipeline has examined the
-    integrand, a suggested shift constant that bounds the third
-    derivative away from zero; the message names the shift if one is set.
+    Carries the location and, once the pipeline has sampled f''' at
+    ``SHIFT_SAMPLES`` points, a shift D that keeps |f''' + D| clear of zero
+    there, not proved to between them; the message names it if one is set.
     """
 
-    #: shift constant D to rerun with, set by the pipeline, if one helps
+    #: shift constant D to rerun with, set by the pipeline, if one clears the samples
     suggested_shift: float | None = None
 
     def __init__(self, x: float, xi: float, denominator: float):

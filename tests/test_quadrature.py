@@ -206,15 +206,17 @@ def _outcome(call):
          constants=STOP_RULES)
 @example(text="sin(20*x)", nodes=[1.0, 1.5, 10.0], tols=[1e-13] * 5, budget=2 ** 10,
          constants=STOP_RULES)
-# the second or third panel fails on a midpoint while the first is still
-# open, and later fails itself: the first panel's error is the one raised,
-# after a level summed per panel, and after a flat level of four panels
+# the second or third panel has a midpoint where f is undefined, and the first
+# panel fails: the first panel's error is the one raised, where that midpoint
+# lies past the head's levels (three panels), and where it lies in the head's
+# first level, whose failure ends the head (four panels)
 @example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, 0.5, 2.0], tols=[1e-30] + [1e-13] * 4,
          budget=2 ** 17, constants=STOP_RULES)
 @example(text="sqrt(x*x-0.01)", nodes=[-3.0, -1.0, -0.5, 0.4, 2.0], tols=[1e-30] + [1e-13] * 4,
          budget=2 ** 17, constants=STOP_RULES)
-# with short stop rules, a divergence read against a largest |f| from inside
-# the head, whose levels join the stop state together
+# with short stop rules, a divergence in a panel that the head left open: the
+# scalar loop replays the head's level from the midpoints the head read, so the
+# largest |f| it reads the divergence against holds those midpoints too
 @example(text="1/x", nodes=[-2.0, -0.4, 2.4], tols=[1e-13] * 5, budget=2 ** 10, constants=(2, 2 ** 4))
 def test_batched_romberg_matches_the_scalar_loop(text, nodes, tols, budget, constants):
     """Panel by panel, bit for bit: value, estimate and evaluation count,
