@@ -16,22 +16,22 @@ nesting may not exceed :data:`MAX_DEPTH` levels.
 
 A tree compiles once, on first use, to straight-line Python emitted from
 one walk of its shape (source transformation: Griewank & Walther,
-*Evaluating Derivatives*, ch. 13): a jet function, giving the value and
-first three derivatives at a point (a :class:`Jet3`) by the sum,
-product, quotient and chain rules; a value function made of the jet's d0
-statements alone; and a values function running them per point of a list.  The
-walk runs once per shape; :mod:`trapcorr.xi_ode` writes its jet block and its slope
-block, the d0 and d1 statements alone, into the xi-ODE's stage.  Literals
-are bound as values, so trees of one shape share their code through bounded
-caches; a literal exponent r alone is part of the shape, so that its r - 1, r (r - 1),
-..., u^1 = u and u^0 = 1 are folded where the code is emitted.  The derivative
-statements are sums of products, assembled without the factors 1.0 and the products
-with a factor 0.0 that x's jet (x, 1, 0, 0), a literal's (c, 0, 0, 0) and those folded
-powers feed them.  Values are bit for bit the unfolded rules', and so are derivatives
-but for the sign of an exact zero; a jet or slope is rejected exactly where theirs
-is.  Where only a derivative is undefined (``sqrt`` at 0), the value stands and the
-jet is rejected; the slope stands where only d2 or d3 is.  Jets are exact to
-rounding; nothing differentiates numerically.
+*Evaluating Derivatives*, ch. 13), two functions: ``jet``, the value and first
+three derivatives at a point (a :class:`Jet3`) by the sum, product, quotient and
+chain rules, and ``values``, the jet's d0 statements alone run per point of a list
+(:func:`eval_value` is a list of one).  The walk runs once per shape; :mod:`trapcorr.xi_ode`
+writes its jet block and its slope block, the d0 and d1 statements alone, into the
+xi-ODE's stage.  Literals are bound as values, so trees of one shape share their code
+through bounded caches; a literal exponent r alone is part of the shape, so that its
+r - 1, r (r - 1), ..., u^1 = u and u^0 = 1 are folded where the code is emitted.  The
+derivative statements are sums of products, assembled without the factors 1.0 and the
+products with a factor 0.0 that x's jet (x, 1, 0, 0), a literal's (c, 0, 0, 0) and
+those folded powers feed them.  The contract, checked in the test suite against an
+interpreter of the unfolded rules: values, and derivatives but for the sign of an
+exact zero, are bit for bit the unfolded rules'; a jet, value or slope is a DomainError
+exactly where those raise or give a non-finite component.  Where only a derivative is
+undefined (``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
+where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates numerically.
 """
 
 from __future__ import annotations
@@ -70,8 +70,9 @@ class _Node(Value):
 
     @cached_property
     def _evaluators(self):
-        """``(jet, value, values)``: the code compiled for this tree's shape, shared
-        through a bounded cache, bound to this tree's literals."""
+        """``(jet, values)``, compiled for this tree's shape through a bounded cache and bound
+        to its literals: ``jet(x)``, and ``values(xs)``, each x's d0 by the d0 statements
+        alone, which raises the first failing x's DomainError; both keep the contract above."""
         literals = []
         return _factory(_shape(self, literals))(*literals)
 
@@ -357,18 +358,13 @@ _RULES.update(
             + f"{{w0}} = {name}({{u0}})", [g1, *_CHAIN[0]], [*g23.split("; "), *_CHAIN[1]]))
     for name, (_, g1, g23, lowest, below) in _FUNCTIONS.items())
 
-#: the three evaluators of one tree shape, over its literals lit0, lit1, ...
+#: the two evaluators of one tree shape, over its literals lit0, lit1, ...
 _SOURCE = """\
 def bind({literals}):
     def jet(x):
 {jet}
         if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise DomainError("non-finite jet component", x)
         return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
-
-    def value(x):
-{value}
-        if {w0} - {w0} != 0.0: raise DomainError("non-finite value", x)
-        return {w0}
 
     def values(xs):
       out = []
@@ -378,7 +374,7 @@ def bind({literals}):
         out.append({w0})
       return out
 
-    return jet, value, values
+    return jet, values
 """
 
 #: an evaluator's statements: an overflow or undefined operation in them is a DomainError at x
@@ -563,7 +559,8 @@ _CACHE = os.path.dirname(importlib.util.cache_from_source(__file__))
 def _compiled(source: str, filename: str):
     """``compile(source, filename, "exec")`` kept, as bytecode is, in the package's ``__pycache__``
     or where ``PYTHONPYCACHEPREFIX`` moves it: reused where magic, filename and source match;
-    not written under ``sys.dont_write_bytecode`` or once 256 are kept; a failed I/O compiles."""
+    not written under ``sys.dont_write_bytecode``; a miss beside 256 entries removes them first;
+    a failed I/O compiles."""
     key = (importlib.util.MAGIC_NUMBER, filename, source)
     path = os.path.join(_CACHE, "emitted-%08x-%d.%s" % (
         zlib.crc32(source.encode()), len(source), sys.implementation.cache_tag))
@@ -575,10 +572,13 @@ def _compiled(source: str, filename: str):
     if not sys.dont_write_bytecode:
         temp = f"{path}.{os.getpid()}"
         try:  # atomically, as the import system writes a .pyc
-            if sum(entry.startswith("emitted-") for entry in os.listdir(_CACHE)) < 256:
-                with open(temp, "wb") as fh:
-                    fh.write(marshal.dumps((*key, code)))
-                os.replace(temp, path)
+            if len(kept := [e for e in os.listdir(_CACHE) if e.startswith("emitted-")]) >= 256:
+                for entry in kept:
+                    with suppress(OSError):
+                        os.remove(os.path.join(_CACHE, entry))
+            with open(temp, "wb") as fh:
+                fh.write(marshal.dumps((*key, code)))
+            os.replace(temp, path)
         except OSError:
             with suppress(OSError):
                 os.remove(temp)
@@ -605,9 +605,9 @@ def eval_jet(ast: ExprAST, x: float) -> Jet3:
 def eval_value(ast: ExprAST, x: float) -> float:
     """Evaluate just the value of ``ast`` at ``x``: the jet's d0, defined
     also where a derivative is not (``sqrt`` at 0)."""
-    return ast._evaluators[1](x)
+    return ast._evaluators[1]((x,))[0]
 
 
 def eval_values(ast: ExprAST, xs: list[float]) -> list[float]:
     """``[eval_value(ast, x) for x in xs]`` in one call: the first failing x raises."""
-    return ast._evaluators[2](xs)
+    return ast._evaluators[1](xs)

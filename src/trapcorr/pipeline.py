@@ -23,8 +23,8 @@ from .errors import (ConfigError, IoError, NoRootError,
 from .expr import ExprAST, eval_jet, eval_values, parse, shift_by_cubic
 from .quadrature import reference_column, reference_integral, trapezium
 from .rk import FEHLBERG7, RKTableau
-from .xi_ode import bind_step, suggest_shift
-from .xi_ode import error_term, unshift_error, xi_rhs  # noqa: F401  perfbench traces these
+from .xi_ode import bind_step, error_term, suggest_shift, unshift_error
+from .xi_ode import xi_rhs  # noqa: F401  perfbench traces it
 
 __all__ = [
     "ProblemSpec", "CurveRow", "ErrorCurve",
@@ -302,11 +302,7 @@ def run(spec: ProblemSpec, reference: bool = False,
         a, shift, values, xs = spec.a, spec.shift, [], [spec.a] + [x for x, _, _ in nodes]
         fx = eval_values(spec.f_ast, xs)
         for (x, xi, d2), f_x in zip(nodes, fx[1:]):  # x > a: no node sits at a
-            if d2 is None:  # a sweep's last node
-                d2 = eval_jet(spec.g, xi).d2
-            err = -((x - a) ** 3) / 12.0 * d2  # error_term, then unshift_error
-            if shift:
-                err += shift * (x - a) ** 4 / 24.0
+            err = unshift_error(error_term(spec, x, xi, d2), shift, a, x)  # d2 None: a sweep's end
             trap = 0.5 * (x - a) * (fx[0] + f_x)  # trapezium(f, a, x), bit for bit
             values.append((x, xi, trap, err, trap + err))
         column = (reference_column(spec.f_ast, xs, fx, spec.ref_tol) if reference

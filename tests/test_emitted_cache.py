@@ -1,6 +1,6 @@
 """Compiled emitted code kept across processes beside the package's bytecode:
 reused only where it is what ``compile`` would return, written only where
-Python would write bytecode, and never past 256 entries."""
+Python would write bytecode, and never past 256 entries: a miss beside 256 removes them first."""
 
 import builtins
 import marshal
@@ -102,13 +102,16 @@ def test_a_failed_write_leaves_nothing_behind(tmp_path, compiled, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("others, written", [(255, True), (256, False)])
-def test_the_cache_keeps_at_most_256_entries(tmp_path, compiled, others, written):
+@pytest.mark.parametrize("others, kept", [(255, True), (256, False)])
+def test_the_cache_keeps_at_most_256_entries(tmp_path, compiled, others, kept):
+    # a full cache is emptied of its entries, and of nothing else, then takes the new one
     for i in range(others):
         (tmp_path / f"emitted-{i}").write_bytes(b"")
-    (tmp_path / f"expr.{sys.implementation.cache_tag}.pyc").write_bytes(b"")  # no entry
+    pyc = tmp_path / f"expr.{sys.implementation.cache_tag}.pyc"  # no entry
+    pyc.write_bytes(b"")
     expr._compiled(SOURCE, NAME)
-    assert len(_entries(tmp_path)) == others + written
+    assert len(_entries(tmp_path)) == (others if kept else 0) + 1 and pyc.exists()
+    assert expr._compiled(SOURCE, NAME) and compiled == [NAME]  # the new entry is read back
 
 
 def test_two_cli_processes_share_the_cache_and_write_the_same_csv(tmp_path):

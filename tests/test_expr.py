@@ -7,6 +7,7 @@ import re
 import struct
 import sys
 from contextlib import suppress
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -16,11 +17,12 @@ from hypothesis import strategies as st
 from trapcorr import (FEHLBERG7, DomainError, Jet3, ProblemSpec, RKTableau, SyntaxError_,
                       UnknownIdentifierError, eval_jet, eval_value, parse, xi_ode, xi_rhs)
 from trapcorr import expr
-from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_values
+from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_values, shift_by_cubic
 
 from conftest import HEUN3, RK4
-from helpers import FD_DOMAINS, worst_jet_fd_deviation
-from test_golden_steps import outcome as step_outcome
+from helpers import FD_DOMAINS, reference_defined, reference_xi_step, worst_jet_fd_deviation
+from test_golden_steps import A as STEP_A, H as STEP_H, SHIFT as STEP_SHIFT, X as STEP_X
+from test_golden_steps import Y as STEP_Y, outcome as step_outcome
 
 GOLDEN_JETS = Path(__file__).parent / "data" / "golden_jets.jsonl"
 
@@ -52,7 +54,7 @@ def test_parse_is_deterministic():
 
 def test_trees_of_one_shape_share_compiled_code():
     two, three = parse("sin(2*x)"), parse("sin(3*x)")
-    assert len(two._evaluators) == len(three._evaluators) == 3  # jet, value, values
+    assert len(two._evaluators) == len(three._evaluators) == 2  # jet, values
     for of_two, of_three in zip(two._evaluators, three._evaluators):
         assert of_two.__code__ is of_three.__code__
     # and one xi-ODE per (shape, tableau), compiled once, bound to each tree's literals:
@@ -376,11 +378,58 @@ def _unsigned_zeros(values) -> list:
     return [(v + 0.0).hex() for v in values]
 
 
+def _defined(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except DomainError:
+        return None
+
+
+#: points besides the drawn ones, where a tree of x has derivatives whose last bits show
+#: a term summed or multiplied in another order than the rule's
+_GRID = [k / 7.0 - 3.0 for k in range(1, 80, 3)]
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(text=st.recursive(_LEAVES, _compound, max_leaves=10),
+       xs=st.lists(_POINTS, min_size=1, max_size=6))
+@example(text="(x*x+sin(x))/(x*x+1)", xs=[])  # each rule over operands that are not constants
+@example(text="3^(sin(x)*x)", xs=[])
+@example(text="tan(x*x/3)-cos(sqrt(x)*exp(-x))+ln(x)*log10(x+1)", xs=[])
+@example(text="(x*x+1)^2.5*(x-1)^(1/3)/(1+x^-1)", xs=[])
+@example(text="(x*x-3)^1", xs=[1e154, 1e103])  # only the cube u1 ** 3 overflows
+@example(text="1/(x*x*2.5)", xs=[1e300])  # only v * 0.0 shows that v overflowed
+@example(text="x*ln(1e-320)+sqrt(0)", xs=[])  # only g' * 0.0 shows that g' failed
+@example(text="ln(x)^0+(x-1)^(1/3)", xs=[0.0, 1.0, -1.0])
+def test_emitted_code_matches_the_reference_interpreter(text, xs):
+    # the emitter's contract, against the unfolded rules of helpers.reference_jet: every
+    # value and every nonzero derivative equal bit for bit, exact zeros up to their sign,
+    # and a DomainError exactly where the interpreter raises or is not finite; so one
+    # Fehlberg-7 step of the xi-ODE ends as the interpreter's step does
+    ast = parse(text)
+    for x in xs + _GRID:
+        jet, want = _defined(eval_jet, ast, x), reference_defined(ast, x)
+        assert (jet is None) == (want is None), (text, x, jet, want)
+        if jet is not None:
+            assert jet.d0.hex() == want[0].hex(), (text, x, jet, want)
+            assert _unsigned_zeros(jet[1:]) == _unsigned_zeros(want[1:]), (text, x, jet, want)
+        value, want = _defined(eval_value, ast, x), reference_defined(ast, x, 0)
+        assert (value is None) == (want is None), (text, x, value, want)
+        assert value is None or value.hex() == want[0].hex(), (text, x, value, want)
+    got = step_outcome(text)
+    want = reference_xi_step(shift_by_cubic(ast, STEP_SHIFT, STEP_A), STEP_A, STEP_X, STEP_Y,
+                             STEP_H, FEHLBERG7)
+    if len(want) == 1:
+        assert got[:1] == want, (text, got, want)
+    else:
+        assert [s.replace("-0x0.0p+0", "0x0.0p+0") for s in got] == want, (text, got, want)
+
+
 def _power_outcomes(text: str, x: float) -> list:
     """The jet, value and x-side read of ``text`` at ``x`` and one Fehlberg-7 step of its
     xi-ODE, each as hex with zero signs apart, or as the DomainError's or failure's text."""
     out, ast = [], parse(text)
-    for evaluate in (*ast._evaluators[:2], lambda x: _x_side(ast, x)):
+    for evaluate in (partial(eval_jet, ast), partial(eval_value, ast), partial(_x_side, ast)):
         try:
             got = evaluate(x)
             out.append(_unsigned_zeros(got if isinstance(got, tuple) else (got,)))

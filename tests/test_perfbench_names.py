@@ -37,8 +37,9 @@ def _counting(fn, layer, calls):
 
 # The work of one run is deterministic.  Counting through the names the
 # tracer patches also proves that every evaluation outside the sweep crosses
-# a counted name or the list evaluator of f: an evaluator reached some other
-# way would drop out of these counts.  The sweep's step is emitted per
+# a counted name or the list evaluator of f, which eval_value reaches too, so
+# f's values are counted there alone: an evaluator reached some other way
+# would drop out of these counts.  The sweep's step is emitted per
 # integrand shape and tableau, each of its stages a call of one emitted stage
 # function with one jet at xi: the tracer sees it as rk_step alone.  A wrapper
 # in the step's closure cell for the stage counts its calls, and among them
@@ -47,27 +48,31 @@ def _counting(fn, layer, calls):
 # abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0), and
 # each sweep's first step once more, at x0.  The curve takes g''(xi) from
 # stage 0 of the step leaving each node: the 2 nodes that end a sweep are the
-# curve's only jets.  It evaluates f at a and at the 900 nodes after it in one
-# list, and both columns read those values; a list counts as its points.  The
-# reference column adds only its 900 panels' midpoints, 2^k - 1 for a table
-# ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
+# curve's only jets, taken by error_term, which with unshift_error gives the
+# error term at each of the 900 nodes after a.  It evaluates f at a and at
+# those nodes in one list, and both columns read those values; a list counts
+# as its points.  The reference column adds only its 900 panels' midpoints,
+# 2^k - 1 for a table ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
 @pytest.mark.parametrize("residual,expected", [
     (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "x-side reads": 8093,
-             "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032}),
-    (True, {"expr.eval_value": 7324}),
+             "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032,
+             "xi_ode.error_term": 900, "xi_ode.unshift_error": 900}),
+    (True, {"expr.eval_value": 7324, "xi_ode.error_term": 900, "xi_ode.unshift_error": 900}),
 ])
 def test_pinned_work_counts(monkeypatch, residual, expected):
     spec = sin_spec()  # built outside the count, as the tracer's self-test does
     calls = Counter()
     for module_name, attr, layer in runpy.run_path(str(TRACER))["PATCHES"]:
+        if layer == "expr.eval_value":  # a point of the list evaluator, counted below
+            continue
         module = importlib.import_module(module_name)
         monkeypatch.setattr(module, attr, _counting(getattr(module, attr), layer, calls))
-    jet, value, values = spec.f_ast._evaluators
+    jet, values = spec.f_ast._evaluators
 
     def counted_values(xs):
         calls["expr.eval_value"] += len(xs)
         return values(xs)
-    monkeypatch.setitem(vars(spec.f_ast), "_evaluators", (jet, value, counted_values))
+    monkeypatch.setitem(vars(spec.f_ast), "_evaluators", (jet, counted_values))
     bind_step = pipeline.bind_step
 
     def counting_bind_step(p):
