@@ -286,7 +286,7 @@ _UNDEFINED = (ArithmeticError, ValueError)
 
 
 def _pow_value(u: float, r: float, x: float) -> float:
-    if u < 0.0 and r != int(r):
+    if u < 0.0 and not r.is_integer():
         raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x)
     if u == 0.0 and r < 0.0:
         raise DomainError(f"zero base with negative exponent {r!r}", x)

@@ -97,16 +97,20 @@ def reference_column(f: ExprAST, nodes: list[float], values: list[float], tol: f
     each to its width's share of ``tol`` or, if more, ``FLOOR_ULPS`` ulp of its trapezium
     value, its table's round-off.  The column is within the sum of those."""
     span = nodes[-1] - nodes[0]
-    tols = [u if (u := FLOOR_ULPS * ulp(0.5 * (x - p) * (fp + fx))) > (s := tol * (x - p) / span)
-            else s for p, x, fp, fx in zip(nodes, nodes[1:], values, values[1:])]  # max(s, u)
-    return [*accumulate(map(itemgetter(0), romberg(f, nodes, values, tols)), initial=0.0)][1:]
+    traps = [0.5 * (x - p) * (fa + fb)
+             for p, x, fa, fb in zip(nodes, nodes[1:], values, values[1:])]
+    tols = [u if (u := FLOOR_ULPS * ulp(t)) > (s := tol * (x - p) / span) else s
+            for p, x, t in zip(nodes, nodes[1:], traps)]  # max(s, u)
+    results = romberg(f, nodes, values, tols, traps)  # which starts its tables from traps
+    return [*accumulate(map(itemgetter(0), results), initial=0.0)][1:]
 
 
-def romberg(f: ExprAST, nodes: list[float], values: list[float],
-            tols: list[float]) -> list[tuple[float, float, int]]:
+def romberg(f: ExprAST, nodes: list[float], values: list[float], tols: list[float],
+            traps: list[float] | None = None) -> list[tuple[float, float, int]]:
     """The (value, est_error, panels) of :class:`ReferenceResult` for each panel
     [nodes[i], nodes[i+1]] to tolerance ``tols[i]`` (``nodes`` strictly ascending, ``values[i]``
-    = f(nodes[i])), as if integrated one after another, errors included.  Most tables end in
+    = f(nodes[i]), ``traps[i]`` its trapezium value if the caller has it), as if integrated
+    one after another, errors included.  Most tables end in
     the head, the first ``PLATEAU_LEVELS`` levels, where only agreement can stop them (after
     level k at most k - 1 levels have failed to halve the estimate).  There, while the open
     panels outnumber a level's midpoints per panel, a level's midpoints are one list and each
@@ -114,7 +118,8 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float],
     plateau, budget, results = PLATEAU_LEVELS, DEFAULT_MAX_EVALS, [None] * len(tols)
     # the open panels, ascending: their indices, starts, widths, tolerances and last rows
     at, a, h, tol = [*range(len(tols))], nodes[:-1], [x - p for p, x in zip(nodes, nodes[1:])], tols
-    row = [[0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]]
+    traps = traps or [0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]
+    row = [traps]  # read, never written: the scalar loop below starts from it too
     head, n, evals = [], 1, 2  # head[k - 1]: the panels open at level k, and its midpoints
     while len(head) < plateau and n < len(at) and evals + n <= budget:  # next level adds n each
         k, n, evals = len(head) + 1, 2 * n, evals + n
@@ -141,7 +146,7 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float],
             row = [[*compress(c, keep)] for c in row]
     for i in at:  # one after another, from level 1: the scalar loop
         p, w, fa, fx = nodes[i], nodes[i + 1] - nodes[i], values[i], values[i + 1]
-        prev, peaks, k, n, evals = [0.5 * w * (fa + fx)], [max(abs(fa), abs(fx))], 0, 1, 2
+        prev, peaks, k, n, evals = [traps[i]], [max(abs(fa), abs(fx))], 0, 1, 2
         best, best_est, stall_from, stalled = prev[0], inf, inf, 0
         while evals + n <= budget:  # next level adds n midpoints
             k, n, evals, w = k + 1, 2 * n, evals + n, 0.5 * w

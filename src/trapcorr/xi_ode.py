@@ -23,9 +23,10 @@ cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
-The ODE compiles once per (shape of g, tableau) to a stage holding g and g' at x and the
-jet at xi inline, the blocks :mod:`trapcorr.expr` emits per shape, and a sweep step that
-calls it (:func:`trapcorr.rk.step_source`); :func:`xi_rhs` is the stage.
+The ODE compiles once per (shape of g, tableau), from the blocks :mod:`trapcorr.expr` emits per
+shape, to a sweep step (:func:`trapcorr.rk.step_source`) with every stage inline: g, g' and the
+slope's terms that x alone fixes, read once per abscissa x and carried from a node c = 1 to the
+next step's c = 0, then the jet at xi; and to :func:`xi_rhs`'s stage, those statements once.
 """
 
 from __future__ import annotations
@@ -54,35 +55,37 @@ def _at_x(what: str, xi: float, x: float) -> DomainError:
     return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
 
 
-#: xi's slope at (x, xi) from g, g' at x, read by the evaluators' slope block if g is None and
-#: left in g_s, dg_s, and their jet block at xi by its name there, x; d2_s gets g''(xi)
-_STAGE = """\
-def stage(x, xi, g=None, dg=None):
-    nonlocal g_s, dg_s, d2_s
-    if g is None:
+#: the terms of xi's slope that x alone fixes, for node n: g and g' at x by the evaluators'
+#: slope block, then t^3, the guard's threshold and P, Q of the numerator P - Q g''(xi)
+_READ = """\
 {slope}
-        if not 0.0{fin0}{fin1} == 0.0: raise DomainError("non-finite jet component", x)
-        g_s = g = {w0}; dg_s = dg = {w1}
-    if x == a: raise ValueError("xi_rhs is undefined at x == a")
-    x_s, x, t = x, xi, x - a  # the jet block's point is xi; its DomainError is raised at x_s
-    try:
-{jet}
-    except DomainError as exc:
-        raise at_x(exc.args[0], x, x_s) from exc.__cause__
-    if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise at_x("non-finite jet component", x, x_s)
-    den = (t3 := t ** 3) * {w3}
-    if abs(den) < guard * (1.0 + abs(t3)): raise SingularDenominatorError(x_s, x, den)
-    d2_s = {w2}
-    return (F * g + 6.0 * g_a + 6.0 * t * dg - 3.0 * t * t * {w2}) / den"""
+if not 0.0{fin0}{fin1} == 0.0: raise DomainError("non-finite jet component", x)
+if x == a: raise ValueError("xi_rhs is undefined at x == a")
+t = x - a; t3{n} = t ** 3; thr{n} = guard * (1.0 + abs(t3{n}))
+P{n} = F * {w0} + g_a6 + {t_dg}; Q{n} = 3.0 * t * t"""
 
-#: the xi-ODE, bound per run: its stage, and the sweep's step(x, y, h) by a tableau,
-#: which calls the stage for every stage and passes stage 0's g''(xi) to record
+#: the slope {k} at (x, xi) from node n's terms and the jet block at xi, by its name there,
+#: x: its DomainError is raised at x_s, the stage's x
+_JET = """\
+x_s, x = x, {xi}
+try:
+{jet}
+except DomainError as exc:
+    raise at_x(exc.args[0], x, x_s) from exc.__cause__
+if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise at_x("non-finite jet component", x, x_s)
+den = t3{n} * {w3}
+if abs(den) < thr{n}: raise SingularDenominatorError(x_s, x, den)
+{k} (P{n} - Q{n} * {w2}) / den"""
+
+#: the xi-ODE, bound per run: its stage(x, xi), and the sweep's step(x, y, h) by a tableau,
+#: each of whose stages is the stage's statements, and which passes stage 0's g''(xi) to record
 _XI = """\
 def bind({names}{literals}a, g_a, F, guard, record):
-    carry_x = carry_g = carry_dg = g_s = dg_s = d2_s = nan
-    {stage}
-    def step(x, y, h):
-        nonlocal carry_x, carry_g, carry_dg
+    g_a6, carry = 6.0 * g_a, (nan,) * 5
+    def stage(x, xi):
+{stage}
+    def step(x_n, y, h):
+        nonlocal carry
 {stages}
     return step, stage
 """
@@ -90,22 +93,28 @@ def bind({names}{literals}a, g_a, F, guard, record):
 
 def _source(shape, tableau) -> tuple[str, list]:
     """One shape's stage and sweep step by ``tableau``, and the tableau's coefficients.  The
-    step has (g, g') read once per node c, carries a node c = 1's into the next step's c = 0
+    step reads x's terms once per node c, carries a node c = 1's into the next step's c = 0
     at an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
-    c, nodes = tableau.c, [ci.hex() for ci in tableau.c]  # 0.0 and -0.0 apart
+    c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
+    em = dict(em, slope=em["slope"].replace("\n" + " " * 8, "\n")[8:],  # from 8 columns to 0,
+              jet=em["jet"].replace("\n    ", "\n")[4:],  # and to 4, in its try
+              t_dg="6.0 * t" + f" * {em['w1']}" * (em["w1"] != "1.0"))  # y * 1.0 is y
 
-    def step_stage(i, yi):  # a node's first stage reads (g, g') or takes the carry; kept to recur
+    def indent(text, columns):
+        return " " * columns + text.replace("\n", "\n" + " " * columns)
+
+    def step_stage(i, yi):  # a node's first stage reads x's terms or takes the carry
         n, recurs = nodes.index(nodes[i]), nodes.count(nodes[i]) > 1  # a recurring c = 0 reads
-        passed = (f", g{n}, dg{n}" if n < i else "" if recurs or c[i] != 0.0
-                  else ", carry_g if x_s == carry_x else None, carry_dg")
-        return (f"x_s = x + c{i} * h\nk{i} = stage(x_s, {yi}{passed})"
-                + f"\ng{i}, dg{i} = g_s, dg_s" * (recurs and n == i) + "\nrecord(d2_s)" * (i == 0)
-                + "\ncarry_x, carry_g, carry_dg = x_s, g_s, dg_s" * (n == i and c[i] == 1.0))
-    fields = _emit(shape)
+        terms, read = f"t3_{n}, thr_{n}, P_{n}, Q_{n}", _READ.format(n=f"_{n}", **em)
+        if c[i] == 0.0 and not recurs:
+            read = f"if x == carry[0]: _, {terms} = carry\nelse:\n" + indent(read, 4)
+        return (f"x = x_n + c{i} * h\n" + (read + "\n") * (n == i)
+                + _JET.format(n=f"_{n}", xi=yi, k=f"k{i} =", **em)
+                + f"\nrecord({em['w2']})" * (i == 0) + f"\ncarry = x_s, {terms}" * (c[i] == 1.0))
     names, values, body = step_source(tableau, step_stage)
-    return _XI.format(names="".join(name + ", " for name in names),
-                      stage=_STAGE.format(**fields).replace("\n", "\n    "),
-                      stages=" " * 8 + body.replace("\n", "\n" + " " * 8), **fields), values
+    stage = _READ.format(n="", **em) + "\n" + _JET.format(n="", xi="xi", k="return", **em)
+    return _XI.format(names="".join(name + ", " for name in names), stage=indent(stage, 8),
+                      stages=indent(body, 8), **em), values
 
 
 @lru_cache(maxsize=256)
@@ -124,8 +133,8 @@ def _bind(p: ProblemSpec, record=None):  # F_COEFFICIENT and the guard as they r
 
 
 def bind_step(p: ProblemSpec):
-    """``(step, records)``: the sweep's ``step(x, y, h)``, whose stages call :func:`xi_rhs`'s
-    stage, and the list to which the i-th step taken appends g''(y).  Per run: it holds state."""
+    """``(step, records)``: the sweep's ``step(x, y, h)``, its stages :func:`xi_rhs`'s statements
+    inline, and the list to which the i-th step taken appends g''(y).  Per run: it holds state."""
     records = []
     return _bind(p, records.append)[0], records
 
@@ -135,8 +144,8 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
 
     Requires x != a (the defining identity is 0 = 0 there) and a denominator above the
     guard threshold; raises :class:`SingularDenominatorError` otherwise.  At x it reads g
-    and g' alone, so it is defined where only g'' or g''' is not.  A :class:`DomainError`
-    of the jet at xi is raised at x, naming xi.  It is the sweep step's stage, kept on the spec.
+    and g' alone, so it is defined where only g'' or g''' is not.  A :class:`DomainError` of
+    the jet at xi is raised at x, naming xi.  Its statements are each stage of the sweep's step.
     """
     if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):
         object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[1]))

@@ -22,10 +22,13 @@ _EMITTED = pytest.StashKey()
 def pytest_configure(config):
     """Compiled emitted code goes to a fresh directory per session, for this process and,
     through ``PYTHONPYCACHEPREFIX``, for every Python it starts, from collection on: no run
-    of the suite reads what an earlier one compiled, or writes into the checkout's cache."""
+    of the suite reads what an earlier one compiled, or writes into the checkout's cache.
+    Those Pythons may write there, so that only the first compiles the standard library
+    modules it imports, even where ``PYTHONDONTWRITEBYTECODE`` is set."""
     root, patch = tempfile.TemporaryDirectory(prefix="trapcorr-emitted-"), pytest.MonkeyPatch()
     patch.setattr(expr, "_CACHE", root.name)
     patch.setenv("PYTHONPYCACHEPREFIX", os.path.join(root.name, "pycache"))
+    patch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     config.stash[_EMITTED] = root, patch
 
 

@@ -303,6 +303,14 @@ def test_domain_error_exit_5(args, start, capsys):
     assert lines[0].startswith(start)
 
 
+def test_negative_base_under_an_infinite_exponent_exit_5(capsys):
+    # the exponent overflows to inf, which is not an integer: a domain error, not an overflow
+    code = main(["integrate", "--f", "(x-5)^(1e200*1e200)", "--a", "1", "--b", "4", "--h", "0.01"])
+    assert code == 5
+    assert stderr_lines(capsys) == [
+        "trapcorr: [config] negative base -4.0 with non-integer exponent inf at x=1.0"]
+
+
 def test_divergent_bootstrap_integral_exit_5(capsys):
     # a pole inside (a, x0): the reference integral does not exist
     code = main(["integrate", "--f=1/x", "--a=-1", "--b=2", "--h=0.05", "--x0=1.3"])

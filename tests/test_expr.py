@@ -69,14 +69,15 @@ def test_trees_of_one_shape_share_compiled_code():
     assert (literals_two[-1], literals_three[-1]) == (2.0, 3.0)
     spec = ProblemSpec.from_text("sin(2*x)", 1.0, 10.0, tableau=midpoint)
     step, _ = xi_ode.bind_step(spec)
-    stage = step.__closure__[step.__code__.co_freevars.index("stage")].cell_contents
     ran = []
     sys.setprofile(lambda frame, event, arg: event == "call" and ran.append(frame.f_code))
     try:
         xi_rhs(spec, 5.0, 3.0)
     finally:
         sys.setprofile(None)
-    assert stage.__code__ in ran
+    # the stage xi_rhs runs is the step's sibling in the one compiled bind
+    (stage,) = [code for code in ran if code.co_name == "stage"]
+    assert {stage, step.__code__} <= set(bind_two.func.__code__.co_consts)
     assert (info().misses - before.misses, info().hits - before.hits) == (1, 3)
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
@@ -320,16 +321,29 @@ _EULER = RKTableau(name="euler", order=1, a=((),), b=(1.0,), c=(0.0,))
 
 
 def _x_side(ast, x: float) -> tuple[float, float]:
-    """g and g' at ``x`` as xi_rhs's stage reads them where it is passed none, which leaves
-    them in its g_s and dg_s: bound with a = x, the stage stops at its x == a check next
-    (x = nan passes it, and a g finite at nan is a constant, whose jet at nan is too)."""
+    """g and g' at ``x`` as xi_rhs's stage reads them, from its frame as it reaches its x == a
+    check: bound with a = x, the stage stops there (x = nan passes it, and a g finite at nan
+    is a constant, whose jet at nan is too)."""
     literals = []
-    bind = xi_ode._factory(expr._shape(ast, literals), _EULER)
+    shape = expr._shape(ast, literals)
+    bind = xi_ode._factory(shape, _EULER)
     _, stage = bind(*literals, x, 0.0, xi_ode.F_COEFFICIENT, xi_ode.DEFAULT_DEN_GUARD, None)
-    with suppress(ValueError):
-        stage(x, x)
-    cells = dict(zip(stage.__code__.co_freevars, stage.__closure__))
-    return cells["g_s"].cell_contents, cells["dg_s"].cell_contents
+    lines = xi_ode._source(shape, _EULER)[0].splitlines()
+    check = next(i for i, line in enumerate(lines, 1) if "if x == a:" in line)  # the stage's
+    seen = []
+
+    def trace(frame, event, arg):
+        if event == "line" and frame.f_lineno == check:
+            seen.append(dict(frame.f_locals))  # its free literals too
+        return trace if frame.f_code is stage.__code__ else None
+    sys.settrace(trace)
+    try:
+        with suppress(ValueError):
+            stage(x, x)
+    finally:
+        sys.settrace(None)
+    fields = expr._emit(shape)
+    return tuple(eval(fields[w], dict(expr._NAMESPACE), seen[0]) for w in ("w0", "w1"))
 
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
@@ -564,18 +578,27 @@ _FINITE = re.compile(r"\b0\.0(?: \* -?\w+)+ == 0\.0")
 
 def _stage_arithmetic(text: str) -> int:
     """The arithmetic instructions (BINARY_OP and UNARY_NEGATIVE, as CPython 3.11
-    names them) of the compiled xi-ODE stage of ``text``'s shape where its step passes
-    g and g': past its x-side read, and apart from its finiteness tests."""
+    names them) of the compiled xi-ODE stage of ``text``'s shape at an abscissa whose
+    terms are read: past its x-side read, and apart from its finiteness tests."""
     source = xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)[0]
     lines = source.splitlines()
     start, end = (next(i for i, line in enumerate(lines, 1) if key in line)
-                  for key in ("if g is None:", "if x == a:"))
+                  for key in ("def stage(", "x_s, x = x, xi"))
     skip = set(range(start, end)) | {i for i, line in enumerate(lines, 1) if _FINITE.search(line)}
     pending = [compile(source, "<s>", "exec")]
     while (code := pending.pop()).co_name != "stage":
         pending += [c for c in code.co_consts if hasattr(c, "co_consts")]
     return sum(op.opname in ("BINARY_OP", "UNARY_NEGATIVE") and op.positions.lineno not in skip
                for op in dis.get_instructions(code))
+
+
+def _distinct(source: str) -> str:
+    """``source``'s lines, each once, in order: all that a check line by line reads."""
+    return "\n".join(dict.fromkeys(source.splitlines()))
+
+
+#: the templates' lines that read the x-side's g, g' and the jet's d2, d3 as they are
+_TERMS = re.compile(r"^ *(P\w* =|den =|k\d+ =|return \(P).*$", re.M)
 
 
 def test_emitted_code_folds_ones_and_literal_exponent_terms():
@@ -592,15 +615,17 @@ def test_emitted_code_folds_ones_and_literal_exponent_terms():
     for text in texts:
         shape = expr._shape(parse(text), [])
         kinds = {"lit" if isinstance(e, float) else "other" for e in _exponents(shape)}
-        for tableau in (FEHLBERG7, RK4, HEUN3):  # one stage, which every stage calls
-            step = xi_ode._source(shape, tableau)[0]
-            assert step.count("def stage") == step.count("except DomainError") == 1, text
-            assert len(re.findall(r"^ +k\d+ = stage\(", step, re.M)) == tableau.stages, text
-            # the stage's own x-side read and jet, up to the template that reads its d2 and
-            # d3 as they are, but for the finiteness tests' factors 0.0
-            jet = _FINITE.sub("", step.split("def stage")[1].split("except DomainError")[0])
-            assert not constants.search(jet), (text, tableau.name)
-        for source in _emitted(shape):
+        for tableau in (FEHLBERG7, RK4, HEUN3):  # the stage, and each stage of the step inline
+            source = xi_ode._source(shape, tableau)[0]
+            step = source.split("def step")[1]
+            assert source.count("except DomainError") == tableau.stages + 1, text
+            assert len(re.findall(r"^ +k\d+ = \(", step, re.M)) == tableau.stages, text
+            assert not re.search(r"\bstage\(", step), text  # which calls no stage
+            # every x-side read and jet, but for the templates' lines that read their
+            # slots as they are and the finiteness tests' factors 0.0
+            blocks = _FINITE.sub("", _TERMS.sub("", _distinct(source.split("def stage")[1])))
+            assert not constants.search(blocks), (text, tableau.name)
+        for source in map(_distinct, _emitted(shape)):
             _, bind, per_call = source.split("def ", 2)
             assert not ones.search(bind + per_call), text
             assert not re.search(r"lit\d+ - [123]\.0", source), text

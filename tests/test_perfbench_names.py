@@ -4,20 +4,24 @@ breaks ``perfbench/run.py --trace 1`` and ``perfbench/selftest.py``
 without failing any other test; this test reads the tracer's own table
 and checks every name it patches.  The second counts one pinned run's
 calls through those names and, for the sweep's step that the tracer sees
-only as ``rk_step``, through the stage the run binds into it."""
+only as ``rk_step``, through the line events of its inline stages."""
 
 import importlib
+import re
 import runpy
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from trapcorr import pipeline
+from trapcorr import expr, pipeline, xi_ode
 
 from conftest import sin_spec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+#: the file name of the xi-ODE's compiled stage and step
+EMITTED = "<trapcorr.xi_ode emitted>"
 
 
 def test_every_traced_name_exists_in_its_module():
@@ -40,19 +44,20 @@ def _counting(fn, layer, calls):
 # a counted name or the list evaluator of f, which eval_value reaches too, so
 # f's values are counted there alone: an evaluator reached some other way
 # would drop out of these counts.  The sweep's step is emitted per
-# integrand shape and tableau, each of its stages a call of one emitted stage
-# function with one jet at xi: the tracer sees it as rk_step alone.  A wrapper
-# in the step's closure cell for the stage counts its calls, and among them
-# the x-side reads, the calls whose g is None, where the stage reads g and g'
-# at x itself.  Each of the 899 steps reads once at each of its 9 new
-# abscissae (c = 1/6 twice, c = 1 carried into the next step's c = 0), and
-# each sweep's first step once more, at x0.  The curve takes g''(xi) from
-# stage 0 of the step leaving each node: the 2 nodes that end a sweep are the
-# curve's only jets, taken by error_term, which with unshift_error gives the
-# error term at each of the 900 nodes after a.  It evaluates f at a and at
-# those nodes in one list, and both columns read those values; a list counts
-# as its points.  The reference column adds only its 900 panels' midpoints,
-# 2^k - 1 for a table ended at level k: 6,292 values, so 1,032 + 6,292 = 7,324.
+# integrand shape and tableau, each of its stages inline with one jet at xi:
+# the tracer sees it as rk_step alone.  Line events of the emitted step count
+# its stages, each ending in the line that sets its k, and among them the
+# x-side reads, each the line that starts x's terms from t = x - a, where the
+# step reads g and g' at a stage's x itself.  Each of the 899 steps reads once
+# at each of its 9 new abscissae (c = 1/6 twice, c = 1 carried into the next
+# step's c = 0), and each sweep's first step once more, at x0.  The curve takes
+# g''(xi) from stage 0 of the step leaving each node: the 2 nodes that end a
+# sweep are the curve's only jets, taken by error_term, which with
+# unshift_error gives the error term at each of the 900 nodes after a.  It
+# evaluates f at a and at those nodes in one list, and both columns read those
+# values; a list counts as its points.  The reference column adds only its 900
+# panels' midpoints, 2^k - 1 for a table ended at level k: 6,292 values, so
+# 1,032 + 6,292 = 7,324.
 @pytest.mark.parametrize("residual,expected", [
     (False, {"expr.eval_jet": 10363, "expr.eval_jet by name": 474, "x-side reads": 8093,
              "xi_ode.xi_rhs": 9889, "rk.rk_step": 899, "expr.eval_value": 1032,
@@ -73,21 +78,24 @@ def test_pinned_work_counts(monkeypatch, residual, expected):
         calls["expr.eval_value"] += len(xs)
         return values(xs)
     monkeypatch.setitem(vars(spec.f_ast), "_evaluators", (jet, counted_values))
-    bind_step = pipeline.bind_step
+    source = xi_ode._source(expr._shape(spec.g, []), spec.tableau)[0]
+    lines = dict(enumerate(source.splitlines(), 1))
+    counted = {i: "xi_ode.xi_rhs" for i, line in lines.items() if re.match(r" +k\d+ = ", line)}
+    counted.update((i, "x-side reads") for i, line in lines.items() if "t = x - a;" in line)
 
-    def counting_bind_step(p):
-        step, records = bind_step(p)
-        cell = step.__closure__[step.__code__.co_freevars.index("stage")]
-        stage = cell.cell_contents
+    def in_step(frame, event, arg):
+        if event == "line" and frame.f_lineno in counted:
+            calls[counted[frame.f_lineno]] += 1
+        return in_step
 
-        def counted_stage(x_s, x, g=None, dg=None):
-            calls["xi_ode.xi_rhs"] += 1
-            calls["x-side reads"] += g is None
-            return stage(x_s, x, g, dg)
-        cell.cell_contents = counted_stage
-        return step, records
-    monkeypatch.setattr(pipeline, "bind_step", counting_bind_step)
-    pipeline.run(spec, residual=residual)
+    def trace(frame, event, arg):  # the lines of the sweep's step alone
+        code = frame.f_code
+        return in_step if (code.co_filename, code.co_name) == (EMITTED, "step") else None
+    sys.settrace(trace)
+    try:
+        pipeline.run(spec, residual=residual)
+    finally:
+        sys.settrace(None)
     calls["expr.eval_jet by name"] = calls["expr.eval_jet"]
     calls["expr.eval_jet"] += calls["xi_ode.xi_rhs"]
     assert calls["xi_ode.xi_rhs"] == spec.tableau.stages * calls["rk.rk_step"]

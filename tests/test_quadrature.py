@@ -257,7 +257,7 @@ def test_reference_column_matches_the_scalar_loop_at_scale(request, monkeypatch,
     romberg, calls = quadrature.romberg, []
     monkeypatch.setattr(quadrature, "romberg", lambda *args: calls.append(args) or romberg(*args))
     column = quadrature.reference_column(f, nodes, values, tol)
-    (_, _, _, tols), = calls
+    (_, _, _, tols, _), = calls  # and the trapezium row the column shares
     assert len(tols) == 900
     want = [scalar_reference_integral(f, a, x, t) for a, x, t in zip(nodes, nodes[1:], tols)]
     assert _bits(romberg(f, nodes, values, tols)) == _bits(want)

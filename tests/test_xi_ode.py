@@ -2,6 +2,7 @@ import ast
 import builtins
 import math
 import re
+import sys
 from functools import partial
 from pathlib import Path
 
@@ -139,10 +140,18 @@ def _sweep_steps(spec):
     def recording(p):
         step, records = xi_ode.bind_step(p)
         recorded.append(records)
-        assert "stage" in step.__code__.co_freevars  # every stage calls it
+        code = step.__code__  # its stages are inline: it calls no stage
+        assert "stage" not in code.co_freevars + code.co_names + code.co_varnames
 
         def recorded_step(x, y, h):
-            steps.append((x, y, h, step(x, y, h)))
+            ran = []  # nor, in the run's first step, any other Python function
+            sys.setprofile(None if steps else
+                           lambda frame, event, arg: event == "call" and ran.append(frame.f_code))
+            try:
+                steps.append((x, y, h, step(x, y, h)))
+            finally:
+                sys.setprofile(None)
+            assert ran == [code] or len(steps) > 1
             assert len(records) == len(steps)
             return steps[-1][3]
         return recorded_step, records
@@ -171,6 +180,38 @@ def test_fused_step_equals_rk_step_over_xi_rhs(make, tableau):
     assert len(d2) == len(steps)
     for (x, y, *_), d2_y in zip(steps, d2):
         assert d2_y.hex() == eval_jet(spec.g, y).d2.hex(), (x, y)
+
+
+def _failure(call):
+    """The exception ``call()`` raises, as its type, text, abscissa and cause's type."""
+    with pytest.raises(Exception) as exc:
+        call()
+    err = exc.value
+    return type(err), str(err), getattr(err, "x", None), type(err.__cause__)
+
+
+#: name: (f, a, b, the step's y, its x given its first node c0), and the failure's type;
+#: stage 0's abscissa is the step's x but for c0's own rounding, and its xi is y
+_STAGE_FAILURES = {
+    "x-side": (("exp(x)", 1.0, 800.0, 2.0, lambda c0: 710.0), DomainError),
+    "at-xi": (("sqrt(x)", 1.0, 4.0, -1.0, lambda c0: 2.0), DomainError),
+    "non-finite-jet": (("exp(x^2)", 1.0, 27.0, 26.6, lambda c0: 26.4), DomainError),
+    "singular": (("sin(x)", 1.0, 10.0, math.pi / 2.0, lambda c0: 5.0), SingularDenominatorError),
+    "at-a": (("sin(x)", 0.0, 10.0, 2.0, lambda c0: -(c0 * 0.01)), ValueError),  # x + c0 h == a
+}
+
+
+@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1],
+                         ids=lambda t: t.name.split("/")[-1])
+@pytest.mark.parametrize("name", sorted(_STAGE_FAILURES))
+def test_inlined_step_fails_as_the_tableau_step_over_xi_rhs(name, tableau):
+    (f, a, b, y, start), kind = _STAGE_FAILURES[name]
+    spec = ProblemSpec.from_text(f, a, b, tableau=tableau)
+    x, h = start(tableau.c[0]), 0.01
+    step, _ = xi_ode.bind_step(spec)
+    got = _failure(lambda: step(x, y, h))
+    assert got == _failure(lambda: partial(tableau.step, partial(xi_rhs, spec))(x, y, h))
+    assert got[0] is kind, got
 
 
 # ---------------------------------------------------------- error term
