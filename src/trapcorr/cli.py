@@ -11,13 +11,9 @@ Exit codes: 0 success, 2 expression/flag parse error, 3 singular ODE
 denominator (the message suggests a shift constant), 4 no root during
 initialization, 5 invalid configuration, 6 I/O error.  Every error path
 prints exactly one diagnostic line naming the failing phase; stack
-traces never appear by default.
-
-There is one way out for each outcome.  CSVs, reports and help pages
-are all written by ``_emit`` under phase ``output``: a failed write to
-stdout exits 6, and a stdout closed at start-up discards the output.
-``main`` parses and runs a command inside one ``try`` and maps a package
-error to its exit code through ``_EXIT_CODES``.
+traces never appear by default.  CSVs, reports and help pages are all
+written under phase ``output``: a failed write to stdout exits 6, and a
+stdout closed at start-up discards the output.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 
 from .errors import (ConfigError, ExpressionError, IoError, NoRootError,
@@ -43,6 +40,11 @@ PROG = "trapcorr"
 _EXIT_CODES = ((ExpressionError, 2), (SingularDenominatorError, 3), (NoRootError, 4),
                (IoError, 6))
 
+#: an argument that is a value, not a flag: a minus before a digit, a point or inf/nan, so that
+#: ``--a -1e3`` and ``--a -inf`` reach the same check as ``--a=-1e3`` (argparse's own pattern
+#: takes only ``-1000`` and ``-1.5``)
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?i:inf|nan)")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse with single-line diagnostics, a stable help width, and help
@@ -54,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
             lambda prog: argparse.HelpFormatter(
                 prog, width=88, max_help_position=28))
         super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def print_help(self, file=None):
         return _emit(_write_text, self.format_help(), file)

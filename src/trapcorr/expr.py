@@ -14,24 +14,17 @@ tighter than unary minus inside its left operand, exactly as the grammar
 above reads: ``-x^2`` parses as ``(-x)^2``.  Literals must be finite and
 nesting may not exceed :data:`MAX_DEPTH` levels.
 
-A tree compiles once, on first use, to straight-line Python emitted from
-one walk of its shape (source transformation: Griewank & Walther,
-*Evaluating Derivatives*, ch. 13), two functions: ``jet``, the value and first
-three derivatives at a point (a :class:`Jet3`) by the sum, product, quotient and
-chain rules, and ``values``, the jet's d0 statements alone run per point of a list
-(:func:`eval_value` is a list of one).  The walk runs once per shape; :mod:`trapcorr.xi_ode`
-writes its jet block and its slope block, the d0 and d1 statements alone, into the
-xi-ODE's stage.  Literals are bound as values, so trees of one shape share their code
-through bounded caches; a literal exponent r alone is part of the shape, so that its
-r - 1, r (r - 1), ..., u^1 = u and u^0 = 1 are folded where the code is emitted.  The
-derivative statements are sums of products, assembled without the factors 1.0 and the
-products with a factor 0.0 that x's jet (x, 1, 0, 0), a literal's (c, 0, 0, 0) and
-those folded powers feed them.  The contract, checked in the test suite against an
-interpreter of the unfolded rules: values, and derivatives but for the sign of an
-exact zero, are bit for bit the unfolded rules'; a jet, value or slope is a DomainError
-exactly where those raise or give a non-finite component.  Where only a derivative is
-undefined (``sqrt`` at 0), the value stands and the jet is rejected; the slope stands
-where only d2 or d3 is.  Jets are exact to rounding; nothing differentiates numerically.
+A tree compiles once, on first use, to straight-line Python emitted for its shape
+(source transformation: Griewank & Walther, *Evaluating Derivatives*, ch. 13): the jet,
+the value and first three derivatives at a point (a :class:`Jet3`), and the values alone
+at each point of a list.  Trees of one shape share that code, which is kept across
+processes as bytecode is (:func:`_compiled`).  The contract, checked in the test suite
+against an interpreter of the unfolded rules: values, and derivatives but for the sign
+of an exact zero, are bit for bit the unfolded sum, product, quotient, power and chain
+rules'; a jet, value or slope (value and first derivative, read by :mod:`trapcorr.xi_ode`)
+is a DomainError exactly where those raise or give a non-finite component.  So the value
+stands where only a derivative is undefined (``sqrt`` at 0), and the slope where only d2
+or d3 is.  Nothing differentiates numerically.
 """
 
 from __future__ import annotations

@@ -79,10 +79,10 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
     Deterministic for fixed inputs.  Raises :class:`ToleranceError` when
     ``tol`` is not reached within ``DEFAULT_MAX_EVALS`` evaluations, or
     sooner, when the table stalls at its round-off floor or the integral
-    looks divergent; and :class:`ConfigError` for a non-positive tolerance or
-    reversed limits.
+    looks divergent; and :class:`ConfigError` for a tolerance that is not
+    positive (NaN included) or reversed limits.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ConfigError(f"tolerance must be positive, got {tol!r}")
     if x < a:
         raise ConfigError(f"reversed limits: a={a!r} > x={x!r}")

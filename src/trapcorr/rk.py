@@ -7,11 +7,10 @@ seventh-order formula (the propagating half of his 7(8) pair).
 
 Stepping in decreasing x needs no special casing: a negative step size
 falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
-reverse trajectories reuse the same kernel.  Each tableau compiles, once,
-on first use, to one straight-line step function over its nonzero
-entries, in index order, with the coefficients bound as values; the
-function is left out of a pickled tableau.  :func:`step_source` writes it around
-given stage statements, and :mod:`trapcorr.xi_ode`'s sweep step too.
+reverse trajectories reuse the same kernel, and a sweep's last step is
+clamped to land exactly on its end.  Each tableau compiles, once, on first
+use, to one straight-line step with the roundings of a loop over its
+nonzero entries.
 
 A declared order p, at most the stage count and ``MAX_ORDER``, is checked by
 Butcher's condition b . Phi(t) = 1/gamma(t) for each rooted tree t of order up
@@ -275,6 +274,8 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
         s, p = int(head[0]), int(head[1])
     except ValueError as exc:
         raise ConfigError(f"tableau file {path!r}: bad header {lines[0]!r}") from exc
+    if s < 0:
+        raise ConfigError(f"tableau file {path!r}: negative stage count {s}")
     if len(lines) < 1 + s + 2:
         raise ConfigError(
             f"tableau file {path!r}: expected {1 + s + 2} lines, got {len(lines)}")

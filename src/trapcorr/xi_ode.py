@@ -23,10 +23,9 @@ cancellation, however far [a, b] lies from the origin.  Every function
 here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
-The ODE compiles once per (shape of g, tableau), from the blocks :mod:`trapcorr.expr` emits per
-shape, to a sweep step (:func:`trapcorr.rk.step_source`) with every stage inline: g, g' and the
-slope's terms that x alone fixes, read once per abscissa x and carried from a node c = 1 to the
-next step's c = 0, then the jet at xi; and to :func:`xi_rhs`'s stage, those statements once.
+Each stage, of :func:`xi_rhs` or inline in the sweep's step, reads g and g' at x and the full
+jet only at xi, and an error in the jet at xi is raised at x, naming xi.  The ODE compiles once
+per (shape of g, tableau).
 """
 
 from __future__ import annotations

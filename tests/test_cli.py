@@ -187,6 +187,20 @@ def test_unknown_flag_exit_2(capsys):
         assert "[args]" in lines[0]
 
 
+@pytest.mark.parametrize("flag", ["x0", "shift-D"])
+@pytest.mark.parametrize("value", ["-1e3", "-1.5e1", "-1E-3", "-.5", "-1000", "-inf", "-nan"])
+def test_negative_value_as_a_separate_argument(flag, value, capsys):
+    # argparse's own pattern reads -1000 as a value but -1e3 and -inf as flags; both
+    # spellings must reach the same check
+    base = ["xi-curve", "--f", "sin(x)", "--a", "-2", "--b", "2", "--h", "0.05"]
+    outcomes = []
+    for argv in ([f"--{flag}", value], [f"--{flag}={value}"]):
+        code = main([*base, *argv])
+        outcomes.append((code, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1]
+    assert "[args]" not in outcomes[0][1]
+
+
 def test_singular_denominator_exit_3_and_shift_remedy(tmp_path, capsys):
     base = ["integrate", "--f", "x^2", "--a", "0", "--b", "4", "--x0", "2",
             "--h", "0.01"]
@@ -456,6 +470,18 @@ def test_non_finite_tableau_exit_5(name, command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+def test_negative_stage_count_tableau_exit_5(command, tmp_path, capsys):
+    # the header's count, not a later line read in its place, is what is wrong
+    path = tmp_path / "negative.tab"
+    path.write_text("-1 1\n1\n1\n", encoding="ascii")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"trapcorr: [config] tableau file '{path}': "
+                            "negative stage count -1\n")
+
+
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
 def test_non_ascii_tableau_exit_5(command, tmp_path, capsys):
     path = tmp_path / "latin-1.tab"
     path.write_bytes(b"1 1\n\n\xff\n0.0\n")
@@ -541,11 +567,12 @@ _SOUP = st.lists(st.sampled_from(
 
 
 def _flag(name, values):
-    """``--name=value`` for a value drawn from ``values`` (a list or a
-    strategy); None leaves the flag out."""
+    """``--name=value`` or ``--name value`` for a value drawn from ``values`` (a list
+    or a strategy); None leaves the flag out."""
     if isinstance(values, list):
         values = st.sampled_from(values)
-    return values.map(lambda v: [] if v is None else [f"--{name}={v}"])
+    return st.tuples(values, st.booleans()).map(
+        lambda d: [] if d[0] is None else [f"--{name}={d[0]}"] if d[1] else [f"--{name}", d[0]])
 
 
 _ARGV = st.builds(

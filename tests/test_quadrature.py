@@ -102,6 +102,13 @@ def test_reference_rejects_bad_args():
         reference_integral(SIN, 5.0, 1.0, 1e-10)
 
 
+def test_reference_rejects_a_nan_tolerance():
+    # NaN fails every comparison, so it must not pass as a positive tolerance and
+    # reach the table, whose stop rules would then blame the round-off floor
+    with pytest.raises(ConfigError, match=r"^tolerance must be positive, got nan$"):
+        reference_integral(SIN, 0.0, 1.0, math.nan)
+
+
 def test_reference_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_EVALS", 2 ** 12)
     with pytest.raises(ToleranceError) as exc:
