@@ -14,11 +14,17 @@ prints exactly one diagnostic line naming the failing phase; stack
 traces never appear by default.  CSVs, reports and help pages are all
 written under phase ``output``: a failed write to stdout exits 6, and a
 stdout closed at start-up discards the output.
+
+:func:`entry`, the console script, freezes the process's heap (``gc.freeze``)
+before it exits, so the collections Python runs as it shuts down skip what
+the run built; atexit handlers still run and the standard streams are still
+flushed.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import os
 import re
@@ -40,10 +46,12 @@ PROG = "trapcorr"
 _EXIT_CODES = ((ExpressionError, 2), (SingularDenominatorError, 3), (NoRootError, 4),
                (IoError, 6))
 
-#: an argument that is a value, not a flag: a minus before a digit, a point or inf/nan, so that
-#: ``--a -1e3`` and ``--a -inf`` reach the same check as ``--a=-1e3`` (argparse's own pattern
-#: takes only ``-1000`` and ``-1.5``)
-_NEGATIVE_NUMBER = re.compile(r"-\.?\d|-(?i:inf|nan)")
+#: an argument that is a value, not a flag: a minus before a letter, a digit, a point or a
+#: parenthesis, as a number or an expression may start, so that ``--a -1e3``, ``--a -inf`` and
+#: ``--f -sin(x)`` reach the same check as ``--a=-1e3`` (argparse's own pattern takes only
+#: ``-1000`` and ``-1.5``).  The parser's own ``-h`` and ``-v`` must not match: argparse would
+#: then read every negative number as a flag
+_NEGATIVE_NUMBER = re.compile(r"-(?![hv]\Z)[\w.(]")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -203,6 +211,9 @@ def entry() -> None:
             sys.stdout.flush()
         except OSError:
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    # what the process built is garbage only at exit: moved to the permanent generation, it is
+    # not traversed by the collections the interpreter runs as it finalizes
+    gc.freeze()
     raise SystemExit(code)
 
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from typing import TYPE_CHECKING
 
-from .errors import DomainError, SingularDenominatorError
+from .errors import ConfigError, DomainError, SingularDenominatorError
 from .expr import _NAMESPACE, ExprAST, _compiled, _emit, _shape, eval_jet
 from .rk import step_source
 
@@ -59,7 +59,7 @@ def _at_x(what: str, xi: float, x: float) -> DomainError:
 _READ = """\
 {slope}
 if not 0.0{fin0}{fin1} == 0.0: raise DomainError("non-finite jet component", x)
-if x == a: raise ValueError("xi_rhs is undefined at x == a")
+if x == a: raise ConfigError("xi_rhs is undefined at x == a")
 t = x - a; t3{n} = t ** 3; thr{n} = guard * (1.0 + abs(t3{n}))
 P{n} = F * {w0} + g_a6 + {t_dg}; Q{n} = 3.0 * t * t"""
 
@@ -120,7 +120,8 @@ def _source(shape, tableau) -> tuple[str, list]:
 def _factory(shape, tableau):
     """``bind`` of :func:`_source`'s code and coefficients, per (shape, tableau), bounded."""
     source, values = _source(shape, tableau)
-    namespace = dict(_NAMESPACE, at_x=_at_x, SingularDenominatorError=SingularDenominatorError)
+    namespace = dict(_NAMESPACE, at_x=_at_x, ConfigError=ConfigError,
+                     SingularDenominatorError=SingularDenominatorError)
     exec(_compiled(source, "<trapcorr.xi_ode emitted>"), namespace)
     return partial(namespace["bind"], *values)
 
@@ -141,10 +142,11 @@ def bind_step(p: ProblemSpec):
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     """Slope of the mean-value point xi at (x, xi).
 
-    Requires x != a (the defining identity is 0 = 0 there) and a denominator above the
-    guard threshold; raises :class:`SingularDenominatorError` otherwise.  At x it reads g
-    and g' alone, so it is defined where only g'' or g''' is not.  A :class:`DomainError` of
-    the jet at xi is raised at x, naming xi.  Its statements are each stage of the sweep's step.
+    Requires x != a (the defining identity is 0 = 0 there), else raises :class:`ConfigError`,
+    and a denominator above the guard threshold, else :class:`SingularDenominatorError`.  At x
+    it reads g and g' alone, so it is defined where only g'' or g''' is not.  A
+    :class:`DomainError` of the jet at xi is raised at x, naming xi.  Its statements are each
+    stage of the sweep's step.
     """
     if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):
         object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[1]))

@@ -201,6 +201,24 @@ def test_negative_value_as_a_separate_argument(flag, value, capsys):
     assert "[args]" not in outcomes[0][1]
 
 
+@pytest.mark.parametrize("value", ["-sin(x)", "-x", "-(x)", "-pi*x", "-2*x"])
+def test_negative_integrand_as_a_separate_argument(value, capsys):
+    # a minus before a letter or a parenthesis starts an expression, not an unknown flag
+    base = ["integrate", "--a", "1", "--b", "4", "--h", "0.01"]
+    outcomes = []
+    for argv in (["--f", value], [f"--f={value}"]):
+        code = main([*base, *argv])
+        outcomes.append((code, *capsys.readouterr()))
+    assert outcomes[0] == outcomes[1]
+    assert "[args]" not in outcomes[0][2]
+
+
+def test_verbose_after_a_negative_integrand(capsys):
+    assert main(["integrate", "--f", "-sin(x)", "--a", "1", "--b", "4", "--h", "0.01", "-v"]) == 0
+    assert re.fullmatch(r"trapcorr: \[curve\] 301 rows in \S+s \(fehlberg7\)\n",
+                        capsys.readouterr().err)
+
+
 def test_singular_denominator_exit_3_and_shift_remedy(tmp_path, capsys):
     base = ["integrate", "--f", "x^2", "--a", "0", "--b", "4", "--x0", "2",
             "--h", "0.01"]
@@ -427,6 +445,30 @@ def test_stdout_on_a_full_device_exit_6(argv, buffering):
     assert proc.returncode == 6
     assert proc.stderr.splitlines() == ["trapcorr: [output] cannot write '<stdout>': "
                                         "[Errno 28] No space left on device"]
+
+
+def _entry(argv):
+    """``entry()`` with ``argv``, in a ``-X dev`` Python whose atexit hook writes to stderr
+    whether the heap was frozen."""
+    check = ("import atexit, gc, sys, trapcorr.cli; "
+             "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+             f"sys.argv = {['trapcorr', *argv]!r}; trapcorr.cli.entry()")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-X", "dev", "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_entry_exits_with_a_frozen_heap_and_runs_atexit(tmp_path):
+    argv = ["integrate", *SMALL_SIN_ARGS, "--out"]
+    proc = _entry([*argv, str(tmp_path / "entry.csv")])
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+    assert main([*argv, str(tmp_path / "main.csv")]) == 0
+    assert (tmp_path / "entry.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    proc = _entry(["integrate", "--f", "2x", "--a", "1", "--b", "4", "--h", "0.01"])
+    lines = proc.stderr.splitlines()
+    assert (proc.returncode, len(lines), lines[-1]) == (2, 2, "True")
+    assert lines[0].startswith("trapcorr: [parse] ")
 
 
 @pytest.mark.parametrize("argv", STDOUT_ARGVS, ids=_argv_id)

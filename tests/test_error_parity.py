@@ -11,7 +11,8 @@ import math
 
 import pytest
 
-from trapcorr import DomainError, ProblemSpec, SingularDenominatorError, parse, run, xi_rhs
+from trapcorr import (ConfigError, DomainError, ProblemSpec, SingularDenominatorError, parse,
+                      run, xi_rhs)
 from trapcorr.cli import main
 from trapcorr.expr import eval_jet, eval_value
 
@@ -121,7 +122,8 @@ def test_evaluators_fail_as_before(call, message, x, cause):
 
 
 def test_rhs_at_the_lower_limit_fails_as_before():
-    with pytest.raises(ValueError) as exc:
+    # a violated precondition of the call, so a package error: the message is the old one
+    with pytest.raises(ConfigError) as exc:
         xi_rhs(SQRT, 1.0, 0.5)
-    assert type(exc.value) is ValueError
+    assert type(exc.value) is ConfigError
     assert exc.value.args == ("xi_rhs is undefined at x == a",)

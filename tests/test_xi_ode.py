@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (FEHLBERG7, DomainError, ProblemSpec, RKTableau, SingularDenominatorError,
-                      error_term, eval_jet, eval_value, parse,
+from trapcorr import (FEHLBERG7, ConfigError, DomainError, ProblemSpec, RKTableau,
+                      SingularDenominatorError, error_term, eval_jet, eval_value, parse,
                       reference_integral, rk_step, solve_xi_at, suggest_shift,
                       run, unshift_error, xi_ode, xi_rhs)
 from trapcorr import expr, pipeline
@@ -54,7 +54,7 @@ def test_rhs_singular_denominator():
 
 
 def test_rhs_rejects_lower_limit():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         xi_rhs(sin_problem(), 1.0, 2.0)
 
 
@@ -197,7 +197,7 @@ _STAGE_FAILURES = {
     "at-xi": (("sqrt(x)", 1.0, 4.0, -1.0, lambda c0: 2.0), DomainError),
     "non-finite-jet": (("exp(x^2)", 1.0, 27.0, 26.6, lambda c0: 26.4), DomainError),
     "singular": (("sin(x)", 1.0, 10.0, math.pi / 2.0, lambda c0: 5.0), SingularDenominatorError),
-    "at-a": (("sin(x)", 0.0, 10.0, 2.0, lambda c0: -(c0 * 0.01)), ValueError),  # x + c0 h == a
+    "at-a": (("sin(x)", 0.0, 10.0, 2.0, lambda c0: -(c0 * 0.01)), ConfigError),  # x + c0 h == a
 }
 
 
