@@ -120,10 +120,13 @@ def shift_by_cubic(node: ExprAST, d: float, a: float) -> ExprAST:
 
 # ----------------------------------------------------------------- parser
 
+#: one token per match from any offset on: a character no other alternative takes is ``bad``
 _TOKEN_RE = re.compile(r"""
-    (?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+    (?P<space>\s+)
+  | (?P<num>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
@@ -146,22 +149,14 @@ class _Parser:
     @staticmethod
     def _tokenize(text: str):
         tokens = []
-        pos = 0
-        n = len(text)
-        while pos < n:
-            ch = text[pos]
-            if ch.isspace():
-                pos += 1
-                continue
-            if ord(ch) > 127:
-                raise SyntaxError_(f"non-ASCII character {ch!r}", pos)
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise SyntaxError_(f"unexpected character {ch!r}", pos)
-            kind = m.lastgroup
-            tokens.append((kind, m.group(), pos))
-            pos = m.end()
-        tokens.append(("eof", "", n))
+        for m in _TOKEN_RE.finditer(text):
+            kind, token, pos = m.lastgroup, m.group(), m.start()
+            if kind == "bad":
+                what = "non-ASCII" if ord(token) > 127 else "unexpected"
+                raise SyntaxError_(f"{what} character {token!r}", pos)
+            if kind != "space":
+                tokens.append((kind, token, pos))
+        tokens.append(("eof", "", len(text)))
         return tokens
 
     def peek(self):

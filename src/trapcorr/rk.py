@@ -8,9 +8,9 @@ seventh-order formula (the propagating half of his 7(8) pair).
 Stepping in decreasing x needs no special casing: a negative step size
 falls straight out of y_{i+1} = y_i + h F(x_i, y_i, h) with h < 0, so
 reverse trajectories reuse the same kernel, and a sweep's last step is
-clamped to land exactly on its end.  Each tableau compiles, once, on first
-use, to one straight-line step with the roundings of a loop over its
-nonzero entries.
+clamped to land exactly on its end.  A step is a plain loop over the
+tableau's nonzero entries.  The xi-ODE's sweep step (:mod:`trapcorr.xi_ode`)
+is written out with that loop's operations, and so its roundings.
 
 A declared order p, at most the stage count and ``MAX_ORDER``, is checked by
 Butcher's condition b . Phi(t) = 1/gamma(t) for each rooted tree t of order up
@@ -26,7 +26,6 @@ from typing import Callable
 
 from ._value import Value
 from .errors import ConfigError, IoError
-from .expr import _compiled
 
 __all__ = [
     "RKTableau", "FEHLBERG7",
@@ -84,15 +83,21 @@ class RKTableau(Value):
         return (tuple(tuple((j, v) for j, v in enumerate(row) if v != 0.0) for row in self.a),
                 tuple((i, v) for i, v in enumerate(self.b) if v != 0.0))
 
-    @cached_property
-    def step(self) -> Callable[[Rhs, float, float, float], float]:
-        """``step(rhs, x, y, h)``: one step of this method, straight-line code."""
-        names, values, body = step_source(self, lambda i, yi: f"k{i} = rhs(x + c{i} * h, {yi})")
-        source = (f"def bind({', '.join(names)}):\n    def step(rhs, x, y, h):\n        "
-                  + body.replace("\n", "\n        ") + "\n    return step\n")
-        namespace: dict = {}
-        exec(_compiled(source, "<trapcorr.rk emitted>"), namespace)
-        return namespace["bind"](*values)
+    def step(self, rhs: Rhs, x: float, y: float, h: float) -> float:
+        """One step of this method over ``rhs`` from (x, y) by h.  Stage i sets k_i =
+        rhs(x + c_i h, y + h a_ij k_j + ...), and the step returns y + h (0.0 + b_i k_i + ...),
+        each sum left to right over the nonzero entries."""
+        rows, weights = self.nonzero
+        k = []
+        for row, ci in zip(rows, self.c):
+            yi = y
+            for j, a in row:
+                yi += h * a * k[j]
+            k.append(rhs(x + ci * h, yi))
+        acc = 0.0
+        for i, b in weights:
+            acc += b * k[i]
+        return y + h * acc
 
     def row_sum_defect(self) -> float:
         """max_i |c_i - sum_j A_ij| (zero for a consistent tableau)."""
@@ -143,31 +148,6 @@ def order_condition_residuals(t: RKTableau) -> tuple[tuple[int, int, float], ...
     return tuple((n, len(_trees(n)), max(abs(a_phi[-1] - 1.0 / gamma)
                                          for a_phi, _, gamma in map(weights, _trees(n))))
                  for n in range(1, t.order + 1))
-
-
-def step_source(t: RKTableau, stage: Callable[[int, str], str]) -> tuple:
-    """(names, values, body) of one step of ``t`` from (x, y) by h: its nonzero
-    coefficients and its statements.  Stage i sets k_i at x + c_i h and
-    y + h a_ij k_j + ... by the source ``stage(i, y_i)``, and the step returns
-    y + h (0.0 + b_i k_i + ...), summed left to right over the nonzero entries:
-    the operations, and so the roundings, of a loop over them."""
-    rows, weights = t.nonzero
-    names, values, stages = [], [], []
-    for i, (row, ci) in enumerate(zip(rows, t.c)):
-        names.append(f"c{i}")
-        values.append(ci)
-        yi = "y"
-        for j, a in row:
-            names.append(f"a{i}_{j}")
-            values.append(a)
-            yi += f" + h * a{i}_{j} * k{j}"
-        stages.append(stage(i, yi))
-    acc = "0.0"
-    for i, b in weights:
-        names.append(f"b{i}")
-        values.append(b)
-        acc += f" + b{i} * k{i}"
-    return names, values, "\n".join(stages + [f"return y + h * ({acc})"])
 
 
 def _fehlberg7() -> RKTableau:

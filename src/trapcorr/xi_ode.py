@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError, SingularDenominatorError
 from .expr import _NAMESPACE, ExprAST, _compiled, _emit, _shape, eval_jet
-from .rk import step_source
 
 if TYPE_CHECKING:
     from .pipeline import ProblemSpec
@@ -92,8 +91,11 @@ def bind({names}{literals}a, g_a, F, guard, record):
 
 def _source(shape, tableau) -> tuple[str, list]:
     """One shape's stage and sweep step by ``tableau``, and the tableau's coefficients.  The
-    step reads x's terms once per node c, carries a node c = 1's into the next step's c = 0
-    at an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    step's stage i is x = x_n + c_i h, then k_i the slope at y + h a_ij k_j + ..., and it
+    returns y + h (0.0 + b_i k_i + ...), each sum left to right over the nonzero entries: the
+    roundings of :meth:`~trapcorr.rk.RKTableau.step`'s loop.  It reads x's terms once per node
+    c, carries a node c = 1's into the next step's c = 0 at an equal abscissa and records
+    stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
     em = dict(em, slope=em["slope"].replace("\n" + " " * 8, "\n")[8:],  # from 8 columns to 0,
               jet=em["jet"].replace("\n    ", "\n")[4:],  # and to 4, in its try
@@ -102,18 +104,24 @@ def _source(shape, tableau) -> tuple[str, list]:
     def indent(text, columns):
         return " " * columns + text.replace("\n", "\n" + " " * columns)
 
-    def step_stage(i, yi):  # a node's first stage reads x's terms or takes the carry
+    rows, weights = tableau.nonzero
+    coefficients, stages = {}, []  # bind's parameters c_i, a_ij, b_i by name, in order
+    for i, row in enumerate(rows):
+        coefficients.update([(f"c{i}", c[i])] + [(f"a{i}_{j}", a) for j, a in row])
+        yi = "y" + "".join(f" + h * a{i}_{j} * k{j}" for j, _ in row)
         n, recurs = nodes.index(nodes[i]), nodes.count(nodes[i]) > 1  # a recurring c = 0 reads
         terms, read = f"t3_{n}, thr_{n}, P_{n}, Q_{n}", _READ.format(n=f"_{n}", **em)
-        if c[i] == 0.0 and not recurs:
+        if c[i] == 0.0 and not recurs:  # a node's first stage reads x's terms or takes the carry
             read = f"if x == carry[0]: _, {terms} = carry\nelse:\n" + indent(read, 4)
-        return (f"x = x_n + c{i} * h\n" + (read + "\n") * (n == i)
-                + _JET.format(n=f"_{n}", xi=yi, k=f"k{i} =", **em)
-                + f"\nrecord({em['w2']})" * (i == 0) + f"\ncarry = x_s, {terms}" * (c[i] == 1.0))
-    names, values, body = step_source(tableau, step_stage)
+        stages.append(f"x = x_n + c{i} * h\n" + (read + "\n") * (n == i)
+                      + _JET.format(n=f"_{n}", xi=yi, k=f"k{i} =", **em)
+                      + f"\nrecord({em['w2']})" * (i == 0)
+                      + f"\ncarry = x_s, {terms}" * (c[i] == 1.0))
+    coefficients.update((f"b{i}", b) for i, b in weights)
+    stages.append("return y + h * (0.0" + "".join(f" + b{i} * k{i}" for i, _ in weights) + ")")
     stage = _READ.format(n="", **em) + "\n" + _JET.format(n="", xi="xi", k="return", **em)
-    return _XI.format(names="".join(name + ", " for name in names), stage=indent(stage, 8),
-                      stages=indent(body, 8), **em), values
+    return _XI.format(names="".join(name + ", " for name in coefficients), stage=indent(stage, 8),
+                      stages=indent("\n".join(stages), 8), **em), list(coefficients.values())
 
 
 @lru_cache(maxsize=256)

@@ -1,3 +1,4 @@
+import faulthandler
 import os
 import tempfile
 from pathlib import Path
@@ -18,6 +19,11 @@ HEUN3 = RKTableau(name="heun3", order=3, a=((), (1 / 3,), (0.0, 2 / 3)),
 #: the suite's cache of compiled emitted code, and what points the program at it
 _EMITTED = pytest.StashKey()
 
+#: seconds one test may run before every thread's stack is printed and the run exits
+WATCHDOG_S = 240.0
+#: a descriptor of the terminal's stderr, which a test's output capture does not redirect
+_WATCHDOG_FD = pytest.StashKey()
+
 
 def pytest_configure(config):
     """Compiled emitted code goes to a fresh directory per session, for this process and,
@@ -30,12 +36,25 @@ def pytest_configure(config):
     patch.setenv("PYTHONPYCACHEPREFIX", os.path.join(root.name, "pycache"))
     patch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
     config.stash[_EMITTED] = root, patch
+    config.stash[_WATCHDOG_FD] = os.dup(2)  # capture is suspended while plugins configure
 
 
 def pytest_unconfigure(config):
     root, patch = config.stash[_EMITTED]
     patch.undo()
     root.cleanup()
+    os.close(config.stash[_WATCHDOG_FD])
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """A watchdog per test: a test that hangs, or a shrink that runs away, ends the run with
+    every thread's stack instead of holding it until an outer timeout."""
+    faulthandler.dump_traceback_later(WATCHDOG_S, exit=True, file=item.config.stash[_WATCHDOG_FD])
+    try:
+        return (yield)
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 def sin_spec(**overrides) -> ProblemSpec:

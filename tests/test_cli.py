@@ -366,7 +366,8 @@ def test_jet_domain_error_exit_5(capsys):
     "(" * 300 + "x" + ")" * 300,
     "+".join(["x"] * 1200),
     "1e400",
-], ids=["300-parentheses", "1200-terms", "1e400"])
+    "sin(x)*2٠",  # an Arabic-Indic zero, no ASCII digit
+], ids=["300-parentheses", "1200-terms", "1e400", "non-ascii-digit"])
 def test_unparseable_expression_exit_2(text, capsys):
     code = main(["integrate", "--f", text, "--a", "1", "--b", "4", "--h", "0.02"])
     assert code == 2

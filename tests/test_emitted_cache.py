@@ -62,8 +62,8 @@ def _rewrite(path: Path, stored: tuple) -> None:
 @pytest.mark.parametrize("tamper", [
     lambda path: _rewrite(path, (MAGIC_NUMBER, NAME, SOURCE.replace("0.5", "1.5"),
                                  COMPILE(SOURCE.replace("0.5", "1.5"), NAME, "exec"))),
-    lambda path: _rewrite(path, (MAGIC_NUMBER, "<trapcorr.rk emitted>", SOURCE,
-                                 COMPILE(SOURCE, "<trapcorr.rk emitted>", "exec"))),
+    lambda path: _rewrite(path, (MAGIC_NUMBER, "<trapcorr.xi_ode emitted>", SOURCE,
+                                 COMPILE(SOURCE, "<trapcorr.xi_ode emitted>", "exec"))),
     lambda path: _rewrite(path, (b"\x00\x00\r\n", NAME, SOURCE, COMPILE(SOURCE, NAME, "exec"))),
     lambda path: path.write_bytes(path.read_bytes()[:len(path.read_bytes()) // 2]),
     lambda path: path.write_bytes(b"\xff not marshal data"),

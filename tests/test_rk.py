@@ -422,16 +422,15 @@ def test_compiled_step_matches_a_dense_loop_bit_for_bit():
 
 
 def test_compiled_step_stays_out_of_pickles_hash_and_equality():
+    # stepping leaves no state in the pickle, hash or equality: a rebuilt tableau and an
+    # unpickled copy equal the stepped one and step bit for bit as it does
     def rhs(x, y):
         return math.cos(x) * y
 
     want = rk_step(_f7(rhs), 0.3, 1.1, -0.02)
-    assert "step" in FEHLBERG7.__dict__  # compiled on that first step
     fresh = RKTableau(FEHLBERG7.name, FEHLBERG7.order, FEHLBERG7.a, FEHLBERG7.b, FEHLBERG7.c)
-    assert "step" not in fresh.__dict__
     assert fresh == FEHLBERG7 and hash(fresh) == hash(FEHLBERG7)
+    assert pickle.dumps(fresh) == pickle.dumps(FEHLBERG7)
     copy = pickle.loads(pickle.dumps(FEHLBERG7))
-    assert "step" not in copy.__dict__
     assert copy == FEHLBERG7 and hash(copy) == hash(FEHLBERG7)
     assert rk_step(partial(copy.step, rhs), 0.3, 1.1, -0.02).hex() == want.hex()
-    assert copy.step is not FEHLBERG7.step and copy == FEHLBERG7
