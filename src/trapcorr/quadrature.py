@@ -14,7 +14,6 @@ the panels shrink, as at a pole inside the interval.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left
 from functools import reduce
 from itertools import accumulate, compress
 from math import inf, ulp
@@ -114,21 +113,20 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float], tols: list[floa
     the head, the first ``PLATEAU_LEVELS`` levels, where only agreement can stop them (after
     level k at most k - 1 levels have failed to halve the estimate).  There, while the open
     panels outnumber a level's midpoints per panel, a level's midpoints are one list and each
-    table column one list over the panels.  The rest run the scalar loop, one after another."""
+    table column one list over the panels.  The rest start over in the scalar loop, one by one."""
     plateau, budget, results = PLATEAU_LEVELS, DEFAULT_MAX_EVALS, [None] * len(tols)
     # the open panels, ascending: their indices, starts, widths, tolerances and last rows
     at, a, h, tol = [*range(len(tols))], nodes[:-1], [x - p for p, x in zip(nodes, nodes[1:])], tols
     traps = traps or [0.5 * w * (fa + fx) for w, fa, fx in zip(h, values, values[1:])]
     row = [traps]  # read, never written: the scalar loop below starts from it too
-    head, n, evals = [], 1, 2  # head[k - 1]: the panels open at level k, and its midpoints
-    while len(head) < plateau and n < len(at) and evals + n <= budget:  # next level adds n each
-        k, n, evals = len(head) + 1, 2 * n, evals + n
+    k, n, evals = 0, 1, 2
+    while k < plateau and n < len(at) and evals + n <= budget:  # next level adds n each
+        k, n, evals = k + 1, 2 * n, evals + n
         h, odd = [0.5 * w for w in h], range(1, n, 2)
         try:  # midpoint j of every panel, then midpoint j + 2
             vals = eval_values(f, [p + j * w for j in odd for p, w in zip(a, h)])
         except TrapcorrError:  # the open panels go on one at a time, and the first to fail raises
             break
-        head.append((at, vals))
         sums = vals[:len(at)]  # summed from 0.0 below, as the scalar loop sums
         for s in range(len(at), len(vals), len(at)):
             sums = [*map(add, sums, vals[s:s + len(at)])]
@@ -150,11 +148,7 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float], tols: list[floa
         best, best_est, stall_from, stalled = prev[0], inf, inf, 0
         while evals + n <= budget:  # next level adds n midpoints
             k, n, evals, w = k + 1, 2 * n, evals + n, 0.5 * w
-            if k <= len(head):
-                level_at, level_vals = head[k - 1]
-                mids = level_vals[bisect_left(level_at, i)::len(level_at)]
-            else:
-                mids = eval_values(f, [p + j * w for j in range(1, n, 2)])
+            mids = eval_values(f, [p + j * w for j in range(1, n, 2)])
             peaks.append(max(peaks[-1], *map(abs, mids)))  # the largest |f| through level k
             row = [0.5 * prev[0] + w * reduce(add, mids, 0.0)]
             for j in range(1, k + 1):

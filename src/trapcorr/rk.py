@@ -256,7 +256,7 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
         raise ConfigError(f"tableau file {path!r}: bad header {lines[0]!r}") from exc
     if s < 0:
         raise ConfigError(f"tableau file {path!r}: negative stage count {s}")
-    if len(lines) < 1 + s + 2:
+    if len(lines) != 1 + s + 2:
         raise ConfigError(
             f"tableau file {path!r}: expected {1 + s + 2} lines, got {len(lines)}")
 

@@ -263,6 +263,16 @@ def test_no_root_at_the_float_resolution_floor_exit_4(capsys):
     assert floor and 1e-12 < float(floor[1]) <= float(floor[2]) < 1e-11
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 7: no exit-0 bound is enforced yet")
+def test_huge_shift_does_not_exit_0():
+    # the bootstrap's residual rounds to exactly 0 at the cubic's own mean-value point,
+    # (a + x0)/2 = 1.75, and each step's rounding of xi moves the identity by an ulp of
+    # xi times (x-a)^3/12 |f''' + D|, about 1e285: the run exits 0 erring by 1.19e285
+    code = main(["integrate", "--f", "sin(x)", "--a", "1", "--b", "4", "--h", "0.02",
+                 "--shift-D", "1e300"])
+    assert code != 0
+
+
 def test_exotic_runs_with_scaled_tolerances(tmp_path):
     out = tmp_path / "exotic.csv"
     code = main(["integrate", "--f", "x^2*(sin(x)*ln(2+x)-100*x)",
@@ -533,6 +543,19 @@ def test_non_ascii_tableau_exit_5(command, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (f"trapcorr: [config] tableau file '{path}': "
                             "non-ASCII byte 0xff\n")
+
+
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+@pytest.mark.parametrize("extra", ["# Fehlberg 1968\n", "1 2 3\n"], ids=["comment", "numbers"])
+def test_line_after_c_line_tableau_exit_5(extra, command, tmp_path, capsys):
+    # the file ends with its c line: a line after it is not ignored
+    path = tmp_path / "trailing.tab"
+    path.write_text(format_tableau(FEHLBERG7) + extra, encoding="ascii")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"trapcorr: [config] tableau file '{path}': "
+                            "expected 14 lines, got 15\n")
 
 
 #: tableaux that cannot have the order they declare, and the end of the one

@@ -8,6 +8,7 @@ most one ulp of xi, times the identity's sensitivity (x - a)^3 / 12 |g'''(xi)|.
 """
 
 import math
+import statistics
 
 import pytest
 
@@ -67,3 +68,29 @@ def test_below_the_truncation_error_the_floor_is_the_models(h):
     worst, steps = _worst_error(spec, _sin)
     per_step = math.ulp(spec.b) * (spec.b - spec.a) ** 3 / 12.0
     assert worst <= spec.ref_tol + spec.root_tol + steps * per_step, (worst, steps)
+
+
+def _sin_phase(x):
+    return -math.cos(1.3 * x + 0.7) / 1.3
+
+
+@pytest.mark.parametrize("text, a, b, x0, shift, antiderivative", [
+    pytest.param("sin(x)", 1.0, 10.0, 5.0, 0.0, _sin, id="sin"),  # median order 6.84
+    pytest.param("sin(x)", 1.0, 10.0, 5.5, 0.0, _sin, id="sin-midpoint"),  # 7.08
+    pytest.param("sin(x)", 1.0, 10.0, 5.0, 2.0, _sin, id="sin-shifted"),  # 6.80
+    pytest.param("sin(1.3*x+0.7)", 0.5, 9.5, 4.0, 5.0, _sin_phase, id="sin-phase-shifted"),  # 7.06
+])
+def test_at_fixed_nodes_halving_h_gains_order_seven(text, a, b, x0, shift, antiderivative):
+    # Fehlberg-7's order, node by node: the worst-row orders of 5.3-5.4 above compare
+    # different nodes, since the worst node, a + h, moves with h.  The halving is
+    # h = 0.32 -> 0.16, where truncation dominates: from h = 0.08 on, the nodes near x0
+    # are already at the ~1e-14 floor, and the next halving's medians read 4.07 to 6.66
+    errors = []
+    for h in (0.32, 0.16):
+        rows = run(ProblemSpec.from_text(text, a, b, x0=x0, h=h, shift=shift)).rows[1:]
+        errors.append({r.x: abs(r.corrected - (antiderivative(r.x) - antiderivative(a)))
+                       for r in rows})
+    coarse, fine = errors
+    shared = (coarse.keys() & fine.keys()) - {x0}
+    orders = [math.log2(coarse[x] / fine[x]) for x in shared]
+    assert statistics.median(orders) >= 6.5, sorted(orders)
