@@ -15,6 +15,10 @@ traces never appear by default.  CSVs, reports and help pages are all
 written under phase ``output``: a failed write to stdout exits 6, and a
 stdout closed at start-up discards the output.
 
+Flags are read left to right as Python 3.11's argparse reads them, with its messages:
+``--flag value`` or ``--flag=value``, a long flag cut to any unique prefix, ``-h`` anywhere.
+argparse is not imported: with the gettext and locale it loads, it costs more than a small run.
+
 :func:`entry`, the console script, freezes the process's heap (``gc.freeze``)
 before it exits, so the collections Python runs as it shuts down skip what
 the run built; atexit handlers still run and the standard streams are still
@@ -23,12 +27,12 @@ flushed.
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
 import os
 import re
 import sys
+from types import SimpleNamespace
 
 from .errors import (ConfigError, ExpressionError, IoError, NoRootError,
                      SingularDenominatorError, TrapcorrError, phase)
@@ -48,85 +52,80 @@ _EXIT_CODES = ((ExpressionError, 2), (SingularDenominatorError, 3), (NoRootError
 
 #: an argument that is a value, not a flag: a minus before a letter, a digit, a point or a
 #: parenthesis, as a number or an expression may start, so that ``--a -1e3``, ``--a -inf`` and
-#: ``--f -sin(x)`` reach the same check as ``--a=-1e3`` (argparse's own pattern takes only
-#: ``-1000`` and ``-1.5``).  The parser's own ``-h`` and ``-v`` must not match: argparse would
-#: then read every negative number as a flag
+#: ``--f -sin(x)`` reach the same check as ``--a=-1e3``.  ``-h`` and ``-v`` are never values:
+#: where no ``-v`` is taken, it is an unknown flag, as argparse reads it
 _NEGATIVE_NUMBER = re.compile(r"-(?![hv]\Z)[\w.(]")
 
+#: each command's flags, in the order messages list them: flag -> (field, None for help; float
+#: or str, the value's type, or None for a switch; default, or ... if required).  Equal entries
+#: are one flag's spellings
+_HELP_FLAGS = {"-h": (None, None, None), "--help": (None, None, None)}
+_RUN_FLAGS = {
+    **_HELP_FLAGS, "--f": ("f", str, ...), "--a": ("a", float, ...), "--b": ("b", float, ...),
+    "--x0": ("x0", float, None), "--h": ("h", float, ...), "--shift-D": ("shift_d", float, 0.0),
+    "--tableau": ("tableau", str, "builtin"), "--reference": ("reference", None, False),
+    "--residual": ("residual", None, False), "--ref-tol": ("ref_tol", float, 1e-13),
+    "--root-tol": ("root_tol", float, 1e-12), "--out": ("out", str, None),
+    "-v": ("verbose", None, False), "--verbose": ("verbose", None, False)}
+#: xi-curve writes no column that --reference or --residual fills
+_XI_CURVE_FLAGS = {f: s for f, s in _RUN_FLAGS.items() if f not in ("--reference", "--residual")}
+_TABLEAU_FLAGS = {**_HELP_FLAGS, "--tableau": ("tableau", str, "builtin")}
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with single-line diagnostics, a stable help width, and help
-    written as any other output is."""
+_MAIN_HELP = """\
+usage: trapcorr [-h] COMMAND ...
 
-    def __init__(self, *args, **kwargs):
-        kwargs.setdefault(
-            "formatter_class",
-            lambda prog: argparse.HelpFormatter(
-                prog, width=88, max_help_position=28))
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = _NEGATIVE_NUMBER
+Trapezium quadrature with its error term recovered by integrating an ODE for the mean-
+value point.
 
-    def print_help(self, file=None):
-        return _emit(_write_text, self.format_help(), file)
+positional arguments:
+  COMMAND
+    integrate    run the corrected quadrature, write CSV
+    xi-curve     write only the (x, xi) columns
+    order-test   measure the tableau's empirical convergence order
+    tableau-check
+                 validate a tableau file
 
-    def error(self, message):
-        print(f"{PROG}: [args] {message}", file=sys.stderr)
-        raise SystemExit(2)
+options:
+  -h, --help     show this help message and exit
+"""
+#: integrate's options and, without the reference and residual lines, xi-curve's
+_RUN_OPTIONS = """
+options:
+  -h, --help              show this help message and exit
+  --f EXPR                integrand expression in x, e.g. 'sin(x)'
+  --a A                   lower limit
+  --b B                   upper limit
+  --x0 X0                 seed abscissa for the bootstrap (default: midpoint of [a, b])
+  --h H                   RK step size
+  --shift-D SHIFT_D       cubic shift constant D; g = f + D*(x-a)^3/6 (default: 0)
+  --tableau FILE|builtin  RK tableau to integrate with (default: builtin)
+{}  --ref-tol REF_TOL       absolute tolerance of reference integrals (default: 1e-13)
+  --root-tol ROOT_TOL     residual tolerance of the bootstrap root solve (default:
+                          1e-12)
+  --out PATH              output CSV path (default: stdout)
+  -v, --verbose           progress notes on stderr
+"""
+_INTEGRATE_HELP = """\
+usage: trapcorr integrate [-h] --f EXPR --a A --b B [--x0 X0] --h H [--shift-D SHIFT_D]
+                          [--tableau FILE|builtin] [--reference] [--residual]
+                          [--ref-tol REF_TOL] [--root-tol ROOT_TOL] [--out PATH] [-v]
+""" + _RUN_OPTIONS.format("""\
+  --reference             attach a reference-integral column (slow; default: off)
+  --residual              attach corrected-minus-reference column, implies --reference
+                          (default: off)
+""")
+_XI_CURVE_HELP = """\
+usage: trapcorr xi-curve [-h] --f EXPR --a A --b B [--x0 X0] --h H [--shift-D SHIFT_D]
+                         [--tableau FILE|builtin] [--ref-tol REF_TOL]
+                         [--root-tol ROOT_TOL] [--out PATH] [-v]
+""" + _RUN_OPTIONS.format("")
+_TABLEAU_HELP = """\
+usage: trapcorr {} [-h] [--tableau FILE|builtin]
 
-
-def _add_run_command(sub, name: str, summary: str, writer) -> None:
-    """A subcommand that runs the problem its flags state and writes the curve with ``writer``."""
-    p = sub.add_parser(name, help=summary)
-    p.add_argument("--f", required=True, metavar="EXPR",
-                   help="integrand expression in x, e.g. 'sin(x)'")
-    p.add_argument("--a", required=True, type=float, help="lower limit")
-    p.add_argument("--b", required=True, type=float, help="upper limit")
-    p.add_argument("--x0", type=float, default=None,
-                   help="seed abscissa for the bootstrap (default: midpoint of [a, b])")
-    p.add_argument("--h", required=True, type=float, help="RK step size")
-    p.add_argument("--shift-D", type=float, default=0.0, dest="shift_d",
-                   help="cubic shift constant D; g = f + D*(x-a)^3/6 (default: 0)")
-    p.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
-                   help="RK tableau to integrate with (default: builtin)")
-    if name == "integrate":  # xi-curve writes no column that these fill
-        p.add_argument("--reference", action="store_true",
-                       help="attach a reference-integral column (slow; default: off)")
-        p.add_argument("--residual", action="store_true",
-                       help="attach corrected-minus-reference column, implies "
-                            "--reference (default: off)")
-    p.add_argument("--ref-tol", type=float, default=1e-13,
-                   help="absolute tolerance of reference integrals (default: 1e-13)")
-    p.add_argument("--root-tol", type=float, default=1e-12,
-                   help="residual tolerance of the bootstrap root solve "
-                        "(default: 1e-12)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output CSV path (default: stdout)")
-    p.add_argument("-v", "--verbose", action="store_true",
-                   help="progress notes on stderr")
-    p.set_defaults(func=_cmd_run, writer=writer, reference=False, residual=False)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog=PROG,
-        description="Trapezium quadrature with its error term recovered by "
-                    "integrating an ODE for the mean-value point.")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    _add_run_command(sub, "integrate", "run the corrected quadrature, write CSV", emit_csv)
-    _add_run_command(sub, "xi-curve", "write only the (x, xi) columns", emit_xi_csv)
-
-    p_ord = sub.add_parser(
-        "order-test", help="measure the tableau's empirical convergence order")
-    p_ord.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
-                       help="RK tableau to measure")
-    p_ord.set_defaults(func=_cmd_order_test)
-
-    p_tab = sub.add_parser("tableau-check", help="validate a tableau file")
-    p_tab.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
-                       help="RK tableau to check")
-    p_tab.set_defaults(func=_cmd_tableau_check)
-    return parser
+options:
+  -h, --help              show this help message and exit
+  --tableau FILE|builtin  RK tableau to {}
+"""
 
 
 def _resolve_tableau(selector: str) -> RKTableau:
@@ -135,7 +134,7 @@ def _resolve_tableau(selector: str) -> RKTableau:
     return load_tableau(selector)
 
 
-def _build_spec(ns: argparse.Namespace) -> ProblemSpec:
+def _build_spec(ns: SimpleNamespace) -> ProblemSpec:
     with phase("parse"):
         f_ast = parse(ns.f)
     with phase("config"):
@@ -160,15 +159,16 @@ def _emit(writer, payload, destination=None) -> int:
     return 0
 
 
-def _cmd_run(ns: argparse.Namespace) -> int:
-    curve = run(_build_spec(ns), reference=ns.reference, residual=ns.residual)
+def _cmd_run(ns: SimpleNamespace) -> int:
+    curve = run(_build_spec(ns), reference=getattr(ns, "reference", False),  # not in xi-curve
+                residual=getattr(ns, "residual", False))
     if ns.verbose:
         print(f"{PROG}: [curve] {len(curve.rows)} rows in {curve.wall_time:.3f}s "
               f"({curve.spec.tableau.name})", file=sys.stderr)
-    return _emit(ns.writer, curve, ns.out)
+    return _emit(emit_csv if ns.command == "integrate" else emit_xi_csv, curve, ns.out)
 
 
-def _cmd_order_test(ns: argparse.Namespace) -> int:
+def _cmd_order_test(ns: SimpleNamespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     rows = empirical_order(tableau)
     lines = [f"tableau {tableau.name}: declared order {tableau.order}",
@@ -180,7 +180,7 @@ def _cmd_order_test(ns: argparse.Namespace) -> int:
     return _emit(_write_text, "\n".join(lines) + "\n")
 
 
-def _cmd_tableau_check(ns: argparse.Namespace) -> int:
+def _cmd_tableau_check(ns: SimpleNamespace) -> int:
     tableau = _resolve_tableau(ns.tableau)
     tableau.validate()
     lines = [f"tableau {tableau.name}: {tableau.stages} stages, declared order {tableau.order}",
@@ -190,12 +190,87 @@ def _cmd_tableau_check(ns: argparse.Namespace) -> int:
     return _emit(_write_text, "\n".join(lines + ["OK"]) + "\n")
 
 
+#: command -> (flags, help page, handler)
+_COMMANDS = {
+    "integrate": (_RUN_FLAGS, _INTEGRATE_HELP, _cmd_run),
+    "xi-curve": (_XI_CURVE_FLAGS, _XI_CURVE_HELP, _cmd_run),
+    "order-test": (_TABLEAU_FLAGS, _TABLEAU_HELP.format("order-test", "measure"), _cmd_order_test),
+    "tableau-check": (_TABLEAU_FLAGS, _TABLEAU_HELP.format("tableau-check", "check"),
+                      _cmd_tableau_check),
+}
+
+
+def _args_error(message: str):
+    print(f"{PROG}: [args] {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
+def _flag(flags: dict, arg: str) -> tuple[str, str | None] | None:
+    """None if ``arg`` is a value; else the flag, as ``flags`` spells it if it names one, and
+    the value given after its ``=``, or None."""
+    name, eq, value = arg.partition("=")
+    value = value if eq else None
+    if name in flags:
+        return name, value
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "-" and arg != "--":  # argparse's "--" ends its flags; here it is unknown
+        matches = [flag for flag in flags if flag.startswith(name)]
+        if len(matches) > 1:
+            _args_error(f"ambiguous option: {arg} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], value
+    elif _NEGATIVE_NUMBER.match(arg):
+        return None
+    return None if " " in arg else (arg, None)
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The command that ``argv`` names and its fields.  A help page ends the parse in
+    SystemExit(0), a flag error in one ``[args]`` line and SystemExit(2)."""
+    flags, page, values = _HELP_FLAGS, _MAIN_HELP, {"command": None}
+    argv, extras, i = argv or ["-h"], [], 0  # a bare trapcorr prints the main page
+    while i < len(argv):
+        arg, i = argv[i], i + 1
+        found = _flag(flags, arg)
+        if found is None and values["command"] is None:
+            if arg not in _COMMANDS:
+                _args_error(f"argument COMMAND: invalid choice: {arg!r} (choose from "
+                            f"{', '.join(map(repr, _COMMANDS))})")
+            flags, page, _ = _COMMANDS[arg]
+            values = {"command": arg} | {field: default for field, _, default in flags.values()
+                                         if field}
+        elif found is None or found[0] not in flags:
+            extras.append(arg)
+        else:
+            flag, value = found
+            field, kind, _ = spec = flags[flag]
+            name = "/".join(f for f, s in flags.items() if s == spec)
+            if kind is None and value is not None:
+                _args_error(f"argument {name}: ignored explicit argument {value!r}")
+            if field is None:
+                raise SystemExit(_emit(_write_text, page))
+            if kind is not None and value is None:
+                if i == len(argv) or _flag(flags, argv[i]) is not None:
+                    _args_error(f"argument {name}: expected one argument")
+                value, i = argv[i], i + 1
+            try:
+                values[field] = True if kind is None else kind(value)
+            except ValueError:
+                _args_error(f"argument {name}: invalid float value: {value!r}")
+    missing = [flag for flag, (field, _, _) in flags.items() if values.get(field) is ...]
+    if missing:
+        _args_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _args_error(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        return ns.func(ns) if ns.command else parser.print_help()
-    except SystemExit as exc:  # argparse, after a help page or a flag error
+        ns = _parse_args(sys.argv[1:] if argv is None else argv)
+        return _COMMANDS[ns.command][2](ns)
+    except SystemExit as exc:  # after a help page or a flag error
         return int(exc.code or 0)
     except TrapcorrError as exc:
         print(f"{PROG}: [{exc.phase or 'config'}] {exc}", file=sys.stderr)

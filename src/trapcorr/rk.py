@@ -45,6 +45,9 @@ MAX_ORDER = 10
 #: :func:`empirical_order`'s rounding floor (ulps of e)
 FLOOR_ULPS = 4.0
 
+#: most characters a tableau file may hold (Fehlberg-7's holds 1,060)
+MAX_TABLEAU_CHARS = 2 ** 20
+
 
 class RKTableau(Value):
     """Coefficients of an explicit Runge-Kutta method of declared order.
@@ -239,13 +242,15 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
     """Read a tableau file and validate its shape and consistency."""
     try:
         with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
+            text = fh.read(MAX_TABLEAU_CHARS + 1)
     except OSError as exc:
         raise IoError(f"cannot read tableau file {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"tableau file {path!r}: non-ASCII byte "
                           f"{exc.object[exc.start]:#04x}") from exc
-    if not lines:
+    if len(text) > MAX_TABLEAU_CHARS:
+        raise ConfigError(f"tableau file {path!r}: longer than {MAX_TABLEAU_CHARS} characters")
+    if not (lines := text.splitlines()):
         raise ConfigError(f"tableau file {path!r} is empty")
     head = lines[0].split()
     if len(head) != 2:

@@ -2,15 +2,18 @@
 suite.  Each returns a (worst, detail) pair so callers can assert with a
 useful message."""
 
+import argparse
 import math
 import random
+import sys
 from itertools import islice
 from operator import add, neg, sub
 
 from trapcorr import ConfigError, ReferenceResult, ToleranceError, quadrature
 from trapcorr import DomainError, SingularDenominatorError, xi_ode
-from trapcorr import eval_jet, eval_value, parse, reference_integral
+from trapcorr import cli, eval_jet, eval_value, parse, reference_integral
 from trapcorr.expr import BinOp, Call, Const, Neg, Num, Var, contains_var
+from trapcorr.pipeline import _write_text, emit_csv, emit_xi_csv
 
 # safe evaluation domains per grammar function
 FD_DOMAINS = {
@@ -297,3 +300,80 @@ def reference_xi_step(g, a: float, x: float, y: float, h: float, tableau) -> lis
         return [tableau.step(rhs, x, y, h).hex(), records[0].hex()]
     except (DomainError, SingularDenominatorError) as exc:
         return [type(exc).__name__]
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with single-line diagnostics, a stable help width, and help
+    written as any other output is."""
+
+    def __init__(self, *args, **kwargs):
+        kwargs.setdefault(
+            "formatter_class",
+            lambda prog: argparse.HelpFormatter(
+                prog, width=88, max_help_position=28))
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = cli._NEGATIVE_NUMBER
+
+    def print_help(self, file=None):
+        return cli._emit(_write_text, self.format_help(), file)
+
+    def error(self, message):
+        print(f"{cli.PROG}: [args] {message}", file=sys.stderr)
+        raise SystemExit(2)
+
+
+def _add_run_command(sub, name: str, summary: str, writer) -> None:
+    """A subcommand that runs the problem its flags state and writes the curve with ``writer``."""
+    p = sub.add_parser(name, help=summary)
+    p.add_argument("--f", required=True, metavar="EXPR",
+                   help="integrand expression in x, e.g. 'sin(x)'")
+    p.add_argument("--a", required=True, type=float, help="lower limit")
+    p.add_argument("--b", required=True, type=float, help="upper limit")
+    p.add_argument("--x0", type=float, default=None,
+                   help="seed abscissa for the bootstrap (default: midpoint of [a, b])")
+    p.add_argument("--h", required=True, type=float, help="RK step size")
+    p.add_argument("--shift-D", type=float, default=0.0, dest="shift_d",
+                   help="cubic shift constant D; g = f + D*(x-a)^3/6 (default: 0)")
+    p.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
+                   help="RK tableau to integrate with (default: builtin)")
+    if name == "integrate":  # xi-curve writes no column that these fill
+        p.add_argument("--reference", action="store_true",
+                       help="attach a reference-integral column (slow; default: off)")
+        p.add_argument("--residual", action="store_true",
+                       help="attach corrected-minus-reference column, implies "
+                            "--reference (default: off)")
+    p.add_argument("--ref-tol", type=float, default=1e-13,
+                   help="absolute tolerance of reference integrals (default: 1e-13)")
+    p.add_argument("--root-tol", type=float, default=1e-12,
+                   help="residual tolerance of the bootstrap root solve "
+                        "(default: 1e-12)")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="output CSV path (default: stdout)")
+    p.add_argument("-v", "--verbose", action="store_true",
+                   help="progress notes on stderr")
+    p.set_defaults(func=cli._cmd_run, writer=writer, reference=False, residual=False)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """``trapcorr``'s flags as an argparse parser: the reference whose exit codes, output and
+    fields ``trapcorr.cli``'s own parse must match, with Python 3.11's argparse."""
+    parser = _Parser(
+        prog=cli.PROG,
+        description="Trapezium quadrature with its error term recovered by "
+                    "integrating an ODE for the mean-value point.")
+    sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+
+    _add_run_command(sub, "integrate", "run the corrected quadrature, write CSV", emit_csv)
+    _add_run_command(sub, "xi-curve", "write only the (x, xi) columns", emit_xi_csv)
+
+    p_ord = sub.add_parser(
+        "order-test", help="measure the tableau's empirical convergence order")
+    p_ord.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
+                       help="RK tableau to measure")
+    p_ord.set_defaults(func=cli._cmd_order_test)
+
+    p_tab = sub.add_parser("tableau-check", help="validate a tableau file")
+    p_tab.add_argument("--tableau", default="builtin", metavar="FILE|builtin",
+                       help="RK tableau to check")
+    p_tab.set_defaults(func=cli._cmd_tableau_check)
+    return parser

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapcorr import rk
+from helpers import reference_parser
+from trapcorr import cli, rk
 from trapcorr.cli import main
 from trapcorr.rk import FEHLBERG7, format_tableau
 
@@ -142,6 +143,118 @@ def test_subcommand_help_golden(command, capsys):
     assert capsys.readouterr().out == golden.read_text()
 
 
+# ---------------------------------------------------- flags against argparse
+#
+# The CLI reads its flags itself, as helpers.reference_parser, an argparse
+# parser, reads them.  Over argvs with at most one fault, both end in the same
+# exit code and the same bytes on stdout and stderr, or read the same value
+# into every field a command reads.
+
+REFERENCE_PARSER = reference_parser()
+
+_FLOATS = ["1", "2.5", "1e-9", "-1e3", "-.5", "-inf"]
+_TEXTS = ["sin(x)", "-sin(x)", "- sin(x)", "-", "a b"]
+_RUN_FLAGS = {"--f": _TEXTS, "--a": _FLOATS, "--b": _FLOATS, "--x0": _FLOATS, "--h": _FLOATS,
+              "--shift-D": _FLOATS, "--tableau": _TEXTS, "--ref-tol": _FLOATS,
+              "--root-tol": _FLOATS, "--out": _TEXTS, "-v": None, "--verbose": None}
+#: each command's flags and the values they take; a switch takes None
+_COMMAND_FLAGS = {"integrate": {**_RUN_FLAGS, "--reference": None, "--residual": None},
+                  "xi-curve": _RUN_FLAGS,
+                  "order-test": {"--tableau": _TEXTS}, "tableau-check": {"--tableau": _TEXTS}}
+_REQUIRED = ["--f", "--a", "--b", "--h"]
+_FAULTS = ["none", "unknown flag", "extra word", "missing flag", "not a float", "no value",
+           "ambiguous", "switch=1", "help", "xi-curve reference"]
+
+
+def _spellings(command, flag):
+    """``flag``, and each shorter prefix of it that starts no other long flag of ``command``."""
+    longs = [f for f in [*_COMMAND_FLAGS[command], "--help"] if f.startswith("--")]
+    return [flag] + [flag[:n] for n in range(3, len(flag)) if flag.startswith("--")
+                     and [f for f in longs if f.startswith(flag[:n])] == [flag]]
+
+
+@st.composite
+def _argvs(draw):
+    """No argv, an unknown word, or a command with its flags in any order and spelling;
+    then at most one fault."""
+    command = draw(st.sampled_from([None, "frobnicate", *_COMMAND_FLAGS]))
+    flags = _COMMAND_FLAGS.get(command, {})
+
+    def given(flag, values):
+        spelling = draw(st.sampled_from(_spellings(command, flag)))
+        if values is None:
+            return [spelling]
+        value = draw(st.sampled_from(values))
+        return [f"{spelling}={value}"] if draw(st.booleans()) else [spelling, value]
+
+    groups = [(flag, given(flag, flags[flag])) for flag in draw(st.permutations(list(flags)))
+              if flag in _REQUIRED or draw(st.booleans())]
+    if command == "frobnicate":
+        groups = [("--f", ["--f", "sin(x)"])]
+    fault = draw(st.sampled_from(_FAULTS))
+    value_flags = [f for f in flags if flags[f] is not None]
+    insert = None
+    if fault == "unknown flag":
+        insert = draw(st.sampled_from([["--frobnicate", "1"], ["--frobnicate=-1e3"], ["--zz"]]))
+    elif fault == "extra word":
+        insert = [draw(st.sampled_from(["stray", "-1e3", "a b", "integrate"]))]
+    elif fault == "missing flag" and command in ("integrate", "xi-curve"):
+        gone = draw(st.sampled_from(_REQUIRED))
+        groups = [g for g in groups if g[0] != gone]
+    elif fault == "not a float" and (floats := [g for g in groups if flags.get(g[0]) is _FLOATS]):
+        flag, args = draw(st.sampled_from(floats))
+        bad = draw(st.sampled_from(["x", "-sin(x)", "- sin(x)", "-", "a b"]))
+        args[-1] = f"{args[0].partition('=')[0]}={bad}" if len(args) == 1 else bad
+    elif fault == "no value" and value_flags:
+        insert = [draw(st.sampled_from(_spellings(command, draw(st.sampled_from(value_flags)))))]
+    elif fault == "ambiguous":
+        insert = draw(st.sampled_from([["--r", "1"], ["--re", "1e-9"], ["--r=1"], ["--re=-1e3"]]))
+    elif fault == "switch=1" and command in ("integrate", "xi-curve"):
+        switch = draw(st.sampled_from([f for f in flags if flags[f] is None]))
+        insert = [f"{draw(st.sampled_from(_spellings(command, switch)))}=1"]
+    elif fault == "xi-curve reference" and command == "xi-curve":
+        insert = [draw(st.sampled_from(["--reference", "--residual"]))]
+    if insert:
+        groups.insert(draw(st.integers(0, len(groups))), (None, insert))
+    argv = [command] * (command is not None) + [arg for _, args in groups for arg in args]
+    if fault == "help":  # anywhere, also before the command or between a flag and its value
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["-h", "--help", "--he"])))
+    return argv
+
+
+def _outcome(parse, argv):
+    """(exit code, stdout, stderr) if parsing ``argv`` ends the run, else the fields read."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            return parse(argv)
+    except SystemExit as exc:
+        return exc.code or 0, out.getvalue(), err.getvalue()
+
+
+def _reference_fields(argv):
+    ns = REFERENCE_PARSER.parse_args(argv)
+    if ns.command is None:  # main printed the main page
+        raise SystemExit(REFERENCE_PARSER.print_help())
+    # the CLI picks the writer by command; xi-curve reads no reference or residual field
+    unread = {"writer", "reference", "residual"} if ns.command == "xi-curve" else {"writer"}
+    return {k: v for k, v in vars(ns).items() if k not in unread}
+
+
+def _fields(argv):
+    ns = cli._parse_args(argv)
+    return {**vars(ns), "func": cli._COMMANDS[ns.command][2]}
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(argv=_argvs())
+@example(argv=["xi-curve", "--re=1e-9", "--f", "-", "--a", "1", "--b", "2", "--h=-.5"])
+@example(argv=["integrate", "--r=--f", "--f", "x", "--a", "1", "--b", "2", "--h", "1"])
+@example(argv=["--"])  # argparse's end of flags, unknown to the CLI: the same message
+def test_flags_read_as_argparse_read_them(argv):
+    assert _outcome(_fields, argv) == _outcome(_reference_fields, argv)
+
+
 def test_cli_import_leaves_dataclasses_and_inspect_out():
     # both cost start-up time on every command; -S keeps site's imports out
     check = ("import sys, trapcorr.cli; "
@@ -163,6 +276,24 @@ def test_builtin_integrate_builds_no_rooted_trees(tmp_path):
     proc = subprocess.run([sys.executable, "-c", check], env=env,
                           capture_output=True, text=True, timeout=60)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0 0\n", "")
+
+
+@pytest.mark.parametrize("argv", [["integrate", *SIN_ARGS, "--out", "{}"],
+                                  ["integrate", *SIN_ARGS, "--frobnicate"], ["--help"]],
+                         ids=["exit-0", "args-error", "help"])
+def test_cli_process_loads_no_argparse_gettext_or_locale(argv, tmp_path):
+    # flag handling is start-up time on every command: argparse and the gettext and
+    # locale modules it loads cost more than a small run
+    argv = [arg.format(tmp_path / "c.csv") for arg in argv]
+    check = ("import sys; bare = set(sys.modules); import trapcorr.cli; "
+             f"code = trapcorr.cli.main({argv!r}); "
+             "print(code, sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - bare)), "
+             "file=sys.stderr)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    code = 2 if "--frobnicate" in argv else 0
+    assert (proc.returncode, proc.stderr.splitlines()[-1]) == (0, f"{code} []")
 
 
 # ------------------------------------------------------- error mapping
@@ -190,7 +321,7 @@ def test_unknown_flag_exit_2(capsys):
 @pytest.mark.parametrize("flag", ["x0", "shift-D"])
 @pytest.mark.parametrize("value", ["-1e3", "-1.5e1", "-1E-3", "-.5", "-1000", "-inf", "-nan"])
 def test_negative_value_as_a_separate_argument(flag, value, capsys):
-    # argparse's own pattern reads -1000 as a value but -1e3 and -inf as flags; both
+    # a minus before a digit, a point or a letter starts a value, not a flag: both
     # spellings must reach the same check
     base = ["xi-curve", "--f", "sin(x)", "--a", "-2", "--b", "2", "--h", "0.05"]
     outcomes = []
@@ -497,6 +628,38 @@ def test_missing_tableau_file_exit_6(capsys):
 
 #: every subcommand that reads a tableau file
 TABLEAU_COMMANDS = [["tableau-check"], ["order-test"], ["integrate", *SIN_ARGS]]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+def test_endless_tableau_file_exit_5(command):
+    # read whole, /dev/zero's ASCII NULs exhausted memory: under this cap a MemoryError
+    # traceback, exit 1; the cap and the timeout fail the test fast where it is read whole
+    check = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+             f"import trapcorr.cli; raise SystemExit(trapcorr.cli.main({command!r} + "
+             "['--tableau', '/dev/zero']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", check], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        5, "", f"trapcorr: [config] tableau file '/dev/zero': longer than {2 ** 20} characters\n")
+
+
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+@pytest.mark.parametrize("size", [2 ** 20, 2 ** 20 + 1])
+def test_tableau_file_size_bound(size, command, tmp_path, capsys):
+    # Fehlberg-7 with its c line padded with spaces to ``size`` bytes
+    text = format_tableau(FEHLBERG7)
+    path = tmp_path / "padded.tab"
+    path.write_text(text[:-1] + " " * (size - len(text)) + "\n", encoding="ascii")
+    assert path.stat().st_size == size
+    code = main([*command, "--tableau", str(path)])
+    captured = capsys.readouterr()
+    if size > 2 ** 20:
+        assert (code, captured.out, captured.err) == (
+            5, "", f"trapcorr: [config] tableau file '{path}': longer than {2 ** 20} characters\n")
+    else:
+        assert (code, captured.err) == (0, "")
 
 
 #: tableaux whose NaN or inf entries leave every defect NaN, which no
