@@ -66,8 +66,8 @@ class IoError(TrapcorrError):
 
 class ToleranceError(TrapcorrError):
     """Requested quadrature tolerance not reached: the evaluation budget
-    ran out, or the Romberg table stalled sooner, at its round-off floor
-    or on an integral that looks divergent."""
+    ran out, or the Romberg table overflowed or stalled sooner, at its
+    round-off floor or on an integral that looks divergent."""
 
     def __init__(self, message: str, best_estimate: float, achieved: float):
         super().__init__(message)

@@ -484,8 +484,9 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
 def _emit(shape) -> dict:
     """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: the
     d0 statements, then the d1, then all; and the factors of its finiteness tests, 0.0 times
-    each slot, +-0.0 or NaN.  Derivative statements never raise (an undefined one comes out
-    NaN), so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
+    each slot, +-0.0 or NaN.  A chained node's derivatives with /, ** or a call but sin or cos
+    come out NaN where they raise (float +, - and * never do, sin and cos only where d0 has),
+    so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -519,7 +520,7 @@ def _emit(shape) -> dict:
         for lines, body, outs in ((slope, parts[0], "w1"), (jet, parts[0] + parts[1], "w1 w2 w3")):
             body = "; ".join(body)
             names = " = ".join(filter(str.isidentifier, map(f.get, outs.split())))
-            if chained and body:
+            if chained and re.search(r"/|\*\*|\b(?!sin\(|cos\()\w+\(", body):
                 body = f"try:\n    {body}\nexcept UNDEFINED:\n    {names} = nan"
             if kind == "^r" and not literal:  # u^0 is the constant 1, whatever u's derivatives
                 body += f"\nif {f['v0']} == 0.0: {names} = 0.0"

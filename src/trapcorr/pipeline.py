@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from . import rk
 from ._value import Value
-from .errors import (ConfigError, IoError, NoRootError,
+from .errors import (ConfigError, DomainError, IoError, NoRootError,
                      SingularDenominatorError, phase)
 from .expr import ExprAST, eval_jet, eval_values, parse, shift_by_cubic
 from .quadrature import reference_column, reference_integral, trapezium
@@ -242,6 +242,8 @@ def _keep_in_interval(spec: ProblemSpec, xi0: float):
     def hook(x: float, xi: float) -> float:
         nonlocal prev
         if not (spec.a < xi < x):
+            if not math.isfinite(xi):  # else in_interval_xi's jet at xi would call it x
+                raise DomainError(f"non-finite xi={xi!r}", x)
             xi = in_interval_xi(spec, x, xi, prev)
         prev = xi
         return xi

@@ -4,7 +4,7 @@ reference integral used to bootstrap and audit the corrected pipeline.
 The reference oracle is Richardson extrapolation over composite-trapezium
 rows at doubling panel counts (a Romberg table), terminating when two
 successive diagonal entries agree within the requested tolerance.  It
-gives up sooner than its evaluation budget once the table has stalled
+gives up sooner than its budget once the table overflows or has stalled
 (Davis & Rabinowitz, *Methods of Numerical Integration*): when the
 error estimate sits at its round-off floor, so the tolerance is out of
 reach in double precision, or when the largest sample keeps growing as
@@ -77,9 +77,9 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
 
     Deterministic for fixed inputs.  Raises :class:`ToleranceError` when
     ``tol`` is not reached within ``DEFAULT_MAX_EVALS`` evaluations, or
-    sooner, when the table stalls at its round-off floor or the integral
-    looks divergent; and :class:`ConfigError` for a tolerance that is not
-    positive (NaN included) or reversed limits.
+    sooner, when the table overflows, stalls at its round-off floor or the
+    integral looks divergent; and :class:`ConfigError` for a tolerance that
+    is not positive (NaN included) or reversed limits.
     """
     if not tol > 0.0:  # NaN too
         raise ConfigError(f"tolerance must be positive, got {tol!r}")
@@ -154,6 +154,8 @@ def romberg(f: ExprAST, nodes: list[float], values: list[float], tols: list[floa
             for j in range(1, k + 1):
                 row.append(row[j - 1] + (row[j - 1] - prev[j - 1]) / (4.0 ** j - 1.0))
             est, prev = abs(row[k] - prev[k - 1]), row
+            if not est < inf:  # NaN too: past the largest double, no test below ends the table
+                raise ToleranceError(f"the Romberg table overflowed at level {k}", best, best_est)
             if k < 2:  # a first diagonal agreement can be accidental
                 continue
             if est <= tols[i]:

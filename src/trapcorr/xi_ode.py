@@ -24,13 +24,12 @@ here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
 Each stage, of :func:`xi_rhs` or inline in the sweep's step, reads g and g' at x and the full
-jet only at xi, and an error in the jet at xi is raised at x, naming xi.  The ODE compiles once
-per (shape of g, tableau).
+jet only at xi, whose errors it raises at x, naming xi.  The ODE compiles per (shape, tableau).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .errors import ConfigError, DomainError, SingularDenominatorError
@@ -75,27 +74,27 @@ den = t3{n} * {w3}
 if abs(den) < thr{n}: raise SingularDenominatorError(x_s, x, den)
 {k} (P{n} - Q{n} * {w2}) / den"""
 
-#: the xi-ODE, bound per run: its stage(x, xi), and the sweep's step(x, y, h) by a tableau,
-#: each of whose stages is the stage's statements, and which passes stage 0's g''(xi) to record
+#: the xi-ODE, bound per run: its stage(x, xi), and the sweep's step(x, y, h) by a tableau's
+#: literals, whose stages are the stage's statements and whose stage 0 appends g''(xi) to records
 _XI = """\
-def bind({names}{literals}a, g_a, F, guard, record):
-    g_a6, carry = 6.0 * g_a, (nan,) * 5
+def bind({literals}a, g_a, F, guard):
+    g_a6, carry, record = 6.0 * g_a, (nan,) * 5, (records := []).append
     def stage(x, xi):
 {stage}
     def step(x_n, y, h):
         nonlocal carry
 {stages}
-    return step, stage
+    return step, records, stage
 """
 
 
-def _source(shape, tableau) -> tuple[str, list]:
-    """One shape's stage and sweep step by ``tableau``, and the tableau's coefficients.  The
-    step's stage i is x = x_n + c_i h, then k_i the slope at y + h a_ij k_j + ..., and it
+def _source(shape, tableau) -> str:
+    """One shape's stage and sweep step by ``tableau``, its coefficients written in as literals.
+    The step's stage i is x = x_n + c_i h, then k_i the slope at y + h a_ij k_j + ..., and it
     returns y + h (0.0 + b_i k_i + ...), each sum left to right over the nonzero entries: the
-    roundings of :meth:`~trapcorr.rk.RKTableau.step`'s loop.  It reads x's terms once per node
-    c, carries a node c = 1's into the next step's c = 0 at an equal abscissa and records
-    stage 0's g''(xi), at xi = y as A's first row is empty."""
+    roundings of :meth:`~trapcorr.rk.RKTableau.step`'s loop, a factor 1.0 dropped (exact).  It
+    reads x's terms once per node c, carries a node c = 1's into the next step's c = 0 at an
+    equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
     em = dict(em, slope=em["slope"].replace("\n" + " " * 8, "\n")[8:],  # from 8 columns to 0,
               jet=em["jet"].replace("\n    ", "\n")[4:],  # and to 4, in its try
@@ -104,47 +103,44 @@ def _source(shape, tableau) -> tuple[str, list]:
     def indent(text, columns):
         return " " * columns + text.replace("\n", "\n" + " " * columns)
 
-    rows, weights = tableau.nonzero
-    coefficients, stages = {}, []  # bind's parameters c_i, a_ij, b_i by name, in order
+    def times(v):  # the factor v, as a literal, unless it is 1.0
+        return f"{v!r} * " * (v != 1.0)
+
+    (rows, weights), stages = tableau.nonzero, []
     for i, row in enumerate(rows):
-        coefficients.update([(f"c{i}", c[i])] + [(f"a{i}_{j}", a) for j, a in row])
-        yi = "y" + "".join(f" + h * a{i}_{j} * k{j}" for j, _ in row)
+        yi = "y" + "".join(f" + h * {times(a)}k{j}" for j, a in row)
         n, recurs = nodes.index(nodes[i]), nodes.count(nodes[i]) > 1  # a recurring c = 0 reads
         terms, read = f"t3_{n}, thr_{n}, P_{n}, Q_{n}", _READ.format(n=f"_{n}", **em)
         if c[i] == 0.0 and not recurs:  # a node's first stage reads x's terms or takes the carry
             read = f"if x == carry[0]: _, {terms} = carry\nelse:\n" + indent(read, 4)
-        stages.append(f"x = x_n + c{i} * h\n" + (read + "\n") * (n == i)
+        stages.append(f"x = x_n + {times(c[i])}h\n" + (read + "\n") * (n == i)
                       + _JET.format(n=f"_{n}", xi=yi, k=f"k{i} =", **em)
                       + f"\nrecord({em['w2']})" * (i == 0)
                       + f"\ncarry = x_s, {terms}" * (c[i] == 1.0))
-    coefficients.update((f"b{i}", b) for i, b in weights)
-    stages.append("return y + h * (0.0" + "".join(f" + b{i} * k{i}" for i, _ in weights) + ")")
+    stages.append("return y + h * (0.0" + "".join(f" + {times(b)}k{i}" for i, b in weights) + ")")
     stage = _READ.format(n="", **em) + "\n" + _JET.format(n="", xi="xi", k="return", **em)
-    return _XI.format(names="".join(name + ", " for name in coefficients), stage=indent(stage, 8),
-                      stages=indent("\n".join(stages), 8), **em), list(coefficients.values())
+    return _XI.format(stage=indent(stage, 8), stages=indent("\n".join(stages), 8), **em)
 
 
 @lru_cache(maxsize=256)
 def _factory(shape, tableau):
-    """``bind`` of :func:`_source`'s code and coefficients, per (shape, tableau), bounded."""
-    source, values = _source(shape, tableau)
+    """:func:`_source`'s bind, per (shape, tableau), bounded: a run's (step, records, stage)."""
     namespace = dict(_NAMESPACE, at_x=_at_x, ConfigError=ConfigError,
                      SingularDenominatorError=SingularDenominatorError)
-    exec(_compiled(source, "<trapcorr.xi_ode emitted>"), namespace)
-    return partial(namespace["bind"], *values)
+    exec(_compiled(_source(shape, tableau), "<trapcorr.xi_ode emitted>"), namespace)
+    return namespace["bind"]
 
 
-def _bind(p: ProblemSpec, record=None):  # F_COEFFICIENT and the guard as they read now
+def _bind(p: ProblemSpec):  # F_COEFFICIENT and the guard as they read now
     literals = []
     return _factory(_shape(p.g, literals), p.tableau)(
-        *literals, p.a, p.g_at_a, F_COEFFICIENT, DEFAULT_DEN_GUARD, record)
+        *literals, p.a, p.g_at_a, F_COEFFICIENT, DEFAULT_DEN_GUARD)
 
 
 def bind_step(p: ProblemSpec):
     """``(step, records)``: the sweep's ``step(x, y, h)``, its stages :func:`xi_rhs`'s statements
-    inline, and the list to which the i-th step taken appends g''(y).  Per run: it holds state."""
-    records = []
-    return _bind(p, records.append)[0], records
+    inline, and the bind's own list of each step's g''(y), in order.  Per run: it holds state."""
+    return _bind(p)[:2]
 
 
 def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
@@ -157,7 +153,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     stage of the sweep's step.
     """
     if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):
-        object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[1]))
+        object.__setattr__(p, "_xi_rhs", (tag, _bind(p)[2]))
     return p._xi_rhs[1](x, xi)
 
 

@@ -493,6 +493,20 @@ def test_divergent_bootstrap_integral_exit_5(capsys):
     assert lines[0].startswith("trapcorr: [init] integral looks divergent: ")
 
 
+@pytest.mark.parametrize("args,level", [
+    (["--f", "1e307*sin(x)", "--a", "1", "--b", "4", "--h", "0.01"], 6),
+    (["--f", "1e308*(1+0.1*sin(x))", "--a", "1", "--b", "4", "--h", "0.01",
+      "--ref-tol", "1e300", "--root-tol", "1e301"], 1),
+], ids=["sin", "tolerant"])
+def test_overflowing_bootstrap_integral_exit_5(args, level, capsys):
+    # the Romberg table passes the largest double: it stops there, not at its budget
+    code = main(["integrate", *args])
+    assert code == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"trapcorr: [init] the Romberg table overflowed at level {level}"]
+
+
 def test_jet_domain_error_exit_5(capsys):
     # the value is defined at a, the derivatives are not (1/(a*a) underflows)
     code = main(["integrate", "--f", "sqrt(x)", "--a", "1e-200", "--b", "1",

@@ -78,7 +78,7 @@ def test_trees_of_one_shape_share_compiled_code():
         sys.setprofile(None)
     # the stage xi_rhs runs is the step's sibling in the one compiled bind
     (stage,) = [code for code in ran if code.co_name == "stage"]
-    assert {stage, step.__code__} <= set(bind_two.func.__code__.co_consts)
+    assert {stage, step.__code__} <= set(bind_two.__code__.co_consts)
     assert (info().misses - before.misses, info().hits - before.hits) == (1, 3)
     assert eval_jet(two, 0.5) == Jet3(math.sin(1.0), 2.0 * math.cos(1.0),
                                       -4.0 * math.sin(1.0), -8.0 * math.cos(1.0))
@@ -87,7 +87,7 @@ def test_trees_of_one_shape_share_compiled_code():
 
 def _emitted(shape):
     """Every source emitted for one tree shape: its evaluators and a sweep step."""
-    return [expr._source(shape), xi_ode._source(shape, FEHLBERG7)[0]]
+    return [expr._source(shape), xi_ode._source(shape, FEHLBERG7)]
 
 
 def test_compiled_code_cache_is_bounded():
@@ -340,8 +340,8 @@ def _x_side(ast, x: float) -> tuple[float, float]:
     literals = []
     shape = expr._shape(ast, literals)
     bind = xi_ode._factory(shape, _EULER)
-    _, stage = bind(*literals, x, 0.0, xi_ode.F_COEFFICIENT, xi_ode.DEFAULT_DEN_GUARD, None)
-    lines = xi_ode._source(shape, _EULER)[0].splitlines()
+    _, _, stage = bind(*literals, x, 0.0, xi_ode.F_COEFFICIENT, xi_ode.DEFAULT_DEN_GUARD)
+    lines = xi_ode._source(shape, _EULER).splitlines()
     check = next(i for i, line in enumerate(lines, 1) if "if x == a:" in line)  # the stage's
     seen = []
 
@@ -593,7 +593,7 @@ def _stage_arithmetic(text: str) -> int:
     """The arithmetic instructions (BINARY_OP and UNARY_NEGATIVE, as CPython 3.11
     names them) of the compiled xi-ODE stage of ``text``'s shape at an abscissa whose
     terms are read: past its x-side read, and apart from its finiteness tests."""
-    source = xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)[0]
+    source = xi_ode._source(expr._shape(parse(text), []), FEHLBERG7)
     lines = source.splitlines()
     start, end = (next(i for i, line in enumerate(lines, 1) if key in line)
                   for key in ("def stage(", "x_s, x = x, xi"))
@@ -611,7 +611,32 @@ def _distinct(source: str) -> str:
 
 
 #: the templates' lines that read the x-side's g, g' and the jet's d2, d3 as they are
-_TERMS = re.compile(r"^ *(P\w* =|den =|k\d+ =|return \(P).*$", re.M)
+_TERMS = re.compile(r"^ *(P\w* =|den =|k\d+ =|return \(P|x = x_n \+).*$", re.M)
+
+
+#: what an ``except UNDEFINED:`` handler guards: the derivative body on the line after its try
+_HANDLED = re.compile(r"try:\n *(.*)\n *except UNDEFINED:")
+
+
+@pytest.mark.parametrize("text,nodes", [
+    *((text, 0) for text in ("sin(x)", "cos(x)", "tan(x)", "exp(x)", "x^2")),
+    *((text, 1) for text in ("ln(x)", "log10(x)", "sqrt(x)", "x^0.5", "x^(1/3)", "2^x")),
+])
+def test_only_derivatives_that_can_raise_are_guarded(text, nodes):
+    # float +, - and * never raise, and sin and cos only at +-inf, where the node's own d0
+    # has raised first: a handler guards a quotient, a power or another call, once per such
+    # node in each jet block and each slope block
+    evaluators, step = _emitted(expr._shape(parse(text), []))
+    assert len(_HANDLED.findall(evaluators)) == nodes, text
+    blocks = step.count("except DomainError") + step.count("if x == a:")  # jets, slopes
+    assert len(_HANDLED.findall(step)) == nodes * blocks, text
+
+
+def test_every_handler_guards_a_body_that_can_raise():
+    for text in {json.loads(line)[0] for line in GOLDEN_JETS.read_text().splitlines()}:
+        for source in _emitted(expr._shape(parse(text), [])):
+            for body in _HANDLED.findall(source):
+                assert re.search(r"/|\*\*|\b(?!sin\(|cos\()\w+\(", body), (text, body)
 
 
 def test_emitted_code_folds_ones_and_literal_exponent_terms():
@@ -629,7 +654,7 @@ def test_emitted_code_folds_ones_and_literal_exponent_terms():
         shape = expr._shape(parse(text), [])
         kinds = {"lit" if isinstance(e, float) else "other" for e in _exponents(shape)}
         for tableau in (FEHLBERG7, RK4, HEUN3):  # the stage, and each stage of the step inline
-            source = xi_ode._source(shape, tableau)[0]
+            source = xi_ode._source(shape, tableau)
             step = source.split("def step")[1]
             assert source.count("except DomainError") == tableau.stages + 1, text
             assert len(re.findall(r"^ +k\d+ = \(", step, re.M)) == tableau.stages, text

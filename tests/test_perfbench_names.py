@@ -78,7 +78,7 @@ def test_pinned_work_counts(monkeypatch, residual, expected):
         calls["expr.eval_value"] += len(xs)
         return values(xs)
     monkeypatch.setitem(vars(spec.f_ast), "_evaluators", (jet, counted_values))
-    source = xi_ode._source(expr._shape(spec.g, []), spec.tableau)[0]
+    source = xi_ode._source(expr._shape(spec.g, []), spec.tableau)
     lines = dict(enumerate(source.splitlines(), 1))
     counted = {i: "xi_ode.xi_rhs" for i, line in lines.items() if re.match(r" +k\d+ = ", line)}
     counted.update((i, "x-side reads") for i, line in lines.items() if "t = x - a;" in line)

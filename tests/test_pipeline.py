@@ -387,6 +387,16 @@ def test_mid_sweep_domain_error_propagates_with_ode_phase():
     assert str(exc.value) == "non-finite jet component at x=3.0"
 
 
+def test_overflowed_xi_is_named_as_xi_at_its_node():
+    # a step's xi overflows at the node x = 1134.5; the branch switch must not read it as x
+    spec = ProblemSpec.from_text("x^100", 1.0, 1200.0, h=1.0, ref_tol=1e270, root_tol=1e271)
+    with pytest.raises(DomainError) as exc:
+        run(spec)
+    assert exc.value.phase == "ode"
+    assert exc.value.x == 1134.5
+    assert str(exc.value) == "non-finite xi=inf at x=1134.5"
+
+
 # --------------------------------------------------------- branch switch
 
 def unswitched_nodes(spec):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from trapcorr import (ConfigError, ProblemSpec, ToleranceError, TrapcorrError,
                       composite_trapezium, parse, quadrature, reference_integral, run, trapezium)
-from trapcorr.expr import eval_value
+from trapcorr.expr import eval_value, eval_values
 
 from helpers import composite_loglog_slope, scalar_reference_integral, worst_additivity_defect
 
@@ -140,6 +140,22 @@ def test_reference_stops_when_the_table_stalls(monkeypatch, text, a, x, tol, rea
     assert reason in str(exc.value)
     assert exc.value.achieved > tol
     assert len(points) <= 2 ** 16  # of a 2^22 budget
+
+
+@pytest.mark.parametrize("text,level", [
+    ("1e308*sin(x)", 2), ("1e307*sin(x)", 6), ("1e306*sin(x)", 9)])
+def test_reference_stops_when_the_table_overflows(monkeypatch, text, level):
+    # an inf or NaN estimate neither agrees, halves nor stalls at a finite floor
+    points = []
+
+    def counted(f, xs):
+        points.extend(xs)
+        return eval_values(f, xs)
+
+    monkeypatch.setattr(quadrature, "eval_values", counted)
+    with pytest.raises(ToleranceError, match=f"^the Romberg table overflowed at level {level}$"):
+        reference_integral(parse(text), 1.0, 2.5, 1e-13)
+    assert len(points) < 2 ** 12
 
 
 # each stalls for 3 to 6 levels, while the oscillation or the peak is

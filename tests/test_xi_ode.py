@@ -130,6 +130,8 @@ def test_a_fresh_shape_is_emitted_once_and_compiled_once_per_tableau(monkeypatch
 FEHLBERG7_C1 = RKTableau(name="fehlberg7-c1e-12", order=7, a=FEHLBERG7.a, b=FEHLBERG7.b,
                          c=(1e-12, *FEHLBERG7.c[1:]))
 FEHLBERG7_C1.validate()
+#: its one nonzero weight, 1.0, is a factor that the emitted step leaves out
+MIDPOINT = RKTableau(name="midpoint", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
 
 
 def _sweep_steps(spec):
@@ -162,7 +164,7 @@ def _sweep_steps(spec):
     return steps, recorded[0]
 
 
-@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1],
+@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1, MIDPOINT],
                          ids=lambda t: t.name.split("/")[-1])
 @pytest.mark.parametrize("make", [
     pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, tableau=t), id="sin"),
@@ -201,7 +203,7 @@ _STAGE_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1],
+@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1, MIDPOINT],
                          ids=lambda t: t.name.split("/")[-1])
 @pytest.mark.parametrize("name", sorted(_STAGE_FAILURES))
 def test_inlined_step_fails_as_the_tableau_step_over_xi_rhs(name, tableau):
