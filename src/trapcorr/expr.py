@@ -130,117 +130,8 @@ _TOKEN_RE = re.compile(r"""
 """, re.VERBOSE)
 
 
-def _bounded(depth: int, pos: int) -> int:
-    if depth > MAX_DEPTH:
-        raise SyntaxError_(f"expression nested deeper than {MAX_DEPTH} levels", pos)
-    return depth
-
-
-class _Parser:
-    """Recursive-descent parser over a token stream with one-token
-    lookahead.  Token positions are character offsets into the input.
-    Productions take the levels open above them and return their node
-    with its depth, so tree and descent both stay within MAX_DEPTH."""
-
-    def __init__(self, text: str):
-        self.tokens = self._tokenize(text)
-        self.i = 0
-
-    @staticmethod
-    def _tokenize(text: str):
-        tokens = []
-        for m in _TOKEN_RE.finditer(text):
-            kind, token, pos = m.lastgroup, m.group(), m.start()
-            if kind == "bad":
-                what = "non-ASCII" if ord(token) > 127 else "unexpected"
-                raise SyntaxError_(f"{what} character {token!r}", pos)
-            if kind != "space":
-                tokens.append((kind, token, pos))
-        tokens.append(("eof", "", len(text)))
-        return tokens
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        kind, text, pos = self.peek()
-        if kind != "op" or text != op:
-            raise SyntaxError_(f"expected '{op}'", pos)
-        return self.advance()
-
-    # grammar productions ------------------------------------------
-
-    def parse(self) -> ExprAST:
-        node, _ = self.expr(0)
-        kind, text, pos = self.peek()
-        if kind != "eof":
-            raise SyntaxError_(f"unexpected {text!r} after expression", pos)
-        return node
-
-    def chain(self, level: int, ops: str, operand) -> tuple[ExprAST, int]:
-        """Left-associative ``operand (op operand)*`` for ``op`` in ``ops``."""
-        node, depth = operand(level)
-        while True:
-            kind, text, pos = self.peek()
-            if kind != "op" or text not in ops:
-                return node, depth
-            self.advance()
-            right, right_depth = operand(level)
-            node, depth = BinOp(text, node, right), max(depth, right_depth) + 1
-            _bounded(level + depth, pos)
-
-    def expr(self, level: int) -> tuple[ExprAST, int]:
-        return self.chain(level, "+-", self.term)
-
-    def term(self, level: int) -> tuple[ExprAST, int]:
-        return self.chain(level, "*/", self.factor)
-
-    def factor(self, level: int) -> tuple[ExprAST, int]:
-        node, depth = self.base(level)
-        kind, text, pos = self.peek()
-        if kind == "op" and text == "^":
-            self.advance()
-            exponent, exp_depth = self.factor(_bounded(level + 1, pos))
-            # jets of u^v with both operands depending on x would need
-            # the exp(v ln u) rewrite unconditionally; the grammar only
-            # admits a constant exponent over a non-constant base
-            if contains_var(node) and contains_var(exponent):
-                raise SyntaxError_(
-                    "exponent must be constant when the base depends on x", pos)
-            node, depth = BinOp("^", node, exponent), max(depth, exp_depth) + 1
-            _bounded(level + depth, pos)
-        return node, depth
-
-    def base(self, level: int) -> tuple[ExprAST, int]:
-        kind, text, pos = self.advance()
-        if kind == "num":
-            if not math.isfinite(float(text)):
-                raise SyntaxError_(f"number {text} is out of range", pos)
-            return Num(float(text)), 1
-        if kind == "name":
-            if text == "x":
-                return Var(), 1
-            if text in CONSTANTS:
-                return Const(text), 1
-            if text in _FUNCTIONS:
-                self.expect_op("(")
-                arg, depth = self.expr(_bounded(level + 1, pos))
-                self.expect_op(")")
-                return Call(text, arg), depth + 1
-            raise UnknownIdentifierError(text, pos)
-        if kind == "op" and text == "(":
-            node, depth = self.expr(_bounded(level + 1, pos))
-            self.expect_op(")")
-            return node, depth + 1
-        if kind == "op" and text == "-":
-            node, depth = self.base(_bounded(level + 1, pos))
-            return Neg(node), depth + 1
-        raise SyntaxError_(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+#: the left-associative binary operators, loosest first (``^``, in ``factor``, binds right)
+_PRECEDENCE = ("+-", "*/")
 
 
 def parse(text: str) -> ExprAST:
@@ -254,7 +145,83 @@ def parse(text: str) -> ExprAST:
     """
     if not text or not text.strip():
         raise SyntaxError_("empty expression", 0)
-    return _Parser(text).parse()
+    tokens = []  # (kind, text, offset); all are read first, so a bad character is the error
+    for m in _TOKEN_RE.finditer(text):
+        kind, token, pos = m.lastgroup, m.group(), m.start()
+        if kind == "bad":
+            what = "non-ASCII" if ord(token) > 127 else "unexpected"
+            raise SyntaxError_(f"{what} character {token!r}", pos)
+        if kind != "space":
+            tokens.append((kind, token, pos))
+    tokens.append(("eof", "", len(text)))
+    tokens.reverse()  # the next token is tokens[-1]; only op tokens spell an operator
+
+    # Recursive descent: a production takes the levels open above it and returns its node
+    # with its depth, so tree and descent both stay within MAX_DEPTH.
+    def bounded(depth: int, pos: int) -> int:
+        if depth > MAX_DEPTH:
+            raise SyntaxError_(f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        return depth
+
+    def binary(level: int, prec: int = 0) -> tuple[ExprAST, int]:
+        """Left-associative ``operand (op operand)*`` for ``op`` in ``_PRECEDENCE[prec]``."""
+        if prec == len(_PRECEDENCE):
+            return factor(level)
+        node, depth = binary(level, prec + 1)
+        while tokens[-1][0] == "op" and tokens[-1][1] in _PRECEDENCE[prec]:  # not eof's ""
+            _, op, pos = tokens.pop()
+            right, right_depth = binary(level, prec + 1)
+            node, depth = BinOp(op, node, right), max(depth, right_depth) + 1
+            bounded(level + depth, pos)
+        return node, depth
+
+    def factor(level: int) -> tuple[ExprAST, int]:
+        node, depth = base(level)
+        if tokens[-1][1] != "^":
+            return node, depth
+        _, _, pos = tokens.pop()
+        exponent, exp_depth = factor(bounded(level + 1, pos))
+        # jets of u^v with both operands depending on x would need the exp(v ln u) rewrite
+        # unconditionally; the grammar only admits a constant exponent over a non-constant base
+        if contains_var(node) and contains_var(exponent):
+            raise SyntaxError_("exponent must be constant when the base depends on x", pos)
+        depth = max(depth, exp_depth) + 1
+        bounded(level + depth, pos)
+        return BinOp("^", node, exponent), depth
+
+    def expect(op: str) -> None:
+        if tokens[-1][1] != op:
+            raise SyntaxError_(f"expected '{op}'", tokens[-1][2])
+        tokens.pop()
+
+    def base(level: int) -> tuple[ExprAST, int]:
+        kind, text, pos = tokens.pop()
+        if kind == "num":
+            if not math.isfinite(value := float(text)):
+                raise SyntaxError_(f"number {text} is out of range", pos)
+            return Num(value), 1
+        if kind == "name" and text not in _FUNCTIONS:
+            if text == "x":
+                return Var(), 1
+            if text in CONSTANTS:
+                return Const(text), 1
+            raise UnknownIdentifierError(text, pos)
+        if text == "-":
+            node, depth = base(bounded(level + 1, pos))
+            return Neg(node), depth + 1
+        if kind == "name":
+            expect("(")
+        elif text != "(":
+            raise SyntaxError_(f"unexpected {text!r}" if text else "unexpected end of input", pos)
+        node, depth = binary(bounded(level + 1, pos))  # a call's argument or a parenthesis
+        expect(")")
+        return (node if text == "(" else Call(text, node)), depth + 1
+
+    node, _ = binary(0)
+    kind, text, pos = tokens[-1]
+    if kind != "eof":
+        raise SyntaxError_(f"unexpected {text!r} after expression", pos)
+    return node
 
 
 # ----------------------------------------------------------------- jets

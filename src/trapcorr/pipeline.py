@@ -168,7 +168,13 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     exceeds ``root_tol`` the residual carries no information about xi
     (constant g'' already matching) and the midpoint is returned by
     convention.  The scan stops once it has a bracket and some |R| > root_tol.
+    Raises :class:`ConfigError` for an ``x`` or ``i_ref`` that is not finite
+    and a ``root_tol`` outside (0, inf).
     """
+    if not 0.0 < root_tol < math.inf:  # NaN too
+        raise ConfigError(f"root tolerance must be positive and finite, got {root_tol!r}")
+    if not math.isfinite(x) or not math.isfinite(i_ref):
+        raise ConfigError(f"x and i_ref must be finite, got x={x!r}, i_ref={i_ref!r}")
     a = spec.a
     w = x - a
     if w <= 0.0:
@@ -276,9 +282,9 @@ def run(spec: ProblemSpec, reference: bool = False,
     kept, and the residual column shows the lost identity.
 
     ``reference`` attaches a reference-integral column (built additively
-    from per-panel reference integrals, error budget split by panel
-    width); ``residual`` adds corrected - reference and implies
-    ``reference``.
+    from per-panel reference integrals, each to the larger of its width's
+    share of ``ref_tol`` and 16 ulp of its trapezium value); ``residual``
+    adds corrected - reference and implies ``reference``.
     """
     t_start = time.perf_counter()
     reference = reference or residual

@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from functools import reduce
 from itertools import accumulate, compress
-from math import inf, ulp
+from math import inf, isfinite, ulp
 from operator import add, itemgetter, not_
 from typing import NamedTuple
 
@@ -61,6 +61,8 @@ def composite_trapezium(f: ExprAST, a: float, b: float, n: int) -> float:
     """Composite trapezium sum on ``n`` uniform panels over [a, b]."""
     if n < 1:
         raise ConfigError(f"panel count must be >= 1, got {n}")
+    if not isfinite(a) or not isfinite(b):
+        raise ConfigError(f"limits must be finite, got a={a!r}, b={b!r}")
     if b < a:
         raise ConfigError(f"reversed limits: a={a!r} > b={b!r}")
     if b == a:
@@ -78,11 +80,15 @@ def reference_integral(f: ExprAST, a: float, x: float, tol: float) -> ReferenceR
     Deterministic for fixed inputs.  Raises :class:`ToleranceError` when
     ``tol`` is not reached within ``DEFAULT_MAX_EVALS`` evaluations, or
     sooner, when the table overflows, stalls at its round-off floor or the
-    integral looks divergent; and :class:`ConfigError` for a tolerance that
-    is not positive (NaN included) or reversed limits.
+    integral looks divergent; and :class:`ConfigError` for a tolerance
+    outside (0, inf) (NaN included), a limit that is not finite or reversed
+    limits.
     """
-    if not tol > 0.0:  # NaN too
-        raise ConfigError(f"tolerance must be positive, got {tol!r}")
+    if not 0.0 < tol < inf:  # NaN too
+        why = "finite" if tol == inf else "positive"
+        raise ConfigError(f"tolerance must be {why}, got {tol!r}")
+    if not isfinite(a) or not isfinite(x):
+        raise ConfigError(f"limits must be finite, got a={a!r}, x={x!r}")
     if x < a:
         raise ConfigError(f"reversed limits: a={a!r} > x={x!r}")
     if x == a:

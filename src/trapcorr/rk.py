@@ -238,8 +238,8 @@ def format_tableau(t: RKTableau) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_tableau(path: str, name: str | None = None) -> RKTableau:
-    """Read a tableau file and validate its shape and consistency."""
+def load_tableau(path: str) -> RKTableau:
+    """Read a tableau file, named by its path, and validate its shape and consistency."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             text = fh.read(MAX_TABLEAU_CHARS + 1)
@@ -279,7 +279,7 @@ def load_tableau(path: str, name: str | None = None) -> RKTableau:
     a = tuple(floats(lines[1 + i], i, f"A row {i + 1}") for i in range(s))
     b = floats(lines[1 + s], s, "b line")
     c = floats(lines[2 + s], s, "c line")
-    t = RKTableau(name=name or path, order=p, a=a, b=b, c=c)
+    t = RKTableau(name=path, order=p, a=a, b=b, c=c)
     t.validate()
     return t
 

@@ -14,9 +14,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from trapcorr import (FEHLBERG7, ConfigError, DomainError, Jet3, ProblemSpec, RKTableau,
-                      SyntaxError_, UnknownIdentifierError, eval_jet, eval_value, parse, xi_ode,
-                      xi_rhs)
+from trapcorr import (FEHLBERG7, ConfigError, DomainError, ExpressionError, Jet3, ProblemSpec,
+                      RKTableau, SyntaxError_, UnknownIdentifierError, eval_jet, eval_value, parse,
+                      xi_ode, xi_rhs)
 from trapcorr import expr
 from trapcorr.expr import MAX_DEPTH, BinOp, Call, Num, Var, eval_values, shift_by_cubic
 
@@ -116,6 +116,48 @@ def test_syntax_error_offset():
     with pytest.raises(SyntaxError_) as exc:
         parse("2+*x")
     assert exc.value.position == 2
+
+
+#: text -> (error, message, offset), as parse reports them: the CLI prints the message
+_DIAGNOSTICS = {
+    "2+*x": (SyntaxError_, "unexpected '*'", 2),
+    "sin x": (SyntaxError_, "expected '('", 4),
+    "(1+2": (SyntaxError_, "expected ')'", 4),
+    "(1+2 $": (SyntaxError_, "unexpected character '$'", 5),  # every token is read first
+    "sin(π)+": (SyntaxError_, "non-ASCII character 'π'", 4),
+    "x^x": (SyntaxError_, "exponent must be constant when the base depends on x", 1),
+    "1e400": (SyntaxError_, "number 1e400 is out of range", 0),
+    "foo(x)": (UnknownIdentifierError, "unknown identifier 'foo'", 0),
+    "1)": (SyntaxError_, "unexpected ')' after expression", 1),
+    "": (SyntaxError_, "empty expression", 0),
+}
+#: (a text nested n levels, the deepest n parse accepts, the offset that refuses n + 1)
+_DEPTHS = [
+    (lambda n: "(" * n + "x" + ")" * n, 100, 100),
+    (lambda n: "sin(" * n + "x" + ")" * n, 100, 400),
+    (lambda n: "-" * n + "x", 100, 100),
+    (lambda n: "x" + "^2" * n, 99, 199),
+    (lambda n: "+".join(["x"] * n), 100, 199),
+]
+
+
+def test_parse_reports_type_message_offset_and_tree():
+    for text, (error, message, offset) in _DIAGNOSTICS.items():
+        with pytest.raises(ExpressionError) as exc:
+            parse(text)
+        got = type(exc.value), str(exc.value), exc.value.position
+        assert got == (error, f"{message} (offset {offset})", offset), text
+    for nest, deepest, offset in _DEPTHS:
+        parse(nest(deepest))
+        with pytest.raises(SyntaxError_) as exc:
+            parse(nest(deepest + 1))
+        assert (str(exc.value), exc.value.position) == (
+            f"expression nested deeper than {MAX_DEPTH} levels (offset {offset})", offset)
+    assert repr(parse("-x^2")) == "BinOp(op='^', left=Neg(arg=Var()), right=Num(value=2.0))"
+    assert repr(parse("2^3^2")) == ("BinOp(op='^', left=Num(value=2.0), right=BinOp(op='^', "
+                                    "left=Num(value=3.0), right=Num(value=2.0)))")
+    assert repr(parse("8/4/2")) == ("BinOp(op='/', left=BinOp(op='/', left=Num(value=8.0), "
+                                    "right=Num(value=4.0)), right=Num(value=2.0))")
 
 
 @pytest.mark.parametrize("text", ["", "   ", "2x", "2 x", "sin x", "sin(x",

@@ -31,7 +31,7 @@ CASES = {
     # the one row shape with a single absent field: reference but no residual
     "sin-reference": (_SIN, {"reference": True}, emit_csv),
     # classic RK4 read from a file, its zeros spelled 0, 0.0 and -0
-    "sin-rk4-file": (dict(_SIN, tableau=load_tableau(str(DATA / "rk4.tab"), name="rk4")),
+    "sin-rk4-file": (dict(_SIN, tableau=load_tableau(str(DATA / "rk4.tab"))),
                      {}, emit_csv),
     "sin-shift2": (dict(_SIN, shift=2.0), {}, emit_csv),
     "sin-shift-2": (dict(_SIN, shift=-2.0), {}, emit_csv),

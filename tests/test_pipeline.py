@@ -107,6 +107,26 @@ def test_solve_xi_at_infeasible_reference_reports_no_root():
     assert spec.a < exc.value.at < spec.x0
 
 
+@pytest.mark.parametrize("x, i_ref, root_tol, message", [
+    # a NaN or infinite tolerance, or a NaN i_ref, would give the scan's midpoint, 3.0, for 3.04930
+    (5.0, math.nan, 1e-12, "x and i_ref must be finite, got x=5.0, i_ref=nan"),
+    (5.0, None, math.nan, "root tolerance must be positive and finite, got nan"),
+    (5.0, None, math.inf, "root tolerance must be positive and finite, got inf"),
+    (5.0, None, -1.0, "root tolerance must be positive and finite, got -1.0"),
+    (5.0, math.inf, 1e-12, "x and i_ref must be finite, got x=5.0, i_ref=inf"),
+    (math.inf, 0.0, 1e-12, "x and i_ref must be finite, got x=inf, i_ref=0.0"),
+    (math.nan, 0.0, 1e-12, "x and i_ref must be finite, got x=nan, i_ref=0.0"),
+], ids=["i_ref-nan", "root_tol-nan", "root_tol-inf", "root_tol-negative", "i_ref-inf", "x-inf",
+        "x-nan"])
+def test_solve_xi_at_rejects_non_finite_inputs_and_tolerances(x, i_ref, root_tol, message):
+    spec = ProblemSpec.from_text("sin(x)", 1.0, 10.0, x0=5.0)
+    if i_ref is None:  # the true integral, as solve_xi0 would pass it
+        i_ref = reference_integral(spec.g, spec.a, 5.0, spec.ref_tol).value
+    with pytest.raises(ConfigError) as exc:
+        solve_xi_at(spec, x, i_ref, root_tol)
+    assert str(exc.value) == message
+
+
 def test_solve_xi0_stamps_init_phase_on_failure():
     spec = sin_spec(ref_tol=1e-30)  # unreachable tolerance
     with pytest.raises(Exception) as exc:

@@ -109,6 +109,25 @@ def test_reference_rejects_a_nan_tolerance():
         reference_integral(SIN, 0.0, 1.0, math.nan)
 
 
+_BUMP = parse("exp(-100*(x-2.3)^2)")  # its integral over [0, 10] is sqrt(pi)/10
+
+
+@pytest.mark.parametrize("rule, args, message", [
+    # any estimate meets an infinite tolerance: level 2's is 0.0651, not sqrt(pi)/10 = 0.1772
+    (reference_integral, (0.0, 10.0, math.inf), "tolerance must be finite, got inf"),
+    (reference_integral, (0.0, math.inf, 1e-3), "limits must be finite, got a=0.0, x=inf"),
+    # NaN passes the reversed-limits test, and the table would sample f at x = nan
+    (reference_integral, (math.nan, 1.0, 1e-3), "limits must be finite, got a=nan, x=1.0"),
+    (composite_trapezium, (0.0, math.inf, 4), "limits must be finite, got a=0.0, b=inf"),
+    (composite_trapezium, (-math.inf, 0.0, 4), "limits must be finite, got a=-inf, b=0.0"),
+    (composite_trapezium, (0.0, math.nan, 4), "limits must be finite, got a=0.0, b=nan"),
+], ids=["ref-tol-inf", "ref-x-inf", "ref-a-nan", "trap-b-inf", "trap-a-inf", "trap-b-nan"])
+def test_non_finite_tolerance_or_limit_is_a_config_error(rule, args, message):
+    with pytest.raises(ConfigError) as exc:
+        rule(_BUMP, *args)
+    assert str(exc.value) == message
+
+
 def test_reference_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(quadrature, "DEFAULT_MAX_EVALS", 2 ** 12)
     with pytest.raises(ToleranceError) as exc:
