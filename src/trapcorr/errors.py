@@ -2,8 +2,9 @@
 
 Every failure mode a caller may want to branch on gets its own class; the
 CLI maps these onto exit codes.  Exceptions carry structured context
-(positions, abscissae) rather than encoding it only in the message, and
-leave the package as the error that was raised, never wrapped.
+(positions, abscissae, the xi of a jet that failed in an xi-ODE stage) as
+fields, not only in the message, keep them through pickling, and leave
+the package as the error that was raised, never wrapped.
 
 :func:`phase` is the one place that names where an error happened: a
 ``TrapcorrError`` leaving a ``with phase("ode"):`` block is stamped with
@@ -22,6 +23,9 @@ class TrapcorrError(Exception):
     #: phase that raised the error ("parse", "init", "ode", ...), stamped
     #: by :func:`phase`, if known
     phase: str | None = None
+
+    def __reduce__(self):  # pickled as its args and fields, unpickled without __init__
+        return BaseException.__new__, (type(self), *self.args), self.__dict__
 
 
 class ExpressionError(TrapcorrError):
@@ -45,14 +49,13 @@ class UnknownIdentifierError(ExpressionError):
 
 
 class DomainError(TrapcorrError):
-    """Evaluation outside the mathematical domain (log of a non-positive
-    number, division by zero, sqrt of a negative, and the like)."""
+    """Evaluation outside the mathematical domain (log of a non-positive number, division by
+    zero, sqrt of a negative, and the like) at ``x``, in the jet at ``xi`` if one is given."""
 
-    def __init__(self, message: str, x: float | None = None):
-        if x is not None:
-            message = f"{message} at x={x!r}"
-        super().__init__(message)
-        self.x = x
+    def __init__(self, message: str, x: float | None = None, xi: float | None = None):
+        super().__init__(message + f" for xi={xi!r}" * (xi is not None)
+                         + f" at x={x!r}" * (x is not None))
+        self.x, self.xi = x, xi
 
 
 class ConfigError(TrapcorrError):

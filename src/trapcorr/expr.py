@@ -240,17 +240,17 @@ class Jet3(NamedTuple):
 _UNDEFINED = (ArithmeticError, ValueError)
 
 
-def _pow_value(u: float, r: float, x: float) -> float:
+def _pow_value(u: float, r: float, x: float, xi: float | None = None) -> float:
     if u < 0.0 and not r.is_integer():
-        raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x)
+        raise DomainError(f"negative base {u!r} with non-integer exponent {r!r}", x, xi)
     if u == 0.0 and r < 0.0:
-        raise DomainError(f"zero base with negative exponent {r!r}", x)
+        raise DomainError(f"zero base with negative exponent {r!r}", x, xi)
     return math.pow(u, r)
 
 
-def _undefined(exc: ArithmeticError | ValueError, x: float) -> DomainError:
+def _undefined(exc: ArithmeticError | ValueError, x: float, xi: float | None = None) -> DomainError:
     kind = "overflow" if isinstance(exc, OverflowError) else "undefined"
-    return DomainError(f"{kind}: {exc}", x)
+    return DomainError(f"{kind}: {exc}", x, xi)
 
 
 #: per function: g; the statement setting g'(u) at u = {u0} as {g1}, then
@@ -275,13 +275,13 @@ _FUNCTIONS = {
 _CHAIN = ([("w1", "g1 u1")],
           [("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")])
 #: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
-_POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, x)"
+_POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, {{at}})"
 
-#: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u
-#: (operand or left) and v (right), the result w, scratch g and s and the point, always x.  A
-#: scratch value's statement is a template; a derivative slot's, ("w2", term, ...),
-#: a sum of products, each factor (a slot, a number or a cube u1^3) apart by a space,
-#: or ("w2/v0", term, ...), such a sum over v0
+#: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u (operand
+#: or left) and v (right), the result w, scratch g and s, the point x and a raise site's
+#: location {at}, filled by the block's reader.  A scratch value's statement is a template; a
+#: derivative slot's, ("w2", term, ...), a sum of products, each factor (a slot, a number or a
+#: cube u1^3) apart by a space, or ("w2/v0", term, ...), such a sum over v0
 _RULES = {
     "neg": ("{w0} = -{u0}", [("w1", "-1.0 u1")], [("w2", "-1.0 u2"), ("w3", "-1.0 u3")]),
     "+": ("{w0} = {u0} + {v0}", [("w1", "u1", "v1")], [("w2", "u2", "v2"), ("w3", "u3", "v3")]),
@@ -290,7 +290,7 @@ _RULES = {
     "*": ("{w0} = {u0} * {v0}", [("w1", "u1 v0", "u0 v1")],  # Leibniz rule
           [("w2", "u2 v0", "2.0 u1 v1", "u0 v2"),
            ("w3", "u3 v0", "3.0 u2 v1", "3.0 u1 v2", "u0 v3")]),
-    "/": ("if {v0} == 0.0: raise DomainError('division by zero', x)\n{w0} = {u0} / {v0}",
+    "/": ("if {v0} == 0.0: raise DomainError('division by zero', {{at}})\n{w0} = {u0} / {v0}",
           [("w1/v0", "u1", "-1.0 w0 v1")],
           [("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
            ("w3/v0", "u3", "-1.0 w0 v3", "-3.0 w1 v2", "-3.0 w2 v1")]),
@@ -307,7 +307,7 @@ _RULES = {
             ("w3", "w0 s1^3", "3.0 w0 s1 s2", "w0 s3")]),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
-_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), x)\n"
+_DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), {{at}})\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
             + f"{{w0}} = {name}({{u0}})", [g1, *_CHAIN[0]], [*g23.split("; "), *_CHAIN[1]]))
@@ -332,12 +332,12 @@ def bind({literals}):
     return jet, values
 """
 
-#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at x
+#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {at}
 _GUARDED = """\
         try:
 {body}
         except UNDEFINED as exc:
-            raise undefined(exc, x) from exc"""
+            raise undefined(exc, {{at}}) from exc"""
 
 #: what emitted code reads besides its locals: math's functions under
 #: their grammar names, math.pow as pow, and tuple.__new__ as new, which
@@ -505,8 +505,8 @@ def _emit(shape) -> dict:
 
 
 def _source(shape) -> str:
-    """One shape's evaluators, in a ``bind`` over its literals."""
-    return _SOURCE.format(**_emit(shape))
+    """One shape's evaluators, in a ``bind`` over its literals: each raises at x."""
+    return _SOURCE.format(**_emit(shape)).replace("{at}", "x")
 
 
 _CACHE = os.path.dirname(importlib.util.cache_from_source(__file__))

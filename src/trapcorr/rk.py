@@ -63,7 +63,9 @@ class RKTableau(Value):
     c: tuple[float, ...]
 
     def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+        super().__init__(*args, **kwargs)  # then frozen, each coefficient a float
+        self.__dict__.update(a=tuple(tuple(map(float, row)) for row in self.a),
+                             b=tuple(map(float, self.b)), c=tuple(map(float, self.c)))
         s = len(self.b)
         if len(self.c) != s or len(self.a) != s:
             raise ConfigError(f"tableau '{self.name}': inconsistent stage counts")

@@ -24,7 +24,7 @@ here takes the problem as a :class:`~trapcorr.pipeline.ProblemSpec`,
 which builds g and g(a) once.
 
 Each stage, of :func:`xi_rhs` or inline in the sweep's step, reads g and g' at x and the full
-jet only at xi, whose errors it raises at x, naming xi.  The ODE compiles per (shape, tableau).
+jet only at xi, whose errors it raises at x, xi as their ``xi``.  It compiles per (shape, tableau).
 """
 
 from __future__ import annotations
@@ -47,11 +47,6 @@ DEFAULT_DEN_GUARD = 1e-8
 F_COEFFICIENT = -6.0
 
 
-def _at_x(what: str, xi: float, x: float) -> DomainError:
-    """The error ``what`` of the jet at ``xi``, located at the sweep's ``x`` instead, naming xi."""
-    return DomainError(f"{what.removesuffix(f' at x={xi!r}')} for xi={xi!r}", x)
-
-
 #: the terms of xi's slope that x alone fixes, for node n: g and g' at x by the evaluators'
 #: slope block, then t^3, the guard's threshold and P, Q of the numerator P - Q g''(xi)
 _READ = """\
@@ -62,14 +57,11 @@ t = x - a; t3{n} = t ** 3; thr{n} = guard * (1.0 + abs(t3{n}))
 P{n} = F * {w0} + g_a6 + {t_dg}; Q{n} = 3.0 * t * t"""
 
 #: the slope {k} at (x, xi) from node n's terms and the jet block at xi, by its name there,
-#: x: its DomainError is raised at x_s, the stage's x
+#: x: its DomainError is raised at x_s, the stage's x, and at xi
 _JET = """\
 x_s, x = x, {xi}
-try:
 {jet}
-except DomainError as exc:
-    raise at_x(exc.args[0], x, x_s) from exc.__cause__
-if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise at_x("non-finite jet component", x, x_s)
+if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise DomainError("non-finite jet component", x_s, x)
 den = t3{n} * {w3}
 if abs(den) < thr{n}: raise SingularDenominatorError(x_s, x, den)
 {k} (P{n} - Q{n} * {w2}) / den"""
@@ -96,8 +88,8 @@ def _source(shape, tableau) -> str:
     reads x's terms once per node c, carries a node c = 1's into the next step's c = 0 at an
     equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
-    em = dict(em, slope=em["slope"].replace("\n" + " " * 8, "\n")[8:],  # from 8 columns to 0,
-              jet=em["jet"].replace("\n    ", "\n")[4:],  # and to 4, in its try
+    em = dict(em, **{key: em[key].replace("\n" + " " * 8, "\n")[8:].replace("{at}", at)
+                     for key, at in (("slope", "x"), ("jet", "x_s, x"))},  # from 8 columns to 0
               t_dg="6.0 * t" + f" * {em['w1']}" * (em["w1"] != "1.0"))  # y * 1.0 is y
 
     def indent(text, columns):
@@ -125,7 +117,7 @@ def _source(shape, tableau) -> str:
 @lru_cache(maxsize=256)
 def _factory(shape, tableau):
     """:func:`_source`'s bind, per (shape, tableau), bounded: a run's (step, records, stage)."""
-    namespace = dict(_NAMESPACE, at_x=_at_x, ConfigError=ConfigError,
+    namespace = dict(_NAMESPACE, ConfigError=ConfigError,
                      SingularDenominatorError=SingularDenominatorError)
     exec(_compiled(_source(shape, tableau), "<trapcorr.xi_ode emitted>"), namespace)
     return namespace["bind"]
@@ -149,7 +141,7 @@ def xi_rhs(p: ProblemSpec, x: float, xi: float) -> float:
     Requires x != a (the defining identity is 0 = 0 there), else raises :class:`ConfigError`,
     and a denominator above the guard threshold, else :class:`SingularDenominatorError`.  At x
     it reads g and g' alone, so it is defined where only g'' or g''' is not.  A
-    :class:`DomainError` of the jet at xi is raised at x, naming xi.  Its statements are each
+    :class:`DomainError` of the jet at xi is raised at x, xi as its ``xi``.  Its statements are each
     stage of the sweep's step.
     """
     if getattr(p, "_xi_rhs", (None,))[0] != (tag := (F_COEFFICIENT, DEFAULT_DEN_GUARD)):

@@ -1,3 +1,4 @@
+import io
 import math
 import pickle
 import random
@@ -6,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from trapcorr import (ConfigError, DomainError, FEHLBERG7, IoError, RKTableau,
-                      empirical_order, format_tableau, integrate, load_tableau,
-                      rk_step)
+from trapcorr import (ConfigError, DomainError, FEHLBERG7, IoError, ProblemSpec, RKTableau,
+                      emit_csv, empirical_order, format_tableau, integrate, load_tableau,
+                      rk_step, run)
 from trapcorr.rk import FLOOR_ULPS, MAX_ORDER, _trees, order_condition_residuals
 
 DATA = Path(__file__).parent / "data"
@@ -17,6 +18,23 @@ HEUN = RKTableau(name="heun", order=2, a=((), (1.0,)), b=(0.5, 0.5), c=(0.0, 1.0
 KUTTA3_SKEW = RKTableau(name="kutta3-skew", order=3,
                         a=((), (0.5,), (-1.0, 2.0), (0.0, -0.0, 1.0)),
                         b=(1 / 6, 2 / 3, 0.0, 1 / 6), c=(0.0, 0.5, 1.0, 1.0))
+
+
+def test_integer_and_list_coefficients_freeze_to_their_float_tuple_twin():
+    # each runs, hashes and compares as its twin, and writes its CSV bytes: no int reaches
+    # the emitted step's float literals, nor a list a cache key
+    twin = RKTableau(name="rk2", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
+    csv = {}
+    for kind, t in (("int", RKTableau(name="rk2", order=2, a=((), (0.5,)), b=(0, 1), c=(0, 0.5))),
+                    ("list", RKTableau(name="rk2", order=2, a=[[], [0.5]], b=[0, 1], c=[0, 0.5])),
+                    ("twin", twin)):  # the twin last: it caches no step for the others
+        assert t == twin and hash(t) == hash(twin) and (t.a, t.b, t.c) == (twin.a, twin.b, twin.c)
+        assert all(type(v) is float for v in (*t.b, *t.c, *sum(t.a, ()))), kind
+        assert all(type(part) is tuple for part in (t.a, t.b, t.c, *t.a)), kind
+        buf = io.StringIO()
+        emit_csv(run(ProblemSpec.from_text("sin(x)", 1.0, 4.0, h=0.05, tableau=t)), buf)
+        csv[kind] = buf.getvalue()
+    assert csv["int"] == csv["twin"] == csv["list"]
 
 
 def _declared(t: RKTableau, order: int) -> RKTableau:

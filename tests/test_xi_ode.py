@@ -15,6 +15,7 @@ from trapcorr import (FEHLBERG7, ConfigError, DomainError, ProblemSpec, RKTablea
 from trapcorr import expr, pipeline
 
 from conftest import HEUN3, RK4, exotic_spec
+from test_error_parity import RUNS
 
 SIN = parse("sin(x)")
 XI0_SIN = 3.049296665128674  # bootstrap value at x0 = 5 over [1, .]
@@ -89,6 +90,20 @@ def test_rhs_reads_only_g_and_its_slope_at_x():
     at_xi = eval_jet(p.g, -0.5)
     want = (6.0 * p.g_at_a - 3.0 * at_xi.d2) / at_xi.d3
     assert math.isfinite(want) and xi_rhs(p, 0.0, -0.5) == want
+
+
+def test_an_error_of_the_jet_at_xi_carries_the_stage_x_and_xi_as_fields():
+    # the message names both; an error at x itself carries no xi
+    with pytest.raises(DomainError) as exc:
+        xi_rhs(ProblemSpec.from_text("sqrt(x)", 1.0, 4.0), 2.0, -1.0)
+    assert (exc.value.x, exc.value.xi) == (2.0, -1.0)
+    (f, a, b, x0, h, ref_tol, root_tol), _, args, x = RUNS["xi-outer-overflow"]
+    with pytest.raises(DomainError) as exc:
+        run(ProblemSpec.from_text(f, a, b, x0=x0, h=h, ref_tol=ref_tol, root_tol=root_tol))
+    assert (exc.value.args, exc.value.x, exc.value.xi) == (args, x, 6.569072034370699)
+    with pytest.raises(DomainError) as exc:
+        xi_rhs(ProblemSpec.from_text("exp(x)", 1.0, 800.0), 710.0, 2.0)
+    assert (exc.value.x, exc.value.xi) == (710.0, None)
 
 
 def test_expr_knows_nothing_of_the_ode():
@@ -185,11 +200,12 @@ def test_fused_step_equals_rk_step_over_xi_rhs(make, tableau):
 
 
 def _failure(call):
-    """The exception ``call()`` raises, as its type, text, abscissa and cause's type."""
+    """The exception ``call()`` raises, as its type, text, abscissa, xi and cause's type."""
     with pytest.raises(Exception) as exc:
         call()
     err = exc.value
-    return type(err), str(err), getattr(err, "x", None), type(err.__cause__)
+    return (type(err), str(err), getattr(err, "x", None), getattr(err, "xi", None),
+            type(err.__cause__))
 
 
 #: name: (f, a, b, the step's y, its x given its first node c0), and the failure's type;
