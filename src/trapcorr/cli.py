@@ -153,7 +153,7 @@ def _build_spec(ns: SimpleNamespace) -> ProblemSpec:
 
 
 def _emit(writer, payload, destination=None) -> int:
-    """Write under [output], to stdout by default, or as print does, nowhere if it started closed."""
+    """Write under [output], to stdout by default, or as print does, nowhere if it began closed."""
     with phase("output"):
         writer(payload, (sys.stdout or os.devnull) if destination is None else destination)
     return 0

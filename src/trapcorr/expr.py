@@ -52,7 +52,7 @@ __all__ = [
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 #: deepest nesting ``parse`` accepts, one level per parenthesis, call, unary
-#: minus or operator; parsing, compiling and evaluating recurse per level
+#: minus or operator; parsing, compiling and evaluating take a call per level
 MAX_DEPTH = 100
 
 
@@ -271,46 +271,44 @@ _FUNCTIONS = {
              "{g3} = 0.75 * {g1} / ({u0} * {u0})", 0.0, "negative"),
 }
 
-#: Faa di Bruno through order 3, w = g(u) from g1-g3 at u: d1, then d2 and d3
-_CHAIN = ([("w1", "g1 u1")],
-          [("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")])
+#: Faa di Bruno through order 3, w = g(u) from g1-g3 at u: w1, w2, w3
+_CHAIN = [("w1", "g1 u1"), ("w2", "g2 u1 u1", "g1 u2"), ("w3", "g3 u1^3", "3.0 g2 u1 u2", "g1 u3")]
 #: u^v: math.pow itself where u > 0, since neither of _pow_value's checks fires there
 _POW = "pow({u0}, {v0}) if {u0} > 0.0 else pow_value({u0}, {v0}, {{at}})"
 
-#: per node kind: its d0 statements, then its d1 and its d2-d3 ones, over the jets u (operand
-#: or left) and v (right), the result w, scratch g and s, the point x and a raise site's
-#: location {at}, filled by the block's reader.  A scratch value's statement is a template; a
-#: derivative slot's, ("w2", term, ...), a sum of products, each factor (a slot, a number or a
+#: per node kind: its d0 statements, then its derivatives' (d1's, then d2's and d3's), over the
+#: jets u (operand or left) and v (right), the result w, scratch g and s, the point x and a raise
+#: site's location {at}, filled by the block's reader.  A scratch value's statement is a template;
+#: a derivative slot's, ("w2", term, ...), a sum of products, each factor (a slot, a number or a
 #: cube u1^3) apart by a space, or ("w2/v0", term, ...), such a sum over v0
 _RULES = {
-    "neg": ("{w0} = -{u0}", [("w1", "-1.0 u1")], [("w2", "-1.0 u2"), ("w3", "-1.0 u3")]),
-    "+": ("{w0} = {u0} + {v0}", [("w1", "u1", "v1")], [("w2", "u2", "v2"), ("w3", "u3", "v3")]),
-    "-": ("{w0} = {u0} - {v0}", [("w1", "u1", "-1.0 v1")],
-          [("w2", "u2", "-1.0 v2"), ("w3", "u3", "-1.0 v3")]),
-    "*": ("{w0} = {u0} * {v0}", [("w1", "u1 v0", "u0 v1")],  # Leibniz rule
-          [("w2", "u2 v0", "2.0 u1 v1", "u0 v2"),
-           ("w3", "u3 v0", "3.0 u2 v1", "3.0 u1 v2", "u0 v3")]),
+    "neg": ("{w0} = -{u0}", [("w1", "-1.0 u1"), ("w2", "-1.0 u2"), ("w3", "-1.0 u3")]),
+    "+": ("{w0} = {u0} + {v0}", [("w1", "u1", "v1"), ("w2", "u2", "v2"), ("w3", "u3", "v3")]),
+    "-": ("{w0} = {u0} - {v0}",
+          [("w1", "u1", "-1.0 v1"), ("w2", "u2", "-1.0 v2"), ("w3", "u3", "-1.0 v3")]),
+    "*": ("{w0} = {u0} * {v0}", [("w1", "u1 v0", "u0 v1"),  # Leibniz rule
+                                 ("w2", "u2 v0", "2.0 u1 v1", "u0 v2"),
+                                 ("w3", "u3 v0", "3.0 u2 v1", "3.0 u1 v2", "u0 v3")]),
     "/": ("if {v0} == 0.0: raise DomainError('division by zero', {{at}})\n{w0} = {u0} / {v0}",
-          [("w1/v0", "u1", "-1.0 w0 v1")],
-          [("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
+          [("w1/v0", "u1", "-1.0 w0 v1"), ("w2/v0", "u2", "-1.0 w0 v2", "-2.0 w1 v1"),
            ("w3/v0", "u3", "-1.0 w0 v3", "-3.0 w1 v2", "-3.0 w2 v1")]),
     # u^r, r free of x, per call; _power folds it at a literal r
     "^r": ("{w0} = 1.0 if {v0} == 0.0 else " + _POW,
-           ["{g1} = {v0} * pow({u0}, {v0} - 1.0)", *_CHAIN[0]],
-           ["{s2} = {v0} * ({v0} - 1.0)", "{s3} = {s2} * ({v0} - 2.0)",
+           ["{g1} = {v0} * pow({u0}, {v0} - 1.0)", _CHAIN[0],
+            "{s2} = {v0} * ({v0} - 1.0)", "{s3} = {s2} * ({v0} - 2.0)",
             "{g2} = 0.0 if {s2} == 0.0 else {s2} * pow({u0}, {v0} - 2.0)",
-            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0)", *_CHAIN[1]]),
+            "{g3} = 0.0 if {s3} == 0.0 else {s3} * pow({u0}, {v0} - 3.0)", *_CHAIN[1:]]),
     # b^v, b free of x: the value is pow(b, v), the derivatives those of
     # exp(s) for s = v ln b: the chain with g1 = g2 = g3 = w0
-    "^v": ("{w0} = " + _POW, ["{s0} = ln({u0})", ("s1", "v1 s0"), ("w1", "w0 s1")],
-           [("s2", "v2 s0"), ("s3", "v3 s0"), ("w2", "w0 s1 s1", "w0 s2"),
-            ("w3", "w0 s1^3", "3.0 w0 s1 s2", "w0 s3")]),
+    "^v": ("{w0} = " + _POW, ["{s0} = ln({u0})", ("s1", "v1 s0"), ("w1", "w0 s1"),
+                              ("s2", "v2 s0"), ("s3", "v3 s0"), ("w2", "w0 s1 s1", "w0 s2"),
+                              ("w3", "w0 s1^3", "3.0 w0 s1 s2", "w0 s3")]),
 }
 #: each function's rule: its domain check, if any, and g(u); g's derivatives, chained
 _DOMAIN = "if {u0} < %r: raise DomainError('%s of %s value ' + repr({u0}), {{at}})\n"
 _RULES.update(
     (name, (("" if lowest == -math.inf else _DOMAIN % (lowest, name, below))
-            + f"{{w0}} = {name}({{u0}})", [g1, *_CHAIN[0]], [*g23.split("; "), *_CHAIN[1]]))
+            + f"{{w0}} = {name}({{u0}})", [g1, _CHAIN[0], *g23.split("; "), *_CHAIN[1:]]))
     for name, (_, g1, g23, lowest, below) in _FUNCTIONS.items())
 
 #: the two evaluators of one tree shape, over its literals lit0, lit1, ...
@@ -377,7 +375,7 @@ def _power(r: float, f: dict):
     while u1 is a name (g3 u1^3 raises where the cube overflows); pow_value passes whole r > 0."""
     if r == 0.0:
         f.update(w1="0.0", w2="0.0", w3="0.0")
-        return "{w0} = 1.0", [], []
+        return "{w0} = 1.0", []
     c, lines = 1.0, ([], [])  # g1's, then g2's and g3's
     for k in (1, 2, 3):
         c, m, g = c * (r - (k - 1)), r - k, f"{{g{k}}} = "
@@ -389,7 +387,7 @@ def _power(r: float, f: dict):
             factor = "" if c == 1.0 else "-" if c == -1.0 else f"{c!r} * "
             lines[k > 1].append(g + factor + ("{u0}" if m == 1.0 else f"pow({{u0}}, {m!r})"))
     value = "{u0}" if r == 1.0 else "pow({u0}, {v0})" if r > 0.0 and r.is_integer() else _POW
-    return "{w0} = " + value, lines[0] + _CHAIN[0], lines[1] + _CHAIN[1]
+    return "{w0} = " + value, [*lines[0], _CHAIN[0], *lines[1], *_CHAIN[1:]]
 
 
 def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
@@ -447,13 +445,13 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
         lines.append(f"{f[target]} = {expr}")
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256)  # the xi-ODE's stage reads it too
 def _emit(shape) -> dict:
-    """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: the
-    d0 statements, then the d1, then all; and the factors of its finiteness tests, 0.0 times
-    each slot, +-0.0 or NaN.  A chained node's derivatives with /, ** or a call but sin or cos
-    come out NaN where they raise (float +, - and * never do, sin and cos only where d0 has),
-    so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
+    """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: d0's
+    statements, then the derivatives', the slope's those that set no g2, g3, s2, s3, w2 or w3;
+    and its finiteness tests' factors, 0.0 times each slot, +-0.0 or NaN.  A chained node's
+    derivatives with /, ** or a call but sin or cos come out NaN where they raise (float +, -
+    and * never do, sin and cos only where d0 has), so all fail alike wherever the value does."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -472,19 +470,19 @@ def _emit(shape) -> dict:
         n = len(value)  # one d0 entry per node: a unique suffix
         f = {name: f"{name}_{n}" for name in _LOCALS}
         f.update(zip(_OPERANDS, operands))
-        d0, d1, d23 = _power(args[1], f) if literal else _RULES[kind]
+        d0, derivatives = _power(args[1], f) if literal else _RULES[kind]
         value.append(d0.format(**f))
         chained = kind[0] == "^" or kind in _FUNCTIONS  # statements that can raise
         # over a constant operand, only g1 * 0.0 and the like show g's overflow or error
         keep = chained and f["v1" if kind == "^v" else "u1"] in _ZEROS
-        carried, parts = set(), ([], [])
-        for lines, part in zip(parts, (d1, d23)):
-            for statement in part:
-                if isinstance(statement, str):
-                    lines.append(statement.format(**f))
-                else:
-                    _fold(statement, f, lines, keep, carried)
-        for lines, body, outs in ((slope, parts[0], "w1"), (jet, parts[0] + parts[1], "w1 w2 w3")):
+        carried, lines = set(), []
+        for statement in derivatives:
+            if isinstance(statement, str):
+                lines.append(statement.format(**f))
+            else:
+                _fold(statement, f, lines, keep, carried)
+        first = [line for line in lines if not re.match(r"[gsw][23]_", line)]  # the x-side's
+        for block, body, outs in ((slope, first, "w1"), (jet, lines, "w1 w2 w3")):
             body = "; ".join(body)
             names = " = ".join(filter(str.isidentifier, map(f.get, outs.split())))
             if chained and re.search(r"/|\*\*|\b(?!sin\(|cos\()\w+\(", body):
@@ -492,7 +490,7 @@ def _emit(shape) -> dict:
             if kind == "^r" and not literal:  # u^0 is the constant 1, whatever u's derivatives
                 body += f"\nif {f['v0']} == 0.0: {names} = 0.0"
             if body:
-                lines.append(body)
+                block.append(body)
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
     w = emit(shape)

@@ -336,7 +336,7 @@ def _write_text(text: str, destination) -> None:
             destination.write(text)
             destination.flush()  # a buffered stream fails here, not at some later flush
         else:
-            with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII text, no import
+            with open(destination, "w", encoding="utf-8", newline="") as fh:  # ASCII: no import
                 fh.write(text)
     except OSError as exc:
         name = getattr(destination, "name", destination)  # a stream by its name, a path as given

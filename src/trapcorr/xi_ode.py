@@ -85,8 +85,8 @@ def _source(shape, tableau) -> str:
     The step's stage i is x = x_n + c_i h, then k_i the slope at y + h a_ij k_j + ..., and it
     returns y + h (0.0 + b_i k_i + ...), each sum left to right over the nonzero entries: the
     roundings of :meth:`~trapcorr.rk.RKTableau.step`'s loop, a factor 1.0 dropped (exact).  It
-    reads x's terms once per node c, carries a node c = 1's into the next step's c = 0 at an
-    equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    reads x's terms once per node c, carries a node c = 1's into the next step's node c = 0 at
+    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
     em = dict(em, **{key: em[key].replace("\n" + " " * 8, "\n")[8:].replace("{at}", at)
                      for key, at in (("slope", "x"), ("jet", "x_s, x"))},  # from 8 columns to 0
@@ -101,9 +101,9 @@ def _source(shape, tableau) -> str:
     (rows, weights), stages = tableau.nonzero, []
     for i, row in enumerate(rows):
         yi = "y" + "".join(f" + h * {times(a)}k{j}" for j, a in row)
-        n, recurs = nodes.index(nodes[i]), nodes.count(nodes[i]) > 1  # a recurring c = 0 reads
+        n = nodes.index(nodes[i])
         terms, read = f"t3_{n}, thr_{n}, P_{n}, Q_{n}", _READ.format(n=f"_{n}", **em)
-        if c[i] == 0.0 and not recurs:  # a node's first stage reads x's terms or takes the carry
+        if c[i] == 0.0:  # a node's first stage reads x's terms or takes the carry
             read = f"if x == carry[0]: _, {terms} = carry\nelse:\n" + indent(read, 4)
         stages.append(f"x = x_n + {times(c[i])}h\n" + (read + "\n") * (n == i)
                       + _JET.format(n=f"_{n}", xi=yi, k=f"k{i} =", **em)

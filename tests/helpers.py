@@ -6,8 +6,10 @@ import argparse
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
+from functools import lru_cache
 from itertools import islice
-from operator import add, neg, sub
+from operator import add, mul, neg, sub, truediv
 
 from trapcorr import ConfigError, ReferenceResult, ToleranceError, quadrature
 from trapcorr import DomainError, SingularDenominatorError, xi_ode
@@ -300,6 +302,113 @@ def reference_xi_step(g, a: float, x: float, y: float, h: float, tableau) -> lis
         return [tableau.step(rhs, x, y, h).hex(), records[0].hex()]
     except (DomainError, SingularDenominatorError) as exc:
         return [type(exc).__name__]
+
+
+# ----------------------------------------------------------------- oracle
+#
+# The integral of a trapcorr tree by the tanh-sinh (double-exponential) rule in
+# decimal arithmetic (Takahasi & Mori, "Double exponential formulas for numerical
+# integration", 1974).  It walks the tree itself and shares no table or routine
+# with trapcorr.expr, trapcorr.quadrature or reference_jet: truth where tier-1 has
+# no closed form, by a rule and an arithmetic that Romberg's table does not use.
+
+#: significant digits of the oracle's arithmetic
+ORACLE_DIGITS = 40
+
+
+@lru_cache(maxsize=16)
+def _decimal_pi(digits: int) -> Decimal:
+    """pi to ``digits`` digits, by the ``decimal`` documentation's recipe."""
+    with localcontext() as ctx:
+        ctx.prec = digits + 2
+        lasts, t, s, n, na, d, da = 0, Decimal(3), 3, 1, 0, 0, 24
+        while s != lasts:
+            lasts = s
+            n, na = n + na, na + 8
+            d, da = d + da, da + 32
+            t = (t * n) / d
+            s += t
+    with localcontext() as ctx:
+        ctx.prec = digits
+        return +s
+
+
+def _decimal_cos(x: Decimal, sine: bool = False) -> Decimal:
+    """cos(x), or sin(x) as cos(x - pi/2), by the recipe's Taylor series, after x is reduced
+    mod 2 pi with as many more digits as x has before its point: the reduced argument keeps
+    the context's."""
+    with localcontext() as ctx:
+        ctx.prec += 5 + max(x.adjusted(), 0)
+        pi = _decimal_pi(ctx.prec)
+        x -= pi / 2 if sine else 0
+        x -= 2 * pi * (x / (2 * pi)).to_integral_value()
+        i, lasts, s, fact, num, sign = 0, 0, Decimal(1), 1, 1, 1
+        while s != lasts:
+            lasts = s
+            i += 2
+            fact *= i * (i - 1)
+            num *= x * x
+            sign = -sign
+            s += num / fact * sign
+    return +s
+
+
+def _decimal_value(node, x: Decimal) -> Decimal:
+    """``node``'s value at ``x`` in the current decimal context: a literal or constant is the
+    double that the parsed tree holds, exactly; exp, ln, log10 and sqrt are Decimal's own."""
+    if isinstance(node, Var):
+        return x
+    if isinstance(node, (Num, Const)):
+        return Decimal(node.value if isinstance(node, Num) else getattr(math, node.name))
+    if isinstance(node, Neg):
+        return -_decimal_value(node.arg, x)
+    if isinstance(node, Call):
+        u = _decimal_value(node.arg, x)
+        if node.func == "tan":
+            return _decimal_cos(u, sine=True) / _decimal_cos(u)
+        if node.func in ("sin", "cos"):
+            return _decimal_cos(u, sine=node.func == "sin")
+        return getattr(u, node.func)()
+    operation = {"+": add, "-": sub, "*": mul, "/": truediv, "^": pow}[node.op]
+    return operation(_decimal_value(node.left, x), _decimal_value(node.right, x))
+
+
+def decimal_integral(node, a: float, b: float, digits: int = ORACLE_DIGITS) -> Decimal:
+    """The integral of ``node`` over [a, b] by the tanh-sinh rule in ``decimal`` at ``digits``
+    significant digits.  Its nodes are x = a + (b - a)/2 (1 - tanh v), v = pi/2 sinh u, and
+    their mirrors about the midpoint, weighted pi/2 cosh u / cosh^2 v, at u = 0, h, 2h, ...
+    out to the weight 10^-(digits + 5).  h halves from 1 until two levels agree to half the
+    digits, relative to the integral of |f|: the next halving would about square that error.
+    Raises what Decimal raises where the integrand is undefined at a node, and
+    ArithmeticError where 10 levels do not agree."""
+    with localcontext() as ctx:
+        ctx.prec = digits
+        lo, hi, quarter_pi = Decimal(a), Decimal(b), _decimal_pi(digits) / 2
+        half, tiny = (hi - lo) / 2, Decimal(10) ** -(digits + 5)
+        agree = Decimal(10) ** -(digits // 2)
+
+        def weighted(u: Decimal) -> tuple:  # the weight at u, and f at its two nodes
+            e = u.exp()
+            ev = (quarter_pi * (e - 1 / e)).exp()
+            delta = 2 / (ev * ev + 1)  # 1 - tanh v, without cancellation
+            weight = quarter_pi * (e + 1 / e) * 4 / (ev + 1 / ev) ** 2
+            return (weight, _decimal_value(node, lo + half * delta),
+                    _decimal_value(node, hi - half * delta))
+
+        weight, f_mid, _ = weighted(Decimal(0))  # u = 0 is one node: the midpoint
+        total, total_abs, h, estimate = weight * f_mid, weight * abs(f_mid), Decimal(1), None
+        for level in range(10):  # level 0 takes every u = k h, each next one the odd k
+            k = 1
+            while (terms := weighted(k * h))[0] >= tiny:
+                weight, f_lo, f_hi = terms
+                total += weight * (f_lo + f_hi)
+                total_abs += weight * (abs(f_lo) + abs(f_hi))
+                k += 1 if level == 0 else 2
+            value = half * h * total
+            if estimate is not None and abs(value - estimate) <= agree * abs(half) * h * total_abs:
+                return value
+            estimate, h = value, h / 2
+    raise ArithmeticError(f"tanh-sinh levels did not agree over [{a!r}, {b!r}]")
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,7 +17,7 @@ from trapcorr import (FEHLBERG7, ProblemSpec, emit_csv, empirical_order,
                       integrate, reference_integral, run, solve_xi0, xi_ode)
 
 from conftest import exotic_spec, sin_spec
-from helpers import (FD_DOMAINS, composite_loglog_slope,
+from helpers import (FD_DOMAINS, composite_loglog_slope, decimal_integral,
                      worst_additivity_defect, worst_jet_fd_deviation)
 from trapcorr import composite_trapezium, parse
 
@@ -99,6 +99,15 @@ def test_criterion_5_exotic_integrand():
            and elapsed < 60.0,
            f"max raw trapezium error {worst_trap:.3e} in [1e5, 1e6]; max "
            f"corrected error {worst_corrected:.2e} <= 1e-8; {elapsed:.1f}s")
+    # the same bound against the decimal tanh-sinh oracle, which shares nothing with the
+    # Romberg table behind the reference column, at sampled rows
+    rows = sampled_rows(curve.rows, 8, x_min=1.1)
+    oracle = [float(decimal_integral(curve.spec.g, curve.spec.a, r.x)) for r in rows]
+    worst_oracle = max(abs(r.corrected - o) for r, o in zip(rows, oracle))
+    worst_column = max(abs(r.reference - o) for r, o in zip(rows, oracle))
+    report("5 exotic-integrand (decimal oracle)", worst_oracle <= 1e-8,
+           f"max corrected error {worst_oracle:.2e} <= 1e-8 at 8 rows; reference column "
+           f"off the oracle by {worst_column:.2e}")
 
 
 def test_criterion_6_rk_order_and_reverse():

@@ -714,8 +714,8 @@ def test_emitted_code_folds_ones_and_literal_exponent_terms():
         assert not constants.search(_FINITE.sub("", expr._source(shape).split("def ", 2)[2])), text
         counts.update({kind: counts[kind] + 1 for kind in kinds})
     assert len(texts) == 69 and counts == {"lit": 18, "other": 3}
-    # the folded stage's arithmetic, counted in its bytecode (unfolded: 109, 47; with
-    # the literal exponent's terms bound, not folded: 77, 30, 54)
-    assert _stage_arithmetic("x^2*(sin(x)*ln(2+x)-100*x)") <= 71
-    assert _stage_arithmetic("sin(0.7*x+0.3)") <= 32
-    assert _stage_arithmetic("sin(0.7*x+0.3)+2*(x-1)^3/6") <= 52
+    # the folded stage's arithmetic, counted in its bytecode: each bound is the stage's count
+    # under CPython 3.11.7 (59, 18 and 40), so that a stage that grows by one instruction fails
+    assert _stage_arithmetic("x^2*(sin(x)*ln(2+x)-100*x)") <= 59
+    assert _stage_arithmetic("sin(0.7*x+0.3)") <= 18
+    assert _stage_arithmetic("sin(0.7*x+0.3)+2*(x-1)^3/6") <= 40

@@ -9,7 +9,9 @@ from trapcorr import (ConfigError, ProblemSpec, ToleranceError, TrapcorrError,
                       composite_trapezium, parse, quadrature, reference_integral, run, trapezium)
 from trapcorr.expr import eval_value, eval_values
 
-from helpers import composite_loglog_slope, scalar_reference_integral, worst_additivity_defect
+from helpers import (composite_loglog_slope, decimal_integral, scalar_reference_integral,
+                     worst_additivity_defect)
+from test_convergence import _exp_cos, _kink
 
 SIN = parse("sin(x)")
 
@@ -187,6 +189,45 @@ def test_reference_stops_when_the_table_overflows(monkeypatch, text, level):
 def test_reference_converges_through_a_stall(text, a, x, exact):
     res = reference_integral(parse(text), a, x, 1e-13)
     assert res.value == pytest.approx(exact, abs=1e-13)
+
+
+# every closed form of an integral that the suite judges by, where it judges by it: the
+# integrand, the points that split its interval (the oracle's rule converges fast on
+# a smooth piece, so a peak or a kink must lie at a piece's end), and the closed form
+@pytest.mark.parametrize("text,points,closed", [
+    pytest.param("sin(x)", (1.0, 5.0), math.cos(1.0) - math.cos(5.0), id="sin-1-5"),
+    pytest.param("sin(x)", (1.0, 10.0), math.cos(1.0) - math.cos(10.0), id="sin-1-10"),
+    pytest.param("sin(3*x)", (1.0, 10.0), (math.cos(3.0) - math.cos(30.0)) / 3.0, id="sin3x"),
+    pytest.param("sin(20*x)", (1.0, 30.0), (math.cos(20.0) - math.cos(600.0)) / 20.0,
+                 id="sin20x"),
+    pytest.param("1/(1+10000*x^2)", (-1.0, 0.0, 1.3),
+                 (math.atan(130.0) + math.atan(100.0)) / 100.0, id="lorentzian"),
+    pytest.param("x^2", (0.0, 4.0), 4.0 ** 3 / 3.0, id="square"),
+    pytest.param("2^x", (0.5, 9.5), (2.0 ** 9.5 - 2.0 ** 0.5) / math.log(2.0), id="pow2"),
+    pytest.param("exp(x/3)*cos(x)", (1.0, 10.0), _exp_cos(10.0) - _exp_cos(1.0), id="exp-cos"),
+    pytest.param("(x*x)^1.25", (-1.0, 0.0, 1.0), _kink(1.0) - _kink(-1.0), id="kink"),
+    pytest.param("3.25", (-1.0, 7.0), 26.0, id="constant"),
+    pytest.param("2*x+1", (0.0, 3.0), 12.0, id="linear"),
+])
+def test_decimal_oracle_meets_each_closed_form_to_the_last_double(text, points, closed):
+    # the closed form as doubles evaluate it is itself rounded: one unit in its last place
+    node = parse(text)
+    got = float(sum(decimal_integral(node, lo, hi) for lo, hi in zip(points, points[1:])))
+    assert abs(got - closed) <= math.ulp(closed), (got, closed)
+
+
+def test_decimal_oracle_reads_its_recorded_values():
+    # the values the oracle's prototype read: cos 1 - cos 10 (the difference of the doubles
+    # math.cos gives is an ulp above it), and the exotic integral, which no closed form states
+    assert float(decimal_integral(SIN, 1.0, 10.0)) == 1.379373834944592
+    exotic = parse("x^2*(sin(x)*ln(2+x)-100*x)")
+    assert float(decimal_integral(exotic, 1.0, 10.0)) == -249807.09247827437
+
+
+def test_decimal_oracle_refuses_a_peak_inside_its_interval():
+    # levels that do not agree raise: the Lorentzian's peak at 0 needs a split there
+    with pytest.raises(ArithmeticError, match="did not agree"):
+        decimal_integral(parse("1/(1+10000*x^2)"), -1.0, 1.3)
 
 
 def test_reference_deterministic():

@@ -147,6 +147,13 @@ FEHLBERG7_C1 = RKTableau(name="fehlberg7-c1e-12", order=7, a=FEHLBERG7.a, b=FEHL
 FEHLBERG7_C1.validate()
 #: its one nonzero weight, 1.0, is a factor that the emitted step leaves out
 MIDPOINT = RKTableau(name="midpoint", order=2, a=((), (0.5,)), b=(0.0, 1.0), c=(0.0, 0.5))
+#: the trapezoidal rule with its node c = 0 taken twice: stage 1 reuses stage 0's x-side
+#: terms, and stage 0 takes the carry of the step before's node c = 1
+RECURRING_C0 = RKTableau(name="recurring-c0", order=2, a=((), (0.0,), (0.5, 0.5)),
+                         b=(0.5, 0.0, 0.5), c=(0.0, 0.0, 1.0))
+RECURRING_C0.validate()
+#: the tableaux that the emitted step is checked on against the tableau's own step
+_TABLEAUX = (FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1, MIDPOINT, RECURRING_C0)
 
 
 def _sweep_steps(spec):
@@ -179,8 +186,7 @@ def _sweep_steps(spec):
     return steps, recorded[0]
 
 
-@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1, MIDPOINT],
-                         ids=lambda t: t.name.split("/")[-1])
+@pytest.mark.parametrize("tableau", _TABLEAUX, ids=lambda t: t.name.split("/")[-1])
 @pytest.mark.parametrize("make", [
     pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, tableau=t), id="sin"),
     pytest.param(lambda t: sin_problem(x0=5.0, h=0.01, shift=2.0, tableau=t), id="shifted-sin"),
@@ -219,8 +225,7 @@ _STAGE_FAILURES = {
 }
 
 
-@pytest.mark.parametrize("tableau", [FEHLBERG7, RK4, HEUN3, FEHLBERG7_C1, MIDPOINT],
-                         ids=lambda t: t.name.split("/")[-1])
+@pytest.mark.parametrize("tableau", _TABLEAUX, ids=lambda t: t.name.split("/")[-1])
 @pytest.mark.parametrize("name", sorted(_STAGE_FAILURES))
 def test_inlined_step_fails_as_the_tableau_step_over_xi_rhs(name, tableau):
     (f, a, b, y, start), kind = _STAGE_FAILURES[name]
