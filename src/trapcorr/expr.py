@@ -52,7 +52,7 @@ __all__ = [
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 #: deepest nesting ``parse`` accepts, one level per parenthesis, call, unary
-#: minus or operator; parsing, compiling and evaluating take a call per level
+#: minus or operator; parsing, compiling and evaluating recurse per level
 MAX_DEPTH = 100
 
 
@@ -445,13 +445,13 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
         lines.append(f"{f[target]} = {expr}")
 
 
-@lru_cache(maxsize=256)  # the xi-ODE's stage reads it too
+@lru_cache(maxsize=256)
 def _emit(shape) -> dict:
-    """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: d0's
-    statements, then the derivatives', the slope's those that set no g2, g3, s2, s3, w2 or w3;
-    and its finiteness tests' factors, 0.0 times each slot, +-0.0 or NaN.  A chained node's
-    derivatives with /, ** or a call but sin or cos come out NaN where they raise (float +, -
-    and * never do, sin and cos only where d0 has), so all fail alike wherever the value does."""
+    """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: the
+    d0 statements, then the d1, then all; and the factors of its finiteness tests, 0.0 times
+    each slot, +-0.0 or NaN.  A chained node's derivatives with /, ** or a call but sin or cos
+    come out NaN where they raise (float +, - and * never do, sin and cos only where d0 has),
+    so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -481,7 +481,7 @@ def _emit(shape) -> dict:
                 lines.append(statement.format(**f))
             else:
                 _fold(statement, f, lines, keep, carried)
-        first = [line for line in lines if not re.match(r"[gsw][23]_", line)]  # the x-side's
+        first = [line for line in lines if not re.match(r"[gsw][23]_", line)]  # the d1's
         for block, body, outs in ((slope, first, "w1"), (jet, lines, "w1 w2 w3")):
             body = "; ".join(body)
             names = " = ".join(filter(str.isidentifier, map(f.get, outs.split())))

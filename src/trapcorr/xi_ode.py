@@ -85,8 +85,8 @@ def _source(shape, tableau) -> str:
     The step's stage i is x = x_n + c_i h, then k_i the slope at y + h a_ij k_j + ..., and it
     returns y + h (0.0 + b_i k_i + ...), each sum left to right over the nonzero entries: the
     roundings of :meth:`~trapcorr.rk.RKTableau.step`'s loop, a factor 1.0 dropped (exact).  It
-    reads x's terms once per node c, carries a node c = 1's into the next step's node c = 0 at
-    an equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
+    reads x's terms once per node c, carries a node c = 1's into the next step's c = 0 at an
+    equal abscissa and records stage 0's g''(xi), at xi = y as A's first row is empty."""
     c, nodes, em = tableau.c, [ci.hex() for ci in tableau.c], _emit(shape)  # 0.0, -0.0 apart
     em = dict(em, **{key: em[key].replace("\n" + " " * 8, "\n")[8:].replace("{at}", at)
                      for key, at in (("slope", "x"), ("jet", "x_s, x"))},  # from 8 columns to 0

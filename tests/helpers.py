@@ -373,25 +373,25 @@ def _decimal_value(node, x: Decimal) -> Decimal:
     return operation(_decimal_value(node.left, x), _decimal_value(node.right, x))
 
 
-def decimal_integral(node, a: float, b: float, digits: int = ORACLE_DIGITS) -> Decimal:
-    """The integral of ``node`` over [a, b] by the tanh-sinh rule in ``decimal`` at ``digits``
-    significant digits.  Its nodes are x = a + (b - a)/2 (1 - tanh v), v = pi/2 sinh u, and
-    their mirrors about the midpoint, weighted pi/2 cosh u / cosh^2 v, at u = 0, h, 2h, ...
-    out to the weight 10^-(digits + 5).  h halves from 1 until two levels agree to half the
-    digits, relative to the integral of |f|: the next halving would about square that error.
-    Raises what Decimal raises where the integrand is undefined at a node, and
-    ArithmeticError where 10 levels do not agree."""
+def decimal_integral(node, a: float, b: float) -> Decimal:
+    """The integral of ``node`` over [a, b] by the tanh-sinh rule in ``decimal`` at
+    ORACLE_DIGITS significant digits.  Its nodes are x = a + (b - a)/2 (1 - tanh v),
+    v = pi sinh u, and their mirrors about the midpoint, weighted pi cosh u / cosh^2 v, at
+    u = 0, h, 2h, ... out to the weight 10^-(ORACLE_DIGITS + 5).  h halves from 1 until two
+    levels agree to half the digits, relative to the integral of |f|: the next halving would
+    about square that error.  Raises what Decimal raises where the integrand is undefined at
+    a node, and ArithmeticError where 10 levels do not agree."""
     with localcontext() as ctx:
-        ctx.prec = digits
-        lo, hi, quarter_pi = Decimal(a), Decimal(b), _decimal_pi(digits) / 2
-        half, tiny = (hi - lo) / 2, Decimal(10) ** -(digits + 5)
-        agree = Decimal(10) ** -(digits // 2)
+        ctx.prec = ORACLE_DIGITS
+        lo, hi, half_pi = Decimal(a), Decimal(b), _decimal_pi(ORACLE_DIGITS) / 2
+        half, tiny = (hi - lo) / 2, Decimal(10) ** -(ORACLE_DIGITS + 5)
+        agree = Decimal(10) ** -(ORACLE_DIGITS // 2)
 
         def weighted(u: Decimal) -> tuple:  # the weight at u, and f at its two nodes
             e = u.exp()
-            ev = (quarter_pi * (e - 1 / e)).exp()
+            ev = (half_pi * (e - 1 / e)).exp()  # e^v
             delta = 2 / (ev * ev + 1)  # 1 - tanh v, without cancellation
-            weight = quarter_pi * (e + 1 / e) * 4 / (ev + 1 / ev) ** 2
+            weight = half_pi * (e + 1 / e) * 4 / (ev + 1 / ev) ** 2
             return (weight, _decimal_value(node, lo + half * delta),
                     _decimal_value(node, hi - half * delta))
 
