@@ -382,7 +382,7 @@ def _power(r: float, f: dict):
         if c == 0.0 and k == 3 and f["u1"][0].isalpha():
             lines[1].append(g + "0.0")
         elif c == 0.0 or m == 0.0:
-            f[f"g{k}"] = repr(c + 0.0)  # -0.0 + 0.0 is 0.0
+            f[f"g{k}"] = repr(c)  # -0.0 at r = 1, k = 3: a zero's sign is free
         else:
             factor = "" if c == 1.0 else "-" if c == -1.0 else f"{c!r} * "
             lines[k > 1].append(g + factor + ("{u0}" if m == 1.0 else f"pow({{u0}}, {m!r})"))
@@ -394,11 +394,11 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
     """Append a derivative statement at the slots ``f`` to ``lines``, or pass its slot on
     as a name or number.  Each term loses its factors 1.0, multiplies out its leading
     numbers and takes their signs in front (exact: rounding is symmetric); unless
-    ``keep``, one with a factor 0.0 or -0.0 is dropped.  A sum then gains a + 0.0 for a
-    dropped +0.0 (names taken positive), and a value v (u0, v0, w0) that no kept term
-    of the node reads enters as v - v instead, NaN where v is not finite, as v * 0.0 is."""
+    ``keep``, one with a factor 0.0 or -0.0 is dropped, so that an exact zero's sign may
+    differ from the unfolded rules', and a value v (u0, v0, w0) that no kept term of the
+    node reads enters as v - v in its place, NaN where v is not finite, as v * 0.0 is."""
     (target, _, divisor), terms = statement[0].partition("/"), statement[1:]
-    parts, total, plus0, named = [], -0.0, False, False  # -0.0 + t is t for every t
+    parts, total, named = [], -0.0, False  # -0.0 + t is t for every t
     for term in terms:
         lead, names, value = 1.0, [], 1.0  # value: each name read as 1.0
         factors = [factor.partition("^") for factor in term.split()]
@@ -425,18 +425,13 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
                 parts.append((sign, f"({v} - {v})"))
                 named = True
                 break
-        else:
-            plus0 |= sign == "+"
     if not named:  # numbers alone: their sum, exact
         if total == 0.0 or not divisor:
             f[target] = repr(total)
             return
-        parts, plus0 = [("+", repr(total))], False
+        parts = [("+", repr(total))]
     (sign, text), *rest = parts
-    expr = (("0.0 - " if plus0 else "-") if sign == "-" else "") + text
-    expr += "".join(f" {s} {t}" for s, t in rest)
-    if plus0 and sign == "+" and not any(s + t[0] == "+(" for s, t in rest):
-        expr += " + 0.0"
+    expr = "-" * (sign == "-") + text + "".join(f" {s} {t}" for s, t in rest)
     if divisor:
         expr = f"{expr} / {f[divisor]}" if expr.isidentifier() else f"({expr}) / {f[divisor]}"
     if expr.isidentifier():
