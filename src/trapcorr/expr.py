@@ -316,26 +316,25 @@ _SOURCE = """\
 def bind({literals}):
     def jet(x):
 {jet}
-        if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise DomainError("non-finite jet component", x)
         return new(Jet3, ({w0}, {w1}, {w2}, {w3}))
 
     def values(xs):
       out = []
       for x in xs:  # the value block, indented by 8, is the loop's body
 {value}
-        if {w0} - {w0} != 0.0: raise DomainError("non-finite value", x)
         out.append({w0})
       return out
 
     return jet, values
 """
 
-#: an evaluator's statements: an overflow or undefined operation in them is a DomainError at {at}
+#: an evaluator block: an overflow, undefined operation or non-finite slot is a DomainError at {at}
 _GUARDED = """\
         try:
 {body}
         except UNDEFINED as exc:
-            raise undefined(exc, {{at}}) from exc"""
+            raise undefined(exc, {{at}}) from exc
+        if {test}: raise DomainError("non-finite {what}", {{at}})"""
 
 #: what emitted code reads besides its locals: math's functions under
 #: their grammar names, math.pow as pow, and tuple.__new__ as new, which
@@ -443,10 +442,10 @@ def _fold(statement, f: dict, lines: list, keep: bool, carried: set):
 @lru_cache(maxsize=256)
 def _emit(shape) -> dict:
     """One tree shape's literal names, d0..d3 names and value, slope and jet blocks at x: the
-    d0 statements, then the d1, then all; and the factors of its finiteness tests, 0.0 times
-    each slot, +-0.0 or NaN.  A chained node's derivatives with /, ** or a call but sin or cos
-    come out NaN where they raise (float +, - and * never do, sin and cos only where d0 has),
-    so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
+    d0 statements, then the d1, then all, each block testing what it returns (d0 - d0, or 0.0
+    times each slot, is +-0.0 or NaN).  A chained node's derivatives with /, ** or a call but sin
+    or cos come out NaN where they raise (float +, - and * never do, sin and cos only where d0
+    has), so all fail alike wherever the value does.  Cached: the xi-ODE's stage reads it too."""
     value, slope, jet, literals = [], [], [], []
 
     def emit(shape):  # -> the names (or float literals) of its d0..d3
@@ -488,12 +487,14 @@ def _emit(shape) -> dict:
                 block.append(body)
         return f["w0"], f["w1"], f["w2"], f["w3"]
 
-    w = emit(shape)
-    blocks = {key: _GUARDED.format(body="\n".join(
+    w = emit(shape)  # in a test, a finite number needs no factor: 0.0 * it is 0.0
+    fin = [f" * {v}" * (v.isidentifier() or not math.isfinite(float(v))) for v in w]
+    blocks = {key: _GUARDED.format(test=test, what=what, body="\n".join(
         " " * 12 + line for part in lines or ["pass"] for line in part.split("\n")))
-        for key, lines in (("value", value), ("slope", value + slope), ("jet", value + jet))}
-    blocks.update((f"fin{k}", f" * {v}" if v.isidentifier() or not math.isfinite(float(v)) else "")
-                  for k, v in enumerate(w))  # a finite number needs no factor: 0.0 * it is 0.0
+        for key, lines, test, what in (
+            ("value", value, f"{w[0]} - {w[0]} != 0.0", "value"),
+            ("slope", value + slope, f"not 0.0{''.join(fin[:2])} == 0.0", "jet component"),
+            ("jet", value + jet, f"not 0.0{''.join(fin)} == 0.0", "jet component"))}
     return dict(blocks, literals="".join(name + ", " for name in literals), **dict(zip(_LOCALS, w)))
 
 

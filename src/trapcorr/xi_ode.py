@@ -51,7 +51,6 @@ F_COEFFICIENT = -6.0
 #: slope block, then t^3, the guard's threshold and P, Q of the numerator P - Q g''(xi)
 _READ = """\
 {slope}
-if not 0.0{fin0}{fin1} == 0.0: raise DomainError("non-finite jet component", x)
 if x == a: raise ConfigError("xi_rhs is undefined at x == a")
 t = x - a; t3{n} = t ** 3; thr{n} = guard * (1.0 + abs(t3{n}))
 P{n} = F * {w0} + g_a6 + {t_dg}; Q{n} = 3.0 * t * t"""
@@ -61,7 +60,6 @@ P{n} = F * {w0} + g_a6 + {t_dg}; Q{n} = 3.0 * t * t"""
 _JET = """\
 x_s, x = x, {xi}
 {jet}
-if not 0.0{fin0}{fin1}{fin2}{fin3} == 0.0: raise DomainError("non-finite jet component", x_s, x)
 den = t3{n} * {w3}
 if abs(den) < thr{n}: raise SingularDenominatorError(x_s, x, den)
 {k} (P{n} - Q{n} * {w2}) / den"""

@@ -711,6 +711,26 @@ def test_negative_stage_count_tableau_exit_5(command, tmp_path, capsys):
                             "negative stage count -1\n")
 
 
+#: malformed tableau files and the end of the one line naming why, after the file's path
+MALFORMED_TABLEAUX = {
+    "empty": ("", " is empty"),
+    "non-integer-header": ("x 1\n\n1\n0.0\n", ": bad header 'x 1'"),
+    "short-a-row": ("2 1\n\n0.5 0.5\n0.5 0.5\n0.0 1.0\n", ": A row 2 has 2 entries, expected 1"),
+    "non-number": ("1 1\n\nx\n0.0\n", ": bad number in b line"),
+}
+
+
+@pytest.mark.parametrize("command", TABLEAU_COMMANDS)
+@pytest.mark.parametrize("name", sorted(MALFORMED_TABLEAUX))
+def test_malformed_tableau_exit_5(name, command, tmp_path, capsys):
+    text, why = MALFORMED_TABLEAUX[name]
+    path = tmp_path / f"{name}.tab"
+    path.write_text(text, encoding="ascii")
+    assert main([*command, "--tableau", str(path)]) == 5
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"trapcorr: [config] tableau file '{path}'{why}\n")
+
+
 @pytest.mark.parametrize("command", TABLEAU_COMMANDS)
 def test_non_ascii_tableau_exit_5(command, tmp_path, capsys):
     path = tmp_path / "latin-1.tab"

@@ -116,8 +116,9 @@ def test_solve_xi_at_infeasible_reference_reports_no_root():
     (5.0, math.inf, 1e-12, "x and i_ref must be finite, got x=5.0, i_ref=inf"),
     (math.inf, 0.0, 1e-12, "x and i_ref must be finite, got x=inf, i_ref=0.0"),
     (math.nan, 0.0, 1e-12, "x and i_ref must be finite, got x=nan, i_ref=0.0"),
+    (1.0, 0.0, 1e-12, "upper limit 1.0 must exceed a=1.0"),
 ], ids=["i_ref-nan", "root_tol-nan", "root_tol-inf", "root_tol-negative", "i_ref-inf", "x-inf",
-        "x-nan"])
+        "x-nan", "x-at-a"])
 def test_solve_xi_at_rejects_non_finite_inputs_and_tolerances(x, i_ref, root_tol, message):
     spec = ProblemSpec.from_text("sin(x)", 1.0, 10.0, x0=5.0)
     if i_ref is None:  # the true integral, as solve_xi0 would pass it

@@ -49,6 +49,7 @@ def test_composite_single_panel_matches_trapezium():
 def test_composite_exact_for_linear():
     lin = parse("x")
     assert composite_trapezium(lin, 0.0, 1.0, 1) == 0.5
+    assert composite_trapezium(lin, 0.5, 0.5, 4) == 0.0  # an empty interval
 
 
 def test_composite_error_quarters_per_doubling():

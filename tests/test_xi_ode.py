@@ -118,6 +118,9 @@ def test_expr_knows_nothing_of_the_ode():
     assert not {name for name in imported if re.search(r"\b(rk|xi_ode)$", name)}
     for name in ("SingularDenominatorError", "_STAGE", "_XI"):
         assert name not in source
+    # and each block expr emits tests its own slots: xi_ode spells no finiteness test
+    assert "non-finite" not in Path(xi_ode.__file__).read_text(encoding="utf-8")
+    assert not [key for key in expr._emit(("sin", "x")) if key.startswith("fin")]
 
 
 def test_a_fresh_shape_is_emitted_once_and_compiled_once_per_tableau(monkeypatch):
@@ -336,6 +339,8 @@ def test_suggest_shift_none_when_nothing_clears():
     # f''' = -12 cos(x) sweeps slowly through every candidate's negation,
     # so the sampled minimum stays under the clearance bar for all of them
     assert suggest_shift(parse("12*sin(x)"), 1.0, 10.0) is None
+    # nor where the integrand cannot be evaluated over the range: sqrt's jet below 0
+    assert suggest_shift(parse("sqrt(x)"), -1.0, 1.0) is None
 
 
 # ------------------------------------------------- containment & near-a
