@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import sys
 import time
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import attrgetter, is_
 from typing import NamedTuple
 
@@ -119,22 +119,21 @@ class ErrorCurve(NamedTuple):
 
 # ------------------------------------------------------------ bootstrap
 
-def _scan(fn, lo: float, w: float) -> tuple[list[float], list[float]]:
-    """``fn`` on ``SCAN_INTERVALS + 1`` uniform points of [lo, lo + w]."""
-    points = [lo + w * i / SCAN_INTERVALS for i in range(SCAN_INTERVALS + 1)]
-    return points, [fn(p) for p in points]
-
-
-def _brackets(values: list[float]) -> list[int]:
-    """Scan cells holding a root, in scan order: cell i has an exact zero
-    at its left point or a sign change across it; the last point counts
-    as cell ``SCAN_INTERVALS`` when it is an exact zero."""
-    n = len(values) - 1
-    cells = [i for i in range(n)
-             if values[i] == 0.0 or values[i] * values[i + 1] < 0.0]
-    if values[n] == 0.0:
-        cells.append(n)
-    return cells
+def _scan(fn, lo: float, w: float, enough=lambda v: False):
+    """``fn`` on the points lo + w*i/``SCAN_INTERVALS`` of [lo, lo + w], i = 0, 1, ...: the points,
+    the values, the root cells in scan order, and whether some value met ``enough``.  Cell i has
+    an exact zero at point i or a sign change across [i, i + 1]; the scan stops at the first
+    point where it has a cell and a value that met ``enough``."""
+    points, values, cells, met = [], [], [], False
+    for i in range(SCAN_INTERVALS + 1):
+        points.append(lo + w * i / SCAN_INTERVALS)
+        values.append(v := fn(points[i]))
+        if v == 0.0 or i and values[i - 1] * v < 0.0:
+            cells.append(i if v == 0.0 else i - 1)
+        met = met or enough(v)
+        if cells and met:
+            break
+    return points, values, cells, met
 
 
 def _root(fn, points: list[float], values: list[float], i: int) -> float:
@@ -168,39 +167,31 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     exceeds ``root_tol`` the residual carries no information about xi
     (constant g'' already matching) and the midpoint is returned by
     convention.  The scan stops once it has a bracket and some |R| > root_tol.
-    Raises :class:`ConfigError` for an ``x`` or ``i_ref`` that is not finite
-    and a ``root_tol`` outside (0, inf).
+    Raises :class:`ConfigError` for an ``x`` or ``i_ref`` that is not finite, an ``x``
+    not above a or so far above it that (x-a)^3 overflows, and a ``root_tol`` outside (0, inf).
     """
     if not 0.0 < root_tol < math.inf:  # NaN too
         raise ConfigError(f"root tolerance must be positive and finite, got {root_tol!r}")
     if not math.isfinite(x) or not math.isfinite(i_ref):
         raise ConfigError(f"x and i_ref must be finite, got x={x!r}, i_ref={i_ref!r}")
-    a = spec.a
-    w = x - a
+    a, w = spec.a, x - spec.a
     if w <= 0.0:
         raise ConfigError(f"upper limit {x!r} must exceed a={a!r}")
+    if not w < sys.float_info.max ** (1.0 / 3.0):
+        raise ConfigError(f"upper limit {x!r}: (x - a)^3 overflows for a={a!r}")
     base = trapezium(spec.g, a, x) - i_ref
     scale = w ** 3 / 12.0
 
     def res(xi: float) -> float:
         return base - scale * eval_jet(spec.g, xi).d2
 
-    points, values, bracketed, informative = [], [], False, False
-    for i in range(SCAN_INTERVALS + 1):  # _scan's points, up to a cell that _brackets finds
-        points.append(a + w * i / SCAN_INTERVALS)
-        values.append(res(points[i]))
-        informative = informative or abs(values[i]) > root_tol
-        bracketed = bracketed or values[i] == 0.0 or i > 0 and values[i - 1] * values[i] < 0.0
-        if bracketed and informative:
-            break
+    points, values, cells, informative = _scan(res, a, w, lambda v: abs(v) > root_tol)
     if not informative:
         return a + 0.5 * w
-    cells = _brackets(values)
     if not cells:
-        min_abs = min(abs(v) for v in values)
-        at = points[min(range(len(values)), key=lambda i: abs(values[i]))]
+        at = min(range(len(values)), key=lambda i: abs(values[i]))
         raise NoRootError("no sign change of the bootstrap residual in (a, x0)",
-                          min_abs_residual=min_abs, at=at)
+                          min_abs_residual=abs(values[at]), at=points[at])
     xi0 = _root(res, points, values, cells[0])
     achieved = abs(res(xi0))
     if achieved > root_tol:
@@ -213,48 +204,31 @@ def solve_xi_at(spec: ProblemSpec, x: float, i_ref: float,
     return xi0
 
 
-def in_interval_xi(spec: ProblemSpec, x: float, xi: float,
-                   near: float) -> float:
-    """A point t in (a, x) with g''(t) = g''(xi), for a mean-value point
-    ``xi`` that has left (a, x) on another branch of g''(xi(x)) = c(x).
-
-    Scans and bisects as :func:`solve_xi_at` does, taking the root cell
-    nearest ``near`` (the previous node's xi).  Returns ``xi`` unchanged
-    when g'' does not take the value g''(xi) inside (a, x).
-    """
+def in_interval_xi(spec: ProblemSpec, x: float, xi: float, near: float) -> float:
+    """The sweep's node hook: ``xi`` when it lies in (a, x), else a point t in (a, x)
+    with g''(t) = g''(xi), for a mean-value point that has left (a, x) on another
+    branch of g''(xi(x)) = c(x): the root in the scan cell nearest ``near`` (the xi
+    the step left from), scanned and bisected as :func:`solve_xi_at` does.  Returns
+    ``xi`` unchanged when g'' does not take the value g''(xi) inside (a, x), and
+    raises :class:`DomainError` at ``x`` for a non-finite ``xi``."""
     a = spec.a
+    if a < xi < x:
+        return xi
+    if not math.isfinite(xi):  # else the jet at xi would call it x
+        raise DomainError(f"non-finite xi={xi!r}", x)
     target = eval_jet(spec.g, xi).d2
 
     def res(t: float) -> float:
         return eval_jet(spec.g, t).d2 - target
 
-    points, values = _scan(res, a, x - a)
+    points, values, cells, _ = _scan(res, a, x - a)
     # an exact zero at a or at x is no point of the open interval
-    cells = [i for i in _brackets(values)
-             if values[i] != 0.0 or 0 < i < SCAN_INTERVALS]
+    cells = [i for i in cells if values[i] != 0.0 or 0 < i < SCAN_INTERVALS]
     if not cells:
         return xi
-    best = min(cells,
-               key=lambda i: abs(0.5 * (points[i] + points[i + 1]) - near))
+    best = min(cells, key=lambda i: abs(0.5 * (points[i] + points[i + 1]) - near))
     t = _root(res, points, values, best)
     return t if a < t < x else xi
-
-
-def _keep_in_interval(spec: ProblemSpec, xi0: float):
-    """Node hook for one sweep from ``xi0``: a node whose xi has left
-    (a, x) continues from its in-interval preimage, if there is one."""
-    prev = xi0
-
-    def hook(x: float, xi: float) -> float:
-        nonlocal prev
-        if not (spec.a < xi < x):
-            if not math.isfinite(xi):  # else in_interval_xi's jet at xi would call it x
-                raise DomainError(f"non-finite xi={xi!r}", x)
-            xi = in_interval_xi(spec, x, xi, prev)
-        prev = xi
-        return xi
-
-    return hook
 
 
 def solve_xi0(spec: ProblemSpec) -> float:
@@ -276,10 +250,11 @@ def run(spec: ProblemSpec, reference: bool = False,
     trapezium, error term and corrected value are all identically zero.
 
     The ODE fixes only g''(xi(x)), so a sweep can drift onto a branch
-    that leaves (a, x).  A node whose xi has left (a, x) is replaced by
-    its preimage in (a, x) under g'' (:func:`in_interval_xi`) and the
-    sweep continues from there; with no such preimage the ODE value is
-    kept, and the residual column shows the lost identity.
+    that leaves (a, x).  The sweep's node hook, :func:`in_interval_xi`,
+    replaces such a node's xi by its preimage in (a, x) under g'' nearest
+    the xi the step left from, and the sweep continues from there; with no
+    such preimage the ODE value is kept, and the residual column shows the
+    lost identity.
 
     ``reference`` attaches a reference-integral column (built additively
     from per-panel reference integrals, each to the larger of its width's
@@ -293,7 +268,7 @@ def run(spec: ProblemSpec, reference: bool = False,
 
     def sweep(x_end):  # its (x, xi, g''(xi)) nodes: the last has no step, so no g''(xi)
         start = len(records)
-        nodes = rk.integrate(step, spec.x0, xi0, x_end, spec.h, _keep_in_interval(spec, xi0))
+        nodes = rk.integrate(step, spec.x0, xi0, x_end, spec.h, partial(in_interval_xi, spec))
         return [(x, xi, d2) for (x, xi), d2 in zip(nodes, records[start:] + [None])]
     with phase("ode"):
         try:

@@ -190,7 +190,8 @@ def rk_step(step: Step, x: float, y: float, h: float) -> float:
 
 
 def integrate(step: Step, x0: float, y0: float, x_end: float, h_mag: float,
-              on_node: Rhs | None = None) -> tuple[tuple[float, float], ...]:
+              on_node: Callable[[float, float, float], float] | None = None,
+              ) -> tuple[tuple[float, float], ...]:
     """The (x, y) nodes of fixed steps of magnitude ``h_mag`` by ``step``
     (see :func:`rk_step`) from (x0, y0) toward ``x_end``.
 
@@ -198,8 +199,9 @@ def integrate(step: Step, x0: float, y0: float, x_end: float, h_mag: float,
     clamped to land exactly on ``x_end``.  All nodes including both
     endpoints are returned; ``x_end == x0`` yields the single seed node.
 
-    ``on_node(x, y)``, when given, is called on every new node; its
-    return value replaces y there and the sweep continues from it.
+    ``on_node(x, y, y_prev)``, when given, is called on every new node, with
+    ``y_prev`` the y of the node the step left from (as ``on_node`` returned
+    it); its return value replaces y there and the sweep continues from it.
     """
     if not (0.0 < h_mag < math.inf and math.isfinite(x0) and math.isfinite(x_end)):
         raise ConfigError(f"need finite ends and 0 < h_mag < inf, got {x0!r}, {x_end!r}, {h_mag!r}")
@@ -216,9 +218,9 @@ def integrate(step: Step, x0: float, y0: float, x_end: float, h_mag: float,
         last = sign * (x_next - x_end) >= -1e-9 * h_mag
         if last:
             x_next = x_end
-        y = rk_step(step, x, y, x_next - x)
+        y_prev, y = y, rk_step(step, x, y, x_next - x)
         if on_node is not None:
-            y = on_node(x_next, y)
+            y = on_node(x_next, y, y_prev)
         nodes.append((x_next, y))
         if last:
             break

@@ -117,8 +117,9 @@ def test_solve_xi_at_infeasible_reference_reports_no_root():
     (math.inf, 0.0, 1e-12, "x and i_ref must be finite, got x=inf, i_ref=0.0"),
     (math.nan, 0.0, 1e-12, "x and i_ref must be finite, got x=nan, i_ref=0.0"),
     (1.0, 0.0, 1e-12, "upper limit 1.0 must exceed a=1.0"),
+    (1e200, 0.0, 1e-12, "upper limit 1e+200: (x - a)^3 overflows for a=1.0"),
 ], ids=["i_ref-nan", "root_tol-nan", "root_tol-inf", "root_tol-negative", "i_ref-inf", "x-inf",
-        "x-nan", "x-at-a"])
+        "x-nan", "x-at-a", "x-cube-overflows"])
 def test_solve_xi_at_rejects_non_finite_inputs_and_tolerances(x, i_ref, root_tol, message):
     spec = ProblemSpec.from_text("sin(x)", 1.0, 10.0, x0=5.0)
     if i_ref is None:  # the true integral, as solve_xi0 would pass it
@@ -136,8 +137,9 @@ def test_solve_xi0_stamps_init_phase_on_failure():
 
 
 def _full_scan_xi_at(spec, x, i_ref, root_tol):
-    """The bootstrap with the scan run to its end: R at every scan point, the
-    midpoint when no |R| exceeds root_tol, else the root in cells[0]."""
+    """The bootstrap with the scan run to its end, built here rather than from the
+    pipeline's scanner: R at every scan point, the midpoint when no |R| exceeds
+    root_tol, else the root in the first root cell."""
     a, w = spec.a, x - spec.a
     base = trapezium(spec.g, a, x) - i_ref
     scale = w ** 3 / 12.0
@@ -145,10 +147,15 @@ def _full_scan_xi_at(spec, x, i_ref, root_tol):
     def res(xi):
         return base - scale * eval_jet(spec.g, xi).d2
 
-    points, values = pipeline._scan(res, a, w)
+    n = pipeline.SCAN_INTERVALS
+    points = [a + w * i / n for i in range(n + 1)]
+    values = [res(p) for p in points]
     if max(abs(v) for v in values) <= root_tol:
         return a + 0.5 * w
-    cells = pipeline._brackets(values)
+    # cell i: an exact zero at point i, or a sign change across [i, i + 1]; the last
+    # point is cell n when it is an exact zero
+    cells = [i for i in range(n) if values[i] == 0.0 or values[i] * values[i + 1] < 0.0]
+    cells += [n] if values[n] == 0.0 else []
     if not cells:
         at = points[min(range(len(values)), key=lambda i: abs(values[i]))]
         raise NoRootError("no sign change of the bootstrap residual in (a, x0)",
@@ -455,6 +462,19 @@ def test_in_interval_xi_takes_the_preimage_nearest_the_previous_node():
         5.0 * math.pi - 9.0, abs=1e-12)
     assert in_interval_xi(problem, 8.0, 9.0, 3.0) == pytest.approx(
         9.0 - 2.0 * math.pi, abs=1e-12)
+
+
+def test_in_interval_xi_returns_an_in_interval_xi_unchanged():
+    problem = sin_spec(b=20.0)
+    # 9 - 2 pi also solves sin(t) = sin(9), but an xi inside (a, x) is kept as it is
+    assert in_interval_xi(problem, 8.0, 5.0 * math.pi - 9.0, 3.0) == 5.0 * math.pi - 9.0
+
+
+def test_in_interval_xi_names_a_non_finite_xi_at_its_node():
+    with pytest.raises(DomainError) as exc:
+        in_interval_xi(sin_spec(), 2.5, math.inf, 2.0)
+    assert exc.value.x == 2.5
+    assert str(exc.value) == "non-finite xi=inf at x=2.5"
 
 
 def test_in_interval_xi_keeps_a_value_with_no_preimage():

@@ -302,21 +302,22 @@ def test_rhs_failure_propagates_unwrapped():
 def test_on_node_replaces_each_node_and_sweep_continues_from_it():
     seen = []
 
-    def halve(x, y):
-        seen.append(x)
+    def halve(x, y, y_prev):
+        seen.append((x, y_prev))
         return 0.5 * y
 
     nodes = integrate(_f7(lambda x, y: 0.0), 0.0, 1.0, 0.3, 0.1, on_node=halve)
     xs = [x for x, _ in nodes]
     assert xs == [0.0, 0.1, 0.2, 0.3]
-    assert seen == xs[1:]
+    # each new node, with the y of the node its step left from as the hook returned it
+    assert seen == [(0.1, 1.0), (0.2, 0.5), (0.3, 0.25)]
     assert [y for _, y in nodes] == [1.0, 0.5, 0.25, 0.125]
 
 
 def test_on_node_failure_propagates_unwrapped():
     raised = []
 
-    def hook(x, y):
+    def hook(x, y, y_prev):
         if x > 0.25:
             raised.append(DomainError("synthetic failure", x))
             raise raised[-1]
